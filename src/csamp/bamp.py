@@ -1,37 +1,38 @@
-"""Bayesian-optimal AMP: the MMSE denoiser replaces soft thresholding.
+"""Bayesian-optimal AMP: the MMSE denoiser in the shared AMP loop.
 
-bamp_recover runs the loop on one real part; cbamp_recover runs it on the
-real and imaginary parts of a complex problem independently and combines
-the estimates.  The per-iteration step is factored out so the coupled
-solver can reuse it unchanged (its exchange-disabled mode must reproduce
-cBAMP bit for bit).
+The loop is amp._iterate; its denoiser here is the closed-form posterior
+mean of denoiser.py under the per-part prior, gamma frozen at the prior and
+its constants (log-odds, endpoint masks) computed once per solve.
+bamp_recover runs one real part; cbamp_recover runs both parts together,
+each stopping on its own rule.  bamp_step is one iteration of the same step
+and kernel, for one part or for parts stacked along a leading axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .denoiser import DenoiserParams, denoise, denoise_deriv
-from .model import (
-    BernoulliGaussianPrior,
-    ComplexVector,
-    RecoveryError,
-    RecoveryOutput,
-    RecoverySettings,
-    combine,
-)
+from .amp import AmpPartResult, _complex_output, _iterate, _sq_norms, _stack, _step
+from .denoiser import BETA_FLOOR, _endpoint_masks, _posterior_terms, _prior_log_odds
+from .model import BernoulliGaussianPrior, ComplexVector, RecoveryOutput, RecoverySettings
 
 
-@dataclass(frozen=True)
-class BampPartResult:
-    x_hat: np.ndarray
-    u: np.ndarray
-    beta: float
-    iterations: int
-    converged: bool
-    diverged: bool
+def _mmse(u, beta, s2, log_odds, slab=None, spike=None):
+    """The loop's denoiser: (x, summed derivative per part, pi)."""
+    x, deriv, pi = _posterior_terms(u, np.maximum(beta, BETA_FLOOR)[..., None], s2,
+                                    log_odds, slab, spike)
+    return x, deriv.sum(axis=-1), pi
+
+
+def _mmse_denoiser(gamma, s2: float):
+    """_mmse at zero probabilities gamma (one vector for every part), with
+    the inputs validated and gamma's constants computed once."""
+    if np.any(gamma < 0.0) or np.any(gamma > 1.0):
+        raise ValueError("gamma must lie in [0, 1]")
+    if not s2 > 0.0:
+        raise ValueError("s2 must be positive")
+    log_odds, (slab, spike) = _prior_log_odds(gamma), _endpoint_masks(gamma)
+    return lambda u, beta: _mmse(u, beta, s2, log_odds, slab, spike)
 
 
 def bamp_step(A, y, x, z, gamma, s2, beta_floor):
@@ -40,84 +41,29 @@ def bamp_step(A, y, x, z, gamma, s2, beta_floor):
     Returns (x_new, z_new, u, beta) with u and beta the pre-update values
     that the output contract and support detection consume.
     """
-    m = A.shape[0]
-    u = x + A.T @ z
-    beta = max(float(z @ z) / m, beta_floor)
-    params = DenoiserParams(beta=beta, gamma=gamma, s2=s2)
-    x_new = denoise(u, params)
-    onsager = float(np.sum(denoise_deriv(u, params))) / m
-    z_new = y - A @ x_new + onsager * z
+    beta = np.maximum(_sq_norms(z) / A.shape[0], beta_floor)
+    u, x_new, z_new, _ = _step(A, y, x, z, beta, _mmse_denoiser(np.asarray(gamma), s2))
     return x_new, z_new, u, beta
 
 
-def bamp_recover(
-    A: np.ndarray,
-    y_part: np.ndarray,
-    gamma0,
-    s2: float,
-    settings: RecoverySettings = RecoverySettings(),
-) -> BampPartResult:
+def bamp_recover(A: np.ndarray, y_part: np.ndarray, gamma0, s2: float,
+                 settings: RecoverySettings = RecoverySettings()) -> AmpPartResult:
     """BAMP on one real part with per-part prior (gamma0, s2).
 
     Stops when the relative residual change drops to eps_tol, at t_max, or
     on divergence (flagged, not raised).  Non-finite iterates raise
     RecoveryError.
     """
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y_part, dtype=float)
-    m, n = A.shape
-    if y.shape != (m,):
-        raise ValueError("y length must equal M")
-    gamma = np.broadcast_to(np.asarray(gamma0, dtype=float), (n,)).copy()
-
-    x = np.zeros(n)
-    z = y.copy()
-    initial_energy = float(z @ z)
-    u = x.copy()
-    beta = max(initial_energy / m, settings.beta_floor)
-    converged = False
-    diverged = False
-    t = 0
-    for t in range(1, settings.t_max + 1):
-        x_new, z_new, u, beta = bamp_step(A, y, x, z, gamma, s2, settings.beta_floor)
-        if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(z_new))):
-            raise RecoveryError(f"BAMP produced non-finite iterate at t={t}")
-        x = x_new
-        dz = z_new - z
-        change = float(dz @ dz)
-        prev_energy = float(z @ z)
-        z = z_new
-        if prev_energy == 0.0 or change <= settings.eps_tol * prev_energy:
-            converged = True
-            break
-        if float(z @ z) > settings.divergence_factor * initial_energy:
-            diverged = True
-            break
-    return BampPartResult(x_hat=x, u=u, beta=beta, iterations=t,
-                          converged=converged, diverged=diverged)
+    A, Y = _stack(A, y_part)
+    gamma = np.broadcast_to(np.asarray(gamma0, dtype=float), (A.shape[1],))
+    return _iterate(A, Y, _mmse_denoiser(gamma, s2), settings, settings.beta_floor)[0]
 
 
-def cbamp_recover(
-    A: np.ndarray,
-    y: ComplexVector,
-    prior: BernoulliGaussianPrior,
-    settings: RecoverySettings = RecoverySettings(),
-) -> RecoveryOutput:
-    """Independent BAMP on each part; gamma is echoed, never updated."""
-    n = np.asarray(A).shape[1]
-    gamma0 = prior.gamma0_vector(n)
-    s2 = prior.s2
-    part_r = bamp_recover(A, y.re, gamma0, s2, settings)
-    part_i = bamp_recover(A, y.im, gamma0, s2, settings)
-    return RecoveryOutput(
-        x_hat=combine(part_r.x_hat, part_i.x_hat),
-        u_r=part_r.u,
-        u_i=part_i.u,
-        beta_r=part_r.beta,
-        beta_i=part_i.beta,
-        gamma_r=gamma0.copy(),
-        gamma_i=gamma0.copy(),
-        iterations=max(part_r.iterations, part_i.iterations),
-        converged=part_r.converged and part_i.converged,
-        diverged=part_r.diverged or part_i.diverged,
-    )
+def cbamp_recover(A: np.ndarray, y: ComplexVector, prior: BernoulliGaussianPrior,
+                  settings: RecoverySettings = RecoverySettings()) -> RecoveryOutput:
+    """BAMP on both parts with independent stopping; gamma is echoed, never
+    updated."""
+    A, Y = _stack(A, y.re, y.im)
+    gamma0 = prior.gamma0_vector(A.shape[1])
+    parts = _iterate(A, Y, _mmse_denoiser(gamma0, prior.s2), settings, settings.beta_floor)
+    return _complex_output(parts, gamma0.copy(), gamma0.copy())

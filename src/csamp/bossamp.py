@@ -1,11 +1,12 @@
-"""Coupled BAMP chains exchanging per-component activity likelihoods.
+"""Joint recovery through a likelihood exchange between the parts.
 
-The real and imaginary chains run the same iteration as BAMP, but after
-each sweep every component's evidence for being zero is extracted from one
-part (likelihood_update), converted into a probability (prior_update) and
-installed as the other part's working zero-probability for the next
-denoiser call.  This couples the two estimates through the shared support
-without ever mixing their amplitudes.
+cbossamp runs the shared AMP loop (amp._iterate) on the stacked parts with
+the MMSE denoiser of bamp.py and a per-iteration hook, the exchange: each
+component's evidence for being zero is extracted from one part
+(likelihood_update), converted into a probability (prior_update) and
+installed as the other part's working zero-probability for the next step.
+This couples the two estimates through the shared support without ever
+mixing their amplitudes.
 
 Because a part's working gamma is a function of the other part's previous
 pseudo-data u', its estimate depends on u' as well as on its own u, and
@@ -18,13 +19,12 @@ besides the usual own-part term, b * z' with
 
 where g = s2/(s2 + beta_own) is the Wiener gain, pi the posterior activity,
 (beta, s) the variance pair of the other part's likelihood and z' the
-residual that formed u'.  Without it the coupled chains can lock into a
-period-2 oscillation of gamma on instances that cBAMP solves.
+residual that formed u'.  Since x = g u pi, b is one more reduction over
+arrays the step already holds.  Without it the coupled chains can lock into
+a period-2 oscillation of gamma on instances that cBAMP solves.
 
-With exchange=False the working probabilities stay at the prior and each
-chain stops on its own residual criterion, which reproduces cBAMP exactly
-(same arithmetic, same iterates); with exchange=True the joint stopping
-rule (summed relative residual change) is used.
+The exchange stops on the loop's joint rule (summed relative residual
+change).  exchange=False is cbamp_recover itself, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,16 +32,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from .bamp import bamp_step
-from .denoiser import DenoiserParams, denoise_terms
-from .model import (
-    BernoulliGaussianPrior,
-    ComplexVector,
-    RecoveryError,
-    RecoveryOutput,
-    RecoverySettings,
-    combine,
-)
+from .amp import AmpPartResult, _complex_output, _iterate, _sq_norms, _stack
+from .bamp import _mmse, cbamp_recover
+from .denoiser import _endpoint_masks, _prior_log_odds
+from .model import BernoulliGaussianPrior, ComplexVector, RecoveryOutput, RecoverySettings
 
 
 def likelihood_update(u, beta: float, gamma0, s2: float, beta_floor: float = 1e-12,
@@ -60,11 +54,15 @@ def likelihood_update(u, beta: float, gamma0, s2: float, beta_floor: float = 1e-
     g = np.clip(np.asarray(gamma0, dtype=float), gamma_clamp, 1.0 - gamma_clamp)
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite gamma0")
-    total = beta + s2
-    out = np.log(g / (1.0 - g)) + 0.5 * (
-        np.log(total / beta) - u * u * (s2 / (beta * total))
-    )
+    out = _zero_log_odds(u, beta, np.log(g / (1.0 - g)), s2)
     return out if out.ndim else float(out)
+
+
+def _zero_log_odds(u, beta, log_prior_odds, s2):
+    """likelihood_update's arithmetic on validated inputs; beta may hold one
+    value per part, shaped to broadcast against u."""
+    total = beta + s2
+    return log_prior_odds + 0.5 * (np.log(total / beta) - u * u * (s2 / (beta * total)))
 
 
 def prior_update(l, gamma_clamp: float = 1e-12):
@@ -73,80 +71,40 @@ def prior_update(l, gamma_clamp: float = 1e-12):
     return out if np.ndim(out) else float(out)
 
 
-def _coupled_step(A, y, x, z, gamma, s2, beta_floor, w, z_other):
-    """bamp_step plus the exchange's memory term b * z_other.
+class _Exchange:
+    """The likelihood exchange: the loop's hook, and the denoiser at the
+    working zero-probabilities it installs (starting at the prior)."""
 
-    b = (1/M) sum(g pi (1 - pi) u w), with w = u' s/(beta (beta + s)) from
-    the other part's last likelihood and z_other the residual that formed
-    u' (module docstring).  pi is evaluated once for the estimate, the
-    derivative and b.
-    """
-    m = A.shape[0]
-    u = x + A.T @ z
-    beta = max(float(z @ z) / m, beta_floor)
-    params = DenoiserParams(beta=beta, gamma=gamma, s2=s2)
-    x_new, deriv, pi = denoise_terms(u, params)
-    onsager = float(np.sum(deriv)) / m
-    memory = float(np.sum(x_new * (1.0 - pi) * w)) / m  # x_new = g u pi
-    z_new = y - A @ x_new + onsager * z + memory * z_other
-    return x_new, z_new, u, beta
+    def __init__(self, gamma0, prior: BernoulliGaussianPrior, settings: RecoverySettings):
+        self.s2 = prior.s2
+        self.like_s2 = prior.s2 if settings.part_variance == "half" else prior.sigma_x2
+        self.cross = settings.likelihood_variant == "printed-cross-beta"
+        self.clamp = settings.gamma_clamp
+        g = np.clip(gamma0, self.clamp, 1.0 - self.clamp)
+        self.log_prior_odds = np.log(g / (1.0 - g))
+        self.gamma = np.stack((gamma0, gamma0))
+        self.log_odds, self.masks = _prior_log_odds(gamma0), _endpoint_masks(gamma0)
+        self.memory = None  # (w, z'); the prior gamma depends on no data
 
+    def denoise(self, u, beta):
+        return _mmse(u, beta, self.s2, self.log_odds, *self.masks)
 
-def _likelihood_slope(beta: float, s: float) -> float:
-    """-(dl/du)/u of likelihood_update at a floored beta: s/(beta (beta + s))."""
-    return s / (beta * (beta + s))
-
-
-class _Chain:
-    """One part's loop state, advanced with the shared BAMP step."""
-
-    def __init__(self, y: np.ndarray, gamma0: np.ndarray, beta_floor: float):
-        self.y = y
-        self.x = np.zeros_like(gamma0)
-        self.z = y.copy()
-        self.z_in = self.z  # the residual that formed u
-        self.u = np.zeros_like(gamma0)
-        self.gamma = gamma0.copy()
-        self.initial_energy = float(y @ y)
-        self.beta = beta_floor  # overwritten by the first step
-        self.change = 0.0
-        self.prev_energy = self.initial_energy
-        self.stopped = False
-        self.converged = False
-        self.diverged = False
-        self.iterations = 0
-
-    def advance(self, A, s2: float, settings: RecoverySettings, t: int, label: str,
-                memory=None):
-        """One step: bamp_step, or _coupled_step with memory = (w, z_other)."""
-        args = (A, self.y, self.x, self.z, self.gamma, s2, settings.beta_floor)
-        if memory is None:
-            x_new, z_new, self.u, self.beta = bamp_step(*args)
-        else:
-            x_new, z_new, self.u, self.beta = _coupled_step(*args, *memory)
-        if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(z_new))):
-            raise RecoveryError(f"non-finite iterate in {label} chain at t={t}")
-        self.x = x_new
-        dz = z_new - self.z
-        self.change = float(dz @ dz)
-        self.prev_energy = float(self.z @ self.z)
-        self.z_in = self.z
-        self.z = z_new
-        self.iterations = t
-
-    def own_ratio_stop(self, settings: RecoverySettings) -> None:
-        """Per-part stopping and divergence flags, as in bamp_recover."""
-        if self.prev_energy == 0.0 or self.change <= settings.eps_tol * self.prev_energy:
-            self.converged = True
-            self.stopped = True
-        elif float(self.z @ self.z) > settings.divergence_factor * self.initial_energy:
-            self.diverged = True
-            self.stopped = True
-
-    def ratio(self) -> float:
-        if self.prev_energy == 0.0:
-            return 0.0 if self.change == 0.0 else np.inf
-        return self.change / self.prev_energy
+    def __call__(self, u, beta, x, pi, z):
+        """The memory term b z' of this step; then each part's likelihood
+        sets the other part's gamma, and w = u s/(beta (beta + s)) and the
+        residual z that formed u are kept for the other part's next term."""
+        term = 0.0
+        if self.memory is not None:
+            w, z_other = self.memory  # x (1 - pi) w = g pi (1 - pi) u w
+            term = ((x * (1.0 - pi) * w).sum(axis=1) / z.shape[1])[:, None] * z_other
+        beta_l = (beta[::-1] if self.cross else beta)[:, None]
+        l = _zero_log_odds(u, beta_l, self.log_prior_odds, self.like_s2)
+        self.gamma = prior_update(l, self.clamp)[::-1]
+        # clamped into (0, 1), the working gammas have no endpoint priors
+        self.log_odds, self.masks = _prior_log_odds(self.gamma), (None, None)
+        slope = self.like_s2 / (beta_l * (beta_l + self.like_s2))
+        self.memory = ((u * slope)[::-1], z[::-1])
+        return term
 
 
 def cbossamp_recover(
@@ -158,92 +116,23 @@ def cbossamp_recover(
 ) -> RecoveryOutput:
     """Joint recovery of a complex signal through the likelihood exchange.
 
-    Per iteration both chains take a BAMP step with their per-component
+    Per iteration both parts take a BAMP step with their per-component
     working gamma; then each part's likelihood (from its own u and, per
     settings.likelihood_variant, its own or the other part's beta) updates
     the *other* part's gamma, and each residual carries the memory term of
     that dependence (module docstring).  Stops on the summed relative
     residual criterion or t_max.  exchange=False freezes gamma at the prior
-    and reduces to cbamp_recover.
+    and is cbamp_recover.
     """
-    A = np.asarray(A, dtype=float)
+    if not exchange:
+        return cbamp_recover(A, y, prior, settings)
+    A, Y = _stack(A, y.re, y.im)
     n = A.shape[1]
     gamma0 = prior.gamma0_vector(n)
-    s2 = prior.s2
-    like_s2 = prior.s2 if settings.part_variance == "half" else prior.sigma_x2
-
-    # no data: the estimate is the prior mean and gamma keeps its prior value
-    if float(y.re @ y.re) == 0.0 and float(y.im @ y.im) == 0.0:
-        zero = np.zeros(n)
-        return RecoveryOutput(
-            x_hat=combine(zero, zero), u_r=zero.copy(), u_i=zero.copy(),
-            beta_r=settings.beta_floor, beta_i=settings.beta_floor,
-            gamma_r=gamma0.copy(), gamma_i=gamma0.copy(),
-            iterations=1, converged=True, diverged=False,
-        )
-
-    chain_r = _Chain(y.re, gamma0, settings.beta_floor)
-    chain_i = _Chain(y.im, gamma0, settings.beta_floor)
-
-    if not exchange:
-        # two independent single-part loops run in lockstep
-        for t in range(1, settings.t_max + 1):
-            for label, chain in (("real", chain_r), ("imaginary", chain_i)):
-                if not chain.stopped:
-                    chain.advance(A, s2, settings, t, label)
-                    chain.own_ratio_stop(settings)
-            if chain_r.stopped and chain_i.stopped:
-                break
-        converged = chain_r.converged and chain_i.converged
-        diverged = chain_r.diverged or chain_i.diverged
-        iterations = max(chain_r.iterations, chain_i.iterations)
-    else:
-        converged = False
-        diverged = False
-        iterations = 0
-        # the prior gamma depends on no data, so the first memory term is zero
-        memory_r = memory_i = (np.zeros(n), np.zeros(A.shape[0]))
-        for t in range(1, settings.t_max + 1):
-            chain_r.advance(A, s2, settings, t, "real", memory_r)
-            chain_i.advance(A, s2, settings, t, "imaginary", memory_i)
-            if settings.likelihood_variant == "own-beta":
-                beta_for_r, beta_for_i = chain_r.beta, chain_i.beta
-            else:
-                beta_for_r, beta_for_i = chain_i.beta, chain_r.beta
-            l_r = likelihood_update(chain_r.u, beta_for_r, gamma0, like_s2,
-                                    settings.beta_floor, settings.gamma_clamp)
-            l_i = likelihood_update(chain_i.u, beta_for_i, gamma0, like_s2,
-                                    settings.beta_floor, settings.gamma_clamp)
-            # each part's evidence drives the other part's working prior,
-            # and its residual the other part's memory term
-            chain_i.gamma = prior_update(l_r, settings.gamma_clamp)
-            chain_r.gamma = prior_update(l_i, settings.gamma_clamp)
-            memory_i = (chain_r.u * _likelihood_slope(beta_for_r, like_s2),
-                        chain_r.z_in)
-            memory_r = (chain_i.u * _likelihood_slope(beta_for_i, like_s2),
-                        chain_i.z_in)
-            iterations = t
-            if chain_r.ratio() + chain_i.ratio() <= settings.eps_tol:
-                converged = True
-                break
-            if (
-                float(chain_r.z @ chain_r.z)
-                > settings.divergence_factor * chain_r.initial_energy
-                or float(chain_i.z @ chain_i.z)
-                > settings.divergence_factor * chain_i.initial_energy
-            ):
-                diverged = True
-                break
-
-    return RecoveryOutput(
-        x_hat=combine(chain_r.x, chain_i.x),
-        u_r=chain_r.u,
-        u_i=chain_i.u,
-        beta_r=chain_r.beta,
-        beta_i=chain_i.beta,
-        gamma_r=chain_r.gamma,
-        gamma_i=chain_i.gamma,
-        iterations=iterations,
-        converged=converged,
-        diverged=diverged,
-    )
+    if not _sq_norms(Y).any():  # no data: the prior mean, gamma stays the prior
+        parts = [AmpPartResult(np.zeros(n), np.zeros(n), settings.beta_floor, 1, True, False)
+                 for _ in range(2)]
+        return _complex_output(parts, gamma0.copy(), gamma0.copy())
+    ex = _Exchange(gamma0, prior, settings)
+    parts = _iterate(A, Y, ex.denoise, settings, settings.beta_floor, hook=ex)
+    return _complex_output(parts, ex.gamma[0].copy(), ex.gamma[1].copy())

@@ -18,12 +18,11 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .amp import AmpConfig, camp_recover, lambda_heuristic
-from .bamp import cbamp_recover
-from .bossamp import cbossamp_recover
 from .denoiser import DenoiserParams, denoise, denoise_numeric, exact_mmse
 from .experiments import (
     GridConfig,
+    _fmt,
+    detect_support,
     extract_contour,
     run_algorithm,
     run_nmse_sweep,
@@ -40,7 +39,7 @@ from .model import (
     nmse,
     save_instance,
 )
-from .support import detect_em, detect_prior_based, support_metrics
+from .support import support_metrics
 
 
 class UsageError(Exception):
@@ -322,30 +321,15 @@ def cmd_recover(args) -> int:
         if save_path:
             save_instance(save_path, inst, sigma_w2, seed)
 
-    if algo == "amp":
-        lam = opts.get("lam", None, float)
-        if lam is None:
-            if k < 1:
-                raise UsageError("amp needs --lam or an instance with K >= 1")
-            lam = lambda_heuristic(k)
-        out = camp_recover(inst.A, inst.y, AmpConfig(lam=lam, settings=settings))
-    elif algo == "cbamp":
-        out = cbamp_recover(inst.A, inst.y, inst.prior, settings)
-    else:
-        out = cbossamp_recover(inst.A, inst.y, inst.prior, settings)
+    lam = opts.get("lam", None, float)
+    if algo == "amp" and lam is None and k < 1:
+        raise UsageError("amp needs --lam or an instance with K >= 1")
+    out = run_algorithm(algo, inst, k, settings, lam)
 
     detector = opts.get("detect", "none", str)
     exact = fp = fn = ""
     if detector != "none":
-        gamma0 = inst.prior.gamma0_vector(inst.n)
-        g_r = out.gamma_r if out.gamma_r is not None else gamma0
-        g_i = out.gamma_i if out.gamma_i is not None else gamma0
-        if detector == "em":
-            est = detect_em(out.u_r, out.u_i, out.beta_r, out.beta_i,
-                            g_r, g_i, inst.prior.sigma_x2)
-        else:
-            est = detect_prior_based(g_r, g_i)
-        metrics = support_metrics(inst.x_true, est)
+        metrics = support_metrics(inst.x_true, detect_support(detector, out, inst.prior))
         exact, fp, fn = metrics.exact_match, metrics.false_positives, metrics.false_negatives
 
     columns = ["algorithm", "n", "m", "k", "seed", "snr_db", "nmse", "iterations",
@@ -359,18 +343,10 @@ def cmd_recover(args) -> int:
     return 0
 
 
-def _fmt_cell(v):
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
-
-
 def _emit(opts, columns, rows, meta) -> None:
     print(",".join(columns))
     for row in rows:
-        print(",".join(_fmt_cell(v) for v in row))
+        print(",".join(_fmt(v) for v in row))
     out = opts.get("out", None, str)
     if out:
         write_csv(out, columns, rows, meta)

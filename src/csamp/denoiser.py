@@ -3,12 +3,13 @@
 Under the decoupled channel u = x + v with v ~ N(0, beta) and
 x ~ gamma * delta(x) + (1 - gamma) * N(0, s2), the posterior mean is a
 Wiener gain s2/(s2+beta) times u, weighted by the posterior probability
-that x is nonzero.  denoise/denoise_deriv are the closed forms used in the
-solver loops (denoise_terms returns both, and pi, from one evaluation of
-pi); denoise_numeric re-derives the same quantity by adaptive
-quadrature and exists purely to validate them.  exact_mmse is the
-full-vector oracle: the exact posterior mean over all 2^N supports,
-feasible only for small N.
+that x is nonzero.  denoise/denoise_deriv are the validated closed forms
+(denoise_terms returns both, and pi, from one evaluation of pi).  They run
+the same kernel as the solver loop, _posterior_terms, which takes its
+per-gamma constants precomputed, so the loop validates once per solve.
+denoise_numeric re-derives the same quantity by adaptive quadrature and
+exists purely to validate them.  exact_mmse is the full-vector oracle: the
+exact posterior mean over all 2^N supports, feasible only for small N.
 """
 
 from __future__ import annotations
@@ -50,24 +51,44 @@ class DenoiserParams:
         object.__setattr__(self, "s2", float(self.s2))
 
 
-def _active_posterior(u, p: DenoiserParams):
-    """Posterior nonzero probability pi(u), evaluated in the log domain.
+def _prior_log_odds(gamma):
+    """log((1 - g)/g), the prior log-odds of being active, at gamma clamped
+    away from {0, 1} so it stays finite."""
+    g = np.clip(gamma, GAMMA_CLAMP, 1.0 - GAMMA_CLAMP)
+    return np.log((1.0 - g) / g)
 
-    The log-odds use gamma clamped away from {0, 1}; exact endpoint priors
-    are restored afterwards so gamma=1 yields pi=0 and gamma=0 yields pi=1
-    for every u.
+
+def _endpoint_masks(gamma):
+    """Masks of the exact endpoint priors gamma = 0 and gamma = 1, each None
+    when no component has it."""
+    gamma = np.asarray(gamma)
+    slab, spike = gamma <= 0.0, gamma >= 1.0
+    return (slab if slab.any() else None), (spike if spike.any() else None)
+
+
+def _posterior_terms(u, beta, s2, log_odds, slab=None, spike=None):
+    """(estimate, derivative, pi) of the closed form, pi evaluated once in
+    the log domain; the kernel behind denoise_terms and the solver loops.
+
+    Takes validated inputs: beta floored (it may be an array broadcasting
+    against u, one value per part), log_odds = _prior_log_odds(gamma), and
+    the endpoint masks of gamma, which restore pi = 1 for gamma = 0 and
+    pi = 0 for gamma = 1 whatever u is.
     """
-    g = np.clip(p.gamma, GAMMA_CLAMP, 1.0 - GAMMA_CLAMP)
-    total = p.beta + p.s2
-    log_odds_active = (
-        np.log((1.0 - g) / g)
-        + 0.5 * np.log(p.beta / total)
-        + u * u * (p.s2 / (2.0 * p.beta * total))
+    total = beta + s2
+    gain = s2 / total
+    pi = expit(
+        log_odds
+        + 0.5 * np.log(beta / total)
+        + u * u * (s2 / (2.0 * beta * total))
     )
-    pi = expit(log_odds_active)
-    pi = np.where(np.asarray(p.gamma) <= 0.0, 1.0, pi)
-    pi = np.where(np.asarray(p.gamma) >= 1.0, 0.0, pi)
-    return pi
+    if slab is not None:
+        pi = np.where(slab, 1.0, pi)
+    if spike is not None:
+        pi = np.where(spike, 0.0, pi)
+    x = gain * u * pi
+    deriv = gain * pi * (1.0 + u * u * (1.0 - pi) * (s2 / (beta * total)))
+    return x, deriv, pi
 
 
 def _check_finite(u) -> np.ndarray:
@@ -78,14 +99,9 @@ def _check_finite(u) -> np.ndarray:
 
 
 def denoise_terms(u, p: DenoiserParams):
-    """(denoise, denoise_deriv, pi) as arrays, from one evaluation of pi."""
-    u = _check_finite(u)
-    total = p.beta + p.s2
-    gain = p.s2 / total
-    pi = _active_posterior(u, p)
-    x = gain * u * pi
-    deriv = gain * pi * (1.0 + u * u * (1.0 - pi) * (p.s2 / (p.beta * total)))
-    return x, deriv, pi
+    """(denoise, denoise_deriv, pi) from one evaluation of pi."""
+    return _posterior_terms(_check_finite(u), p.beta, p.s2,
+                            _prior_log_odds(p.gamma), *_endpoint_masks(p.gamma))
 
 
 def denoise(u, p: DenoiserParams):

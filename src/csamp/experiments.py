@@ -22,6 +22,7 @@ from .amp import AmpConfig, camp_recover, lambda_heuristic
 from .bamp import cbamp_recover
 from .bossamp import cbossamp_recover
 from .model import (
+    BernoulliGaussianPrior,
     ComplexVector,
     ProblemInstance,
     RecoveryError,
@@ -30,7 +31,7 @@ from .model import (
     make_instance,
     nmse,
 )
-from .support import detect_em, detect_prior_based, support_metrics
+from .support import SupportEstimate, detect_em, detect_prior_based, support_metrics
 
 DEFAULT_RATIOS = tuple(float(v) for v in np.linspace(0.05, 0.95, 19))
 KNOWN_ALGORITHMS = ("amp", "cbamp", "cbossamp")
@@ -149,16 +150,34 @@ def run_algorithm(
     inst: ProblemInstance,
     k: int,
     settings: RecoverySettings,
+    lam: float | None = None,
 ) -> RecoveryOutput:
-    """Dispatch one recovery; AMP receives the true K for its threshold."""
+    """Dispatch one recovery; AMP's threshold multiplier is lam, or else the
+    heuristic at the true K."""
     if name == "amp":
-        cfg = AmpConfig(lam=lambda_heuristic(max(k, 1)), settings=settings)
-        return camp_recover(inst.A, inst.y, cfg)
+        if lam is None:
+            lam = lambda_heuristic(max(k, 1))
+        return camp_recover(inst.A, inst.y, AmpConfig(lam=lam, settings=settings))
     if name == "cbamp":
         return cbamp_recover(inst.A, inst.y, inst.prior, settings)
     if name == "cbossamp":
         return cbossamp_recover(inst.A, inst.y, inst.prior, settings)
     raise ValueError(f"unknown algorithm {name!r}")
+
+
+def detect_support(detector: str, out: RecoveryOutput,
+                   prior: BernoulliGaussianPrior) -> SupportEstimate:
+    """Support estimate of one recovery by the named detector ("em" or
+    "prior"); solvers without working gammas (amp) fall back to the prior."""
+    gamma0 = prior.gamma0_vector(out.u_r.size)
+    g_r = out.gamma_r if out.gamma_r is not None else gamma0
+    g_i = out.gamma_i if out.gamma_i is not None else gamma0
+    if detector == "em":
+        return detect_em(out.u_r, out.u_i, out.beta_r, out.beta_i, g_r, g_i,
+                         prior.sigma_x2)
+    if detector == "prior":
+        return detect_prior_based(g_r, g_i)
+    raise ValueError(f"unknown detector {detector!r}")
 
 
 def _trial_success(x_hat: ComplexVector, x_true: ComplexVector, threshold: float) -> bool:
@@ -271,7 +290,6 @@ def _spt_cell(task):
             m, cfg.n, k, rng, sigma_x2=cfg.sigma_x2,
             snr=cfg.snr, noiseless=cfg.noiseless,
         )
-        gamma0 = inst.prior.gamma0_vector(cfg.n)
         outs = {}
         for algo in algorithms:
             try:
@@ -285,15 +303,7 @@ def _spt_cell(task):
                 stats[pair][2] += 1
                 stats[pair][1] += cfg.settings.t_max
                 continue
-            g_r = out.gamma_r if out.gamma_r is not None else gamma0
-            g_i = out.gamma_i if out.gamma_i is not None else gamma0
-            if detector == "em":
-                est = detect_em(out.u_r, out.u_i, out.beta_r, out.beta_i,
-                                g_r, g_i, cfg.sigma_x2)
-            elif detector == "prior":
-                est = detect_prior_based(g_r, g_i)
-            else:
-                raise ValueError(f"unknown detector {detector!r}")
+            est = detect_support(detector, out, inst.prior)
             if out.diverged:
                 stats[pair][2] += 1
             if support_metrics(inst.x_true, est).exact_match:

@@ -5,7 +5,7 @@ import pytest
 
 from csamp.amp import AmpConfig, amp_recover, camp_recover, lambda_heuristic, soft_threshold
 from csamp.experiments import trial_rng
-from csamp.model import ComplexVector, RecoverySettings, make_instance, nmse
+from csamp.model import ComplexVector, RecoveryError, RecoverySettings, make_instance, nmse
 
 
 class TestSoftThreshold:
@@ -134,3 +134,12 @@ class TestComplexAmp:
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
             AmpConfig(lam=0.0)
+
+    def test_non_finite_iterate_raises(self):
+        inst, _ = make_instance(20, 50, 5, trial_rng(9, 0, 2))
+        cfg = AmpConfig(lam=lambda_heuristic(5))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RecoveryError):
+                camp_recover(1e300 * inst.A, inst.y, cfg)
+            with pytest.raises(RecoveryError):
+                camp_recover(1e300 * inst.A, ComplexVector(np.zeros(20), inst.y.im), cfg)

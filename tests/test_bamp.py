@@ -6,6 +6,7 @@ from csamp.denoiser import DenoiserParams, denoise, denoise_deriv
 from csamp.experiments import trial_rng
 from csamp.model import (
     ComplexVector,
+    RecoveryError,
     RecoverySettings,
     gen_matrix,
     make_instance,
@@ -127,3 +128,54 @@ class TestComplexBamp:
         assert len(out.x_hat) == 64
         assert out.u_r.shape == (64,) and out.u_i.shape == (64,)
         assert out.beta_r > 0 and out.beta_i > 0
+
+    def test_parts_match_single_part_runs(self):
+        # the stacked loop gives each part what a single-part run gives it
+        for j in range(10):
+            inst, _ = make_instance(128, 256, 13, trial_rng(55, 0, j))
+            out = cbamp_recover(inst.A, inst.y, inst.prior)
+            gamma0 = inst.prior.gamma0_vector(256)
+            part_r = bamp_recover(inst.A, inst.y.re, gamma0, inst.prior.s2)
+            part_i = bamp_recover(inst.A, inst.y.im, gamma0, inst.prior.s2)
+            assert out.iterations == max(part_r.iterations, part_i.iterations)
+            assert out.converged == (part_r.converged and part_i.converged)
+            assert out.diverged == (part_r.diverged or part_i.diverged)
+            for got, part in ((out.x_hat.re, part_r), (out.x_hat.im, part_i)):
+                np.testing.assert_allclose(got, part.x_hat, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(out.u_r, part_r.u, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(out.u_i, part_i.u, rtol=0, atol=1e-10)
+            assert out.beta_r == pytest.approx(part_r.beta, rel=1e-10)
+            assert out.beta_i == pytest.approx(part_i.beta, rel=1e-10)
+            # each part's own count: one iteration fewer stops it unconverged
+            for y_part, part in ((inst.y.re, part_r), (inst.y.im, part_i)):
+                if part.iterations > 1:
+                    short = bamp_recover(inst.A, y_part, gamma0, inst.prior.s2,
+                                         RecoverySettings(t_max=part.iterations - 1))
+                    assert not short.converged
+
+    def test_zero_part_freezes_while_other_runs(self):
+        inst, _ = make_instance(128, 256, 13, trial_rng(56, 0, 0))
+        y = ComplexVector(inst.y.re, np.zeros(128))
+        out = cbamp_recover(inst.A, y, inst.prior)
+        part_r = bamp_recover(inst.A, inst.y.re, inst.prior.gamma0_vector(256),
+                              inst.prior.s2)
+        # the imaginary part stops at t=1 on the zero-data fixed point
+        assert np.all(out.u_i == 0.0) and np.all(out.x_hat.im == 0.0)
+        assert out.beta_i == RecoverySettings().beta_floor
+        # the real part runs on and decides the joined flags
+        assert part_r.iterations > 1
+        assert out.iterations == part_r.iterations
+        assert out.converged == part_r.converged
+        assert out.diverged == part_r.diverged
+        np.testing.assert_allclose(out.x_hat.re, part_r.x_hat, rtol=0, atol=1e-10)
+
+    def test_non_finite_iterate_raises(self):
+        # A large enough to overflow the residual at t=1, with data in both
+        # parts and with data in the real part only
+        inst, _ = make_instance(32, 64, 5, trial_rng(57, 0, 0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RecoveryError):
+                cbamp_recover(1e300 * inst.A, inst.y, inst.prior)
+            with pytest.raises(RecoveryError):
+                cbamp_recover(1e300 * inst.A, ComplexVector(inst.y.re, np.zeros(32)),
+                              inst.prior)

@@ -6,6 +6,7 @@ from csamp.bossamp import cbossamp_recover, likelihood_update, prior_update
 from csamp.experiments import trial_rng
 from csamp.model import (
     ComplexVector,
+    RecoveryError,
     RecoverySettings,
     make_instance,
     nmse,
@@ -183,3 +184,9 @@ class TestCbossampRecover:
         boss = cbossamp_recover(inst.A, inst.y, inst.prior)
         assert nmse(bamp.x_hat, inst.x_true) < tol
         assert nmse(boss.x_hat, inst.x_true) < tol
+
+    def test_non_finite_iterate_raises(self):
+        inst, _ = make_instance(32, 64, 5, trial_rng(58, 0, 0))
+        for y in (inst.y, ComplexVector(inst.y.re, np.zeros(32))):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RecoveryError):
+                cbossamp_recover(1e300 * inst.A, y, inst.prior)

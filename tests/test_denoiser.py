@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
+from csamp.bamp import _mmse_denoiser
 from csamp.denoiser import (
     DenoiserParams,
     denoise,
     denoise_deriv,
     denoise_numeric,
+    denoise_terms,
     exact_mmse,
 )
 from csamp.model import BernoulliGaussianPrior, gen_matrix
@@ -65,6 +67,26 @@ class TestClosedForm:
         p = DenoiserParams(beta=0.2, gamma=np.array([0.1, 0.9]), s2=1.0)
         out = denoise(u, p)
         assert abs(out[0]) > abs(out[1])
+
+
+class TestLoopKernel:
+    def test_loop_denoiser_bitwise_equals_denoise_terms(self):
+        # the solver loop's denoiser (constants precomputed once per solve)
+        # runs the same arithmetic as the validated public closed form
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            gamma = rng.uniform(0.0, 1.0, n)
+            gamma[rng.uniform(size=n) < 0.1] = 0.0
+            gamma[rng.uniform(size=n) < 0.1] = 1.0
+            beta = float(rng.choice([0.0, 1e-14, rng.uniform(1e-3, 5.0)]))
+            s2 = float(rng.uniform(0.1, 2.0))
+            u = rng.normal(0.0, 3.0, n)
+            x, deriv, pi = denoise_terms(u, DenoiserParams(beta=beta, gamma=gamma, s2=s2))
+            x_loop, deriv_sum, pi_loop = _mmse_denoiser(gamma, s2)(u[None], np.array([beta]))
+            assert np.array_equal(x_loop[0], x)
+            assert np.array_equal(pi_loop[0], pi)
+            assert deriv_sum[0] == np.sum(deriv)
 
 
 class TestDerivative:
