@@ -11,6 +11,7 @@ from .experiments import (
     GridConfig,
     SweepResult,
     extract_contour,
+    run_grids,
     run_nmse_sweep,
     run_phase_transition,
     run_support_phase_transition,
@@ -52,7 +53,7 @@ __all__ = [
     "bamp_recover", "cbamp_recover",
     "cbossamp_recover", "likelihood_update", "prior_update",
     "DenoiserParams", "denoise", "denoise_deriv", "denoise_numeric", "exact_mmse",
-    "GridConfig", "SweepResult", "extract_contour", "run_nmse_sweep",
+    "GridConfig", "SweepResult", "extract_contour", "run_grids", "run_nmse_sweep",
     "run_phase_transition", "run_support_phase_transition",
     "BernoulliGaussianPrior", "ComplexVector", "InstanceFormatError",
     "ProblemInstance", "RecoveryError", "RecoveryOutput", "RecoverySettings",

@@ -179,18 +179,11 @@ def _settings_from(opts: _Options) -> RecoverySettings:
     )
 
 
-def _int_list(text: str) -> list[int]:
+def _number_list(text: str, kind) -> list:
     try:
-        return [int(v) for v in text.replace(",", " ").split()]
+        return [kind(v) for v in text.replace(",", " ").split()]
     except ValueError:
-        raise UsageError(f"bad integer list {text!r}")
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.replace(",", " ").split()]
-    except ValueError:
-        raise UsageError(f"bad number list {text!r}")
+        raise UsageError(f"bad {kind.__name__} list {text!r}")
 
 
 def _add_common(parser):
@@ -217,16 +210,6 @@ def _add_sweep_common(parser):
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--algos", default=None,
                         help="space/comma separated subset of amp cbamp cbossamp")
-    parser.add_argument("--paper-scale", action="store_true",
-                        help="N=1000, 200 trials per cell")
-    parser.add_argument("--desk-scale", action="store_true",
-                        help="N=256, 50 trials per cell")
-    parser.add_argument("--grid-points", type=int, default=None, dest="grid_points")
-    parser.add_argument("--grid-min", type=float, default=None, dest="grid_min")
-    parser.add_argument("--grid-max", type=float, default=None, dest="grid_max")
-    parser.add_argument("--contour-out", default=None, dest="contour_out")
-    parser.add_argument("--level", type=float, default=None,
-                        help="contour success level")
 
 
 def build_parser() -> _Parser:
@@ -251,21 +234,26 @@ def build_parser() -> _Parser:
                        help="AMP threshold multiplier (default: heuristic from K)")
     p_rec.add_argument("--detect", default=None, choices=("prior", "em", "none"))
 
-    p_pt = sub.add_parser("phase-transition", help="recovery success-rate grid")
-    _add_sweep_common(p_pt)
-
-    p_spt = sub.add_parser("support-pt", help="support-detection success grid")
-    _add_sweep_common(p_spt)
+    for name, text in (("phase-transition", "recovery success-rate grid"),
+                       ("support-pt", "support-detection success grid")):
+        p_grid = sub.add_parser(name, help=text)
+        _add_sweep_common(p_grid)
+        p_grid.add_argument("--paper-scale", action="store_true",
+                            help="N=1000, 200 trials per cell")
+        p_grid.add_argument("--desk-scale", action="store_true",
+                            help="N=256, 50 trials per cell")
+        p_grid.add_argument("--grid-points", type=int, default=None, dest="grid_points")
+        p_grid.add_argument("--grid-min", type=float, default=None, dest="grid_min")
+        p_grid.add_argument("--grid-max", type=float, default=None, dest="grid_max")
+        p_grid.add_argument("--contour-out", default=None, dest="contour_out")
+        p_grid.add_argument("--level", type=float, default=None,
+                            help="contour success level")
 
     p_nmse = sub.add_parser("nmse-sweep", help="NMSE over SNR points")
-    _add_common(p_nmse)
-    p_nmse.add_argument("--n", type=int, default=None)
+    _add_sweep_common(p_nmse)
     p_nmse.add_argument("--k", type=int, default=None)
     p_nmse.add_argument("--m-list", default=None, dest="m_list")
     p_nmse.add_argument("--snr-db-list", default=None, dest="snr_db_list")
-    p_nmse.add_argument("--trials", type=int, default=None)
-    p_nmse.add_argument("--workers", type=int, default=None)
-    p_nmse.add_argument("--algos", default=None)
 
     p_val = sub.add_parser("validate-denoiser",
                            help="closed form vs quadrature, solvers vs exact MMSE")
@@ -339,29 +327,24 @@ def cmd_recover(args) -> int:
            "" if snr_db is None else snr_db,
            nmse(out.x_hat, inst.x_true) if inst.x_true.norm_sq() > 0 else "",
            out.iterations, out.converged, out.diverged, detector, exact, fp, fn)
-    _emit(opts, columns, [row], {"kind": "recover", "version": __version__})
+    print(",".join(columns))
+    print(",".join(_fmt(v) for v in row))
+    out = opts.get("out", None, str)
+    if out:
+        write_csv(out, columns, [row], {"kind": "recover", "version": __version__})
     return 0
 
 
-def _emit(opts, columns, rows, meta) -> None:
-    print(",".join(columns))
-    for row in rows:
-        print(",".join(_fmt(v) for v in row))
-    out = opts.get("out", None, str)
-    if out:
-        write_csv(out, columns, rows, meta)
-
-
-def _grid_config(args, section) -> tuple[GridConfig, float, str | None]:
-    opts = _Options(args, section)
-    presets = {}
-    if getattr(args, "paper_scale", False) and getattr(args, "desk_scale", False):
+def cmd_grid(args) -> int:
+    """phase-transition and support-pt: one grid, the runner named by the
+    subcommand."""
+    opts = _Options(args, args.command)
+    if args.paper_scale and args.desk_scale:
         raise UsageError("--paper-scale and --desk-scale are mutually exclusive")
-    if getattr(args, "paper_scale", False):
-        presets = {"n": 1000, "trials": 200, "t_max": 100, "eps_tol": 1e-4}
-    elif getattr(args, "desk_scale", False):
-        presets = {"n": 256, "trials": 50}
-    opts.presets = presets
+    if args.paper_scale:
+        opts.presets = {"n": 1000, "trials": 200, "t_max": 100, "eps_tol": 1e-4}
+    elif args.desk_scale:
+        opts.presets = {"n": 256, "trials": 50}
     points = opts.get("grid_points", 19, int)
     lo = opts.get("grid_min", 0.05, float)
     hi = opts.get("grid_max", 0.95, float)
@@ -381,30 +364,15 @@ def _grid_config(args, section) -> tuple[GridConfig, float, str | None]:
         settings=_settings_from(opts),
         workers=opts.get("workers", 1, int),
     )
-    return cfg, opts.get("level", 0.5, float), opts.get("contour_out", None, str)
-
-
-def cmd_phase_transition(args) -> int:
-    cfg, level, contour_out = _grid_config(args, "phase-transition")
-    opts = _Options(args, "phase-transition")
+    level = opts.get("level", 0.5, float)
+    contour_out = opts.get("contour_out", None, str)
     out = opts.get("out", None, str)
     if out is None:
         raise UsageError("--out is required for sweeps")
-    result = run_phase_transition(cfg)
-    result.to_csv(out)
-    if contour_out:
-        extract_contour(result, level).to_csv(contour_out)
-    print(f"wrote {len(result.rows)} rows to {out}")
-    return 0
-
-
-def cmd_support_pt(args) -> int:
-    cfg, level, contour_out = _grid_config(args, "support-pt")
-    opts = _Options(args, "support-pt")
-    out = opts.get("out", None, str)
-    if out is None:
-        raise UsageError("--out is required for sweeps")
-    result = run_support_phase_transition(cfg)
+    if args.command == "phase-transition":
+        result = run_phase_transition(cfg)
+    else:
+        result = run_support_phase_transition(cfg)
     result.to_csv(out)
     if contour_out:
         extract_contour(result, level).to_csv(contour_out)
@@ -423,8 +391,8 @@ def cmd_nmse_sweep(args) -> int:
     snr_list = opts.get("snr_db_list", "10 20 30 40", str)
     result = run_nmse_sweep(
         n=n, k=k,
-        m_list=_int_list(m_list),
-        snr_db_list=_float_list(snr_list),
+        m_list=_number_list(m_list, int),
+        snr_db_list=_number_list(snr_list, float),
         trials=opts.get("trials", 200, int),
         base_seed=opts.get("seed", 0, int),
         algorithms=_algorithms_from(opts),
@@ -482,8 +450,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         handler = {
             "recover": cmd_recover,
-            "phase-transition": cmd_phase_transition,
-            "support-pt": cmd_support_pt,
+            "phase-transition": cmd_grid,
+            "support-pt": cmd_grid,
             "nmse-sweep": cmd_nmse_sweep,
             "validate-denoiser": cmd_validate,
         }[args.command]

@@ -1,17 +1,20 @@
 """Monte-Carlo sweep harness: phase transitions, NMSE-vs-SNR curves, contours.
 
-Seeding: the instance for trial j of cell c is drawn from
-SeedSequence((base_seed, c, j)) and shared by every algorithm and detector,
-so comparisons are paired and any worker count reproduces the same bytes.
-Per-trial divergence (including non-finite aborts) is recorded as failure
-and never aborts a sweep.
+Every sweep runs one trial loop, `_run_cell`: the instance for trial j of
+cell c is drawn once from SeedSequence((base_seed, c, j)), solved once by
+each algorithm, and each solve is scored by its NMSE and by the requested
+support detectors.  Comparisons are paired and any worker count reproduces
+the same bytes.  The public runners reduce the loop's tallies to rows;
+`run_grids` takes the recovery and support grids from one pass.  A solve
+that raises RecoveryError counts as diverged at t_max iterations, scores
+NMSE 1 and is never a success; it never aborts a sweep.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 from multiprocessing import Pool
 
@@ -23,7 +26,6 @@ from .bamp import cbamp_recover
 from .bossamp import cbossamp_recover
 from .model import (
     BernoulliGaussianPrior,
-    ComplexVector,
     ProblemInstance,
     RecoveryError,
     RecoveryOutput,
@@ -35,12 +37,20 @@ from .support import SupportEstimate, detect_em, detect_prior_based, support_met
 
 DEFAULT_RATIOS = tuple(float(v) for v in np.linspace(0.05, 0.95, 19))
 KNOWN_ALGORITHMS = ("amp", "cbamp", "cbossamp")
+KNOWN_DETECTORS = ("em", "prior")
 DEFAULT_DETECTOR_CONFIGS = (("cbamp", "em"), ("cbossamp", "em"), ("cbossamp", "prior"))
+
+
+def _check_names(names, known, what: str) -> None:
+    for name in names:
+        if name not in known:
+            raise ValueError(f"unknown {what} {name!r}")
 
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Phase-transition grid over (M/N, K/M) ratio axes."""
+    """Phase-transition grid over (M/N, K/M) ratio axes; the fields besides
+    the axes and success_threshold are the settings every sweep shares."""
 
     n: int = 256
     m_ratios: tuple[float, ...] = DEFAULT_RATIOS
@@ -65,9 +75,7 @@ class GridConfig:
             raise ValueError("trials must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
-        for a in self.algorithms:
-            if a not in KNOWN_ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}")
+        _check_names(self.algorithms, KNOWN_ALGORITHMS, "algorithm")
         if not self.success_threshold > 0.0:
             raise ValueError("success_threshold must be positive")
         if not self.noiseless and (self.snr is None or self.snr <= 0.0):
@@ -180,24 +188,6 @@ def detect_support(detector: str, out: RecoveryOutput,
     raise ValueError(f"unknown detector {detector!r}")
 
 
-def _trial_success(x_hat: ComplexVector, x_true: ComplexVector, threshold: float) -> bool:
-    if x_true.norm_sq() == 0.0:
-        return x_hat.norm_sq() < threshold
-    return nmse(x_hat, x_true) < threshold
-
-
-def _settings_meta(settings: RecoverySettings) -> dict:
-    return {
-        "t_max": settings.t_max,
-        "eps_tol": settings.eps_tol,
-        "beta_floor": settings.beta_floor,
-        "gamma_clamp": settings.gamma_clamp,
-        "divergence_factor": settings.divergence_factor,
-        "likelihood_variant": settings.likelihood_variant,
-        "part_variance": settings.part_variance,
-    }
-
-
 def _grid_meta(cfg: GridConfig, kind: str) -> dict:
     meta = {
         "kind": kind,
@@ -213,7 +203,7 @@ def _grid_meta(cfg: GridConfig, kind: str) -> dict:
         "snr": "none" if cfg.snr is None else cfg.snr,
         "sigma_x2": cfg.sigma_x2,
     }
-    meta.update(_settings_meta(cfg.settings))
+    meta.update(asdict(cfg.settings))
     return meta
 
 
@@ -224,101 +214,63 @@ def _map_cells(worker, tasks, workers: int):
     return [worker(t) for t in tasks]
 
 
-# --- recovery phase transition ---------------------------------------------
+# --- the trial loop ------------------------------------------------------------
 
-def _pt_cell(task):
-    cfg, cell_index, m_ratio, k_ratio = task
-    m, k = cfg.cell_dims(m_ratio, k_ratio)
-    stats = {a: [0, 0, 0] for a in cfg.algorithms}  # successes, iter sum, diverged
+@dataclass
+class _Tally:
+    """One algorithm's trials in a cell: each trial's score (None where the
+    solve raised), summed iterations, the diverged count and the exact
+    support matches of each detector."""
+
+    scores: list = field(default_factory=list)
+    iterations: int = 0
+    diverged: int = 0
+    exact: dict = field(default_factory=dict)
+
+
+def _run_cell(task) -> dict:
+    """The trial loop.  task = (cfg, index, m, k, snr, pairs): cell `index`
+    of a sweep with settings cfg, M=m, K=k, linear SNR snr (None: noiseless)
+    and the (algorithm, detector) pairs to score.  Each trial's instance is
+    drawn once and solved once by each of cfg.algorithms; returns
+    {algorithm: _Tally}."""
+    cfg, index, m, k, snr, pairs = task
+    tallies = {algo: _Tally() for algo in cfg.algorithms}
+    for algo, detector in pairs:
+        tallies[algo].exact[detector] = 0
     for j in range(cfg.trials):
-        rng = trial_rng(cfg.base_seed, cell_index, j)
         inst, _ = make_instance(
-            m, cfg.n, k, rng, sigma_x2=cfg.sigma_x2,
-            snr=cfg.snr, noiseless=cfg.noiseless,
+            m, cfg.n, k, trial_rng(cfg.base_seed, index, j),
+            sigma_x2=cfg.sigma_x2, snr=snr, noiseless=snr is None,
         )
-        for algo in cfg.algorithms:
+        for algo, tally in tallies.items():
             try:
                 out = run_algorithm(algo, inst, k, cfg.settings)
             except RecoveryError:
-                stats[algo][2] += 1
-                stats[algo][1] += cfg.settings.t_max
+                tally.scores.append(None)
+                tally.iterations += cfg.settings.t_max
+                tally.diverged += 1
                 continue
+            # NMSE, or the estimate's energy where the truth is all zero
+            zero = inst.x_true.norm_sq() == 0.0
+            tally.scores.append(out.x_hat.norm_sq() if zero
+                                else nmse(out.x_hat, inst.x_true))
+            tally.iterations += out.iterations
             if out.diverged:
-                stats[algo][2] += 1
-            if _trial_success(out.x_hat, inst.x_true, cfg.success_threshold):
-                stats[algo][0] += 1
-            stats[algo][1] += out.iterations
-    rows = []
-    for algo in cfg.algorithms:
-        successes, iter_sum, diverged = stats[algo]
-        rows.append((
-            m_ratio, k_ratio, m, k, algo, cfg.trials, successes,
-            successes / cfg.trials, iter_sum / cfg.trials, diverged,
-            cfg.base_seed,
-        ))
-    return rows
+                tally.diverged += 1
+            for detector in tally.exact:
+                est = detect_support(detector, out, inst.prior)
+                if support_metrics(inst.x_true, est).exact_match:
+                    tally.exact[detector] += 1
+    return tallies
 
+
+# --- recovery and support-detection phase transitions -----------------------
 
 PT_COLUMNS = [
     "m_ratio", "k_ratio", "m", "k", "algorithm", "trials", "successes",
     "success_rate", "mean_iterations", "diverged", "base_seed",
 ]
-
-
-def run_phase_transition(cfg: GridConfig) -> SweepResult:
-    """Recovery success rates over the ratio grid (noiseless by default);
-    success is NMSE below the configured threshold at the final iterate."""
-    tasks = [
-        (cfg, idx, mr, kr)
-        for idx, (mr, kr) in enumerate(product(cfg.m_ratios, cfg.k_ratios))
-    ]
-    rows = [row for cell in _map_cells(_pt_cell, tasks, cfg.workers) for row in cell]
-    return SweepResult("phase-transition", PT_COLUMNS, rows,
-                       _grid_meta(cfg, "phase-transition"))
-
-
-# --- support-detection phase transition -------------------------------------
-
-def _spt_cell(task):
-    cfg, detector_configs, cell_index, m_ratio, k_ratio = task
-    m, k = cfg.cell_dims(m_ratio, k_ratio)
-    algorithms = tuple(dict.fromkeys(algo for algo, _ in detector_configs))
-    stats = {pair: [0, 0, 0] for pair in detector_configs}
-    for j in range(cfg.trials):
-        rng = trial_rng(cfg.base_seed, cell_index, j)
-        inst, _ = make_instance(
-            m, cfg.n, k, rng, sigma_x2=cfg.sigma_x2,
-            snr=cfg.snr, noiseless=cfg.noiseless,
-        )
-        outs = {}
-        for algo in algorithms:
-            try:
-                outs[algo] = run_algorithm(algo, inst, k, cfg.settings)
-            except RecoveryError:
-                outs[algo] = None
-        for pair in detector_configs:
-            algo, detector = pair
-            out = outs[algo]
-            if out is None:
-                stats[pair][2] += 1
-                stats[pair][1] += cfg.settings.t_max
-                continue
-            est = detect_support(detector, out, inst.prior)
-            if out.diverged:
-                stats[pair][2] += 1
-            if support_metrics(inst.x_true, est).exact_match:
-                stats[pair][0] += 1
-            stats[pair][1] += out.iterations
-    rows = []
-    for pair in detector_configs:
-        successes, iter_sum, diverged = stats[pair]
-        rows.append((
-            m_ratio, k_ratio, m, k, pair[0], pair[1], cfg.trials, successes,
-            successes / cfg.trials, iter_sum / cfg.trials, diverged,
-            cfg.base_seed,
-        ))
-    return rows
-
 
 SPT_COLUMNS = [
     "m_ratio", "k_ratio", "m", "k", "algorithm", "detector", "trials",
@@ -326,21 +278,78 @@ SPT_COLUMNS = [
 ]
 
 
+def _support_pairs(cfg: GridConfig, detectors) -> tuple[tuple[str, str], ...]:
+    """The (algorithm, detector) pairs whose algorithm the grid runs."""
+    pairs = tuple((str(a), str(d)) for a, d in detectors)
+    _check_names((a for a, _ in pairs), KNOWN_ALGORITHMS, "algorithm")
+    _check_names((d for _, d in pairs), KNOWN_DETECTORS, "detector")
+    pairs = tuple(p for p in pairs if p[0] in cfg.algorithms)
+    if not pairs:
+        raise ValueError("need at least one (algorithm, detector) pair "
+                         "with an algorithm of the grid")
+    return pairs
+
+
+def _grid_pass(cfg: GridConfig, pairs=()) -> list:
+    """[((m_ratio, k_ratio), (m, k), tallies)] per cell, in row order."""
+    ratios = list(product(cfg.m_ratios, cfg.k_ratios))
+    dims = [cfg.cell_dims(mr, kr) for mr, kr in ratios]
+    snr = None if cfg.noiseless else cfg.snr
+    tasks = [(cfg, idx, m, k, snr, pairs) for idx, (m, k) in enumerate(dims)]
+    return list(zip(ratios, dims, _map_cells(_run_cell, tasks, cfg.workers)))
+
+
+def _grid_result(cfg: GridConfig, kind: str, labels, passes) -> SweepResult:
+    """Per cell, one row per label: (algorithm,) counts recoveries below the
+    success threshold, (algorithm, detector) exact support matches."""
+    rows = []
+    for (m_ratio, k_ratio), (m, k), tallies in passes:
+        for label in labels:
+            tally = tallies[label[0]]
+            if len(label) == 2:
+                successes = tally.exact[label[1]]
+            else:
+                successes = sum(1 for s in tally.scores
+                                if s is not None and s < cfg.success_threshold)
+            rows.append((
+                m_ratio, k_ratio, m, k, *label, cfg.trials, successes,
+                successes / cfg.trials, tally.iterations / cfg.trials,
+                tally.diverged, cfg.base_seed,
+            ))
+    meta = _grid_meta(cfg, kind)
+    if kind == "phase-transition":
+        return SweepResult(kind, PT_COLUMNS, rows, meta)
+    meta["detectors"] = " ".join(f"{a}+{d}" for a, d in labels)
+    return SweepResult(kind, SPT_COLUMNS, rows, meta)
+
+
+def run_phase_transition(cfg: GridConfig) -> SweepResult:
+    """Recovery success rates over the ratio grid (noiseless by default);
+    success is NMSE below the configured threshold at the final iterate."""
+    labels = [(algo,) for algo in cfg.algorithms]
+    return _grid_result(cfg, "phase-transition", labels, _grid_pass(cfg))
+
+
 def run_support_phase_transition(
     cfg: GridConfig, detectors=DEFAULT_DETECTOR_CONFIGS
 ) -> SweepResult:
-    """Exact-support-match rates for (algorithm, detector) pairs."""
-    detector_configs = tuple((str(a), str(d)) for a, d in detectors)
-    if not detector_configs:
-        raise ValueError("need at least one (algorithm, detector) pair")
-    tasks = [
-        (cfg, detector_configs, idx, mr, kr)
-        for idx, (mr, kr) in enumerate(product(cfg.m_ratios, cfg.k_ratios))
-    ]
-    rows = [row for cell in _map_cells(_spt_cell, tasks, cfg.workers) for row in cell]
-    meta = _grid_meta(cfg, "support-pt")
-    meta["detectors"] = " ".join(f"{a}+{d}" for a, d in detector_configs)
-    return SweepResult("support-pt", SPT_COLUMNS, rows, meta)
+    """Exact-support-match rates for the (algorithm, detector) pairs whose
+    algorithm is in cfg.algorithms; only those algorithms are solved."""
+    pairs = _support_pairs(cfg, detectors)
+    solved = replace(cfg, algorithms=tuple(dict.fromkeys(a for a, _ in pairs)))
+    return _grid_result(cfg, "support-pt", pairs, _grid_pass(solved, pairs))
+
+
+def run_grids(
+    cfg: GridConfig, detectors=DEFAULT_DETECTOR_CONFIGS
+) -> tuple[SweepResult, SweepResult]:
+    """run_phase_transition(cfg) and run_support_phase_transition(cfg,
+    detectors) from one pass, solving each instance once per algorithm."""
+    pairs = _support_pairs(cfg, detectors)
+    passes = _grid_pass(cfg, pairs)
+    labels = [(algo,) for algo in cfg.algorithms]
+    return (_grid_result(cfg, "phase-transition", labels, passes),
+            _grid_result(cfg, "support-pt", pairs, passes))
 
 
 # --- NMSE over SNR -----------------------------------------------------------
@@ -349,39 +358,6 @@ NMSE_COLUMNS = [
     "m", "snr_db", "algorithm", "trials", "nmse_mean", "nmse_median",
     "mean_iterations", "diverged", "base_seed",
 ]
-
-
-def _nmse_point(task):
-    (n, k, m, snr_db, trials, base_seed, algorithms, sigma_x2, settings,
-     point_index) = task
-    snr_linear = 10.0 ** (snr_db / 10.0)
-    values = {a: [] for a in algorithms}
-    iters = {a: 0 for a in algorithms}
-    diverged = {a: 0 for a in algorithms}
-    for j in range(trials):
-        rng = trial_rng(base_seed, point_index, j)
-        inst, _ = make_instance(m, n, k, rng, sigma_x2=sigma_x2,
-                                snr=snr_linear, noiseless=False)
-        for algo in algorithms:
-            try:
-                out = run_algorithm(algo, inst, k, settings)
-            except RecoveryError:
-                values[algo].append(1.0)
-                diverged[algo] += 1
-                iters[algo] += settings.t_max
-                continue
-            values[algo].append(nmse(out.x_hat, inst.x_true))
-            iters[algo] += out.iterations
-            if out.diverged:
-                diverged[algo] += 1
-    rows = []
-    for algo in algorithms:
-        v = np.array(values[algo])
-        rows.append((
-            m, snr_db, algo, trials, float(v.mean()), float(np.median(v)),
-            iters[algo] / trials, diverged[algo], base_seed,
-        ))
-    return rows
 
 
 def run_nmse_sweep(
@@ -398,29 +374,31 @@ def run_nmse_sweep(
 ) -> SweepResult:
     """Mean/median NMSE per (M, SNR) point with paired instances; a
     non-finite abort contributes NMSE 1 (the all-zero estimate)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= K <= N")
-    algorithms = tuple(algorithms)
-    for a in algorithms:
-        if a not in KNOWN_ALGORITHMS:
-            raise ValueError(f"unknown algorithm {a!r}")
-    tasks = [
-        (n, k, int(m), float(snr_db), trials, base_seed, algorithms,
-         sigma_x2, settings, idx)
-        for idx, (m, snr_db) in enumerate(product(m_list, snr_db_list))
-    ]
-    rows = [row for point in _map_cells(_nmse_point, tasks, workers)
-            for row in point]
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= K <= N")
+    cfg = GridConfig(n=n, trials=trials, base_seed=base_seed,
+                     algorithms=tuple(algorithms), sigma_x2=sigma_x2,
+                     settings=settings, workers=workers)
+    points = [(int(m), float(snr_db)) for m, snr_db in product(m_list, snr_db_list)]
+    tasks = [(cfg, idx, m, k, 10.0 ** (snr_db / 10.0), ())
+             for idx, (m, snr_db) in enumerate(points)]
+    rows = []
+    for (m, snr_db), tallies in zip(points, _map_cells(_run_cell, tasks, workers)):
+        for algo in cfg.algorithms:
+            tally = tallies[algo]
+            v = np.array([1.0 if s is None else s for s in tally.scores])
+            rows.append((
+                m, snr_db, algo, trials, float(v.mean()), float(np.median(v)),
+                tally.iterations / trials, tally.diverged, base_seed,
+            ))
     meta = {
         "kind": "nmse-sweep", "version": __version__, "n": n, "k": k,
         "m_list": " ".join(str(int(m)) for m in m_list),
         "snr_db_list": " ".join(repr(float(s)) for s in snr_db_list),
         "trials": trials, "base_seed": base_seed,
-        "algorithms": " ".join(algorithms), "sigma_x2": sigma_x2,
+        "algorithms": " ".join(cfg.algorithms), "sigma_x2": sigma_x2,
     }
-    meta.update(_settings_meta(settings))
+    meta.update(asdict(settings))
     return SweepResult("nmse-sweep", NMSE_COLUMNS, rows, meta)
 
 

@@ -2,8 +2,8 @@
 
 The two grid studies (recovery and support-detection phase transitions at
 N=256, 19x19 cells, 50 trials) and the N=500 SNR sweep are the expensive
-parts; they run once as module fixtures and take tens of minutes combined
-on a small machine.
+parts.  They run once as module fixtures; the two grids share one pass, so
+each grid instance is solved once per algorithm.
 """
 
 import os
@@ -26,9 +26,9 @@ from csamp.cli import (
 from csamp.denoiser import DenoiserParams, denoise, denoise_deriv
 from csamp.experiments import (
     GridConfig,
+    run_grids,
     run_nmse_sweep,
     run_phase_transition,
-    run_support_phase_transition,
     trial_rng,
 )
 from csamp.model import (
@@ -48,21 +48,24 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def recovery_grid():
+def grids():
+    """The recovery and support grids from one pass over shared instances."""
     cfg = GridConfig(n=256, trials=50, base_seed=2026, workers=WORKERS)
     start = time.time()
-    result = run_phase_transition(cfg)
-    print(f"\n[recovery grid: {time.time() - start:.0f}s on {WORKERS} workers]")
+    result = run_grids(cfg)
+    print(f"\n[recovery and support grids: {time.time() - start:.0f}s "
+          f"on {WORKERS} workers]")
     return result
 
 
 @pytest.fixture(scope="module")
-def support_grid():
-    cfg = GridConfig(n=256, trials=50, base_seed=2026, workers=WORKERS)
-    start = time.time()
-    result = run_support_phase_transition(cfg)
-    print(f"\n[support grid: {time.time() - start:.0f}s on {WORKERS} workers]")
-    return result
+def recovery_grid(grids):
+    return grids[0]
+
+
+@pytest.fixture(scope="module")
+def support_grid(grids):
+    return grids[1]
 
 
 def grid_average(result, **match):

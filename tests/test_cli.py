@@ -118,6 +118,24 @@ class TestSweeps:
         _, rows, _ = read_csv(out)
         assert len(rows) == 2 * 2 * 3  # three (algorithm, detector) configs
 
+    def test_support_pt_follows_algos(self, capsys, tmp_path):
+        out = tmp_path / "spt.csv"
+        base = ("support-pt", "--n", "32", "--trials", "1", "--grid-points", "2",
+                "--t-max", "20", "--out", str(out))
+        code, _, _ = run_cli(capsys, *base, "--algos", "cbamp")
+        assert code == 0
+        columns, rows, meta = read_csv(out)
+        assert len(rows) == 2 * 2
+        pairs = {(r[columns.index("algorithm")], r[columns.index("detector")])
+                 for r in rows}
+        assert pairs == {("cbamp", "em")}
+        assert meta["algorithms"] == "cbamp" and meta["detectors"] == "cbamp+em"
+        out.unlink()
+        code, _, err = run_cli(capsys, *base, "--algos", "amp")
+        assert code == 1
+        assert "pair" in err
+        assert not out.exists()
+
     def test_nmse_sweep_with_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import csamp.experiments as experiments
 from csamp.experiments import (
     GridConfig,
     SweepResult,
     extract_contour,
     read_csv,
+    run_grids,
     run_nmse_sweep,
     run_phase_transition,
     run_support_phase_transition,
@@ -13,6 +15,24 @@ from csamp.experiments import (
     write_csv,
 )
 from csamp.model import RecoverySettings
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("the sweep called a function it must not call")
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The algorithm name of every run_algorithm call a sweep makes."""
+    names = []
+    original = experiments.run_algorithm
+
+    def counting(name, *args, **kwargs):
+        names.append(name)
+        return original(name, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_algorithm", counting)
+    return names
 
 
 def tiny_grid(**overrides) -> GridConfig:
@@ -140,6 +160,52 @@ class TestSupportPhaseTransition:
         with pytest.raises(ValueError):
             run_support_phase_transition(tiny_grid(), detectors=())
 
+    def test_rejects_unknown_names_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(experiments, "make_instance", forbidden)
+        for detectors in ((("magic", "em"),), (("cbamp", "magic"),)):
+            with pytest.raises(ValueError, match="unknown"):
+                run_support_phase_transition(tiny_grid(), detectors=detectors)
+
+    def test_repeated_pair_counted_once(self):
+        cfg = tiny_grid(m_ratios=(0.9,), k_ratios=(0.1,))
+        single = run_support_phase_transition(cfg, detectors=(("cbamp", "em"),))
+        twice = run_support_phase_transition(
+            cfg, detectors=(("cbamp", "em"), ("cbamp", "em")))
+        assert twice.rows == single.rows * 2
+
+    def test_solves_only_paired_algorithms(self, solved):
+        cfg = tiny_grid()
+        run_support_phase_transition(cfg)
+        cells = len(cfg.m_ratios) * len(cfg.k_ratios)
+        assert "amp" not in solved
+        assert solved.count("cbamp") == solved.count("cbossamp") == cells * cfg.trials
+
+
+class TestRunGrids:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_separate_runners(self, workers, tmp_path):
+        cfg = tiny_grid(workers=workers)
+        recovery, support = run_grids(cfg)
+        for joint, alone in ((recovery, run_phase_transition(cfg)),
+                             (support, run_support_phase_transition(cfg))):
+            assert joint.kind == alone.kind
+            assert joint.columns == alone.columns
+            assert joint.rows == alone.rows
+            assert joint.meta == alone.meta
+            joint.to_csv(tmp_path / "joint.csv")
+            alone.to_csv(tmp_path / "alone.csv")
+            assert (tmp_path / "joint.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+    def test_solves_each_instance_once_per_algorithm(self, solved):
+        cfg = tiny_grid()
+        run_grids(cfg)
+        draws = len(cfg.m_ratios) * len(cfg.k_ratios) * cfg.trials
+        assert sorted(solved) == sorted(list(cfg.algorithms) * draws)
+
+    def test_recovery_runner_runs_no_detector(self, monkeypatch):
+        monkeypatch.setattr(experiments, "detect_support", forbidden)
+        run_phase_transition(tiny_grid())
+
 
 class TestNmseSweep:
     def test_aggregates(self):
@@ -160,11 +226,17 @@ class TestNmseSweep:
         )
         assert run_nmse_sweep(**kwargs).rows == run_nmse_sweep(workers=2, **kwargs).rows
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        monkeypatch.setattr(experiments, "make_instance", forbidden)
         with pytest.raises(ValueError):
             run_nmse_sweep(n=10, k=20, m_list=[5], snr_db_list=[10], trials=2)
         with pytest.raises(ValueError):
             run_nmse_sweep(n=10, k=2, m_list=[5], snr_db_list=[10], trials=0)
+        with pytest.raises(ValueError):
+            run_nmse_sweep(n=10, k=0, m_list=[5], snr_db_list=[10], trials=2)
+        with pytest.raises(ValueError):
+            run_nmse_sweep(n=10, k=2, m_list=[5], snr_db_list=[10], trials=2,
+                           algorithms=("magic",))
 
 
 class TestContour:
