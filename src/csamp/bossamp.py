@@ -5,6 +5,8 @@ the MMSE denoiser of bamp.py and a per-iteration hook, the exchange: each
 component's evidence for being zero is extracted from one part
 (likelihood_update), converted into a probability (prior_update) and
 installed as the other part's working zero-probability for the next step.
+That evidence l is the negative of the denoiser's activity log-odds
+(denoiser._activity_log_odds) at the likelihood's slab variance.
 This couples the two estimates through the shared support without ever
 mixing their amplitudes.
 
@@ -34,38 +36,28 @@ from scipy.special import expit
 
 from .amp import AmpPartResult, _complex_output, _iterate, _sq_norms, _stack
 from .bamp import _mmse, cbamp_recover
-from .denoiser import _endpoint_masks, _prior_log_odds
-from .model import BernoulliGaussianPrior, ComplexVector, RecoveryOutput, RecoverySettings
+from .denoiser import (DenoiserParams, _activity_log_odds, _check_finite, _endpoint_masks,
+                       _prior_log_odds)
+from .model import (BETA_FLOOR, GAMMA_CLAMP, BernoulliGaussianPrior, ComplexVector,
+                    RecoveryOutput, RecoverySettings)
 
 
-def likelihood_update(u, beta: float, gamma0, s2: float, beta_floor: float = 1e-12,
-                      gamma_clamp: float = 1e-12):
+def likelihood_update(u, beta: float, gamma0, s2: float, beta_floor: float = BETA_FLOOR,
+                      gamma_clamp: float = GAMMA_CLAMP):
     """Log-likelihood ratio for a component being zero given pseudo-data u.
 
     l = log(g/(1-g)) + (log((beta+s2)/beta) - u^2 s2 / (beta (beta+s2))) / 2,
-    with gamma0 clamped away from {0,1} so the log-odds stay finite.
+    the negative of the activity log-odds, with beta floored at beta_floor
+    and gamma0 in [0, 1] clamped away from {0,1} so l stays finite.
     """
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("non-finite pseudo-data u")
-    if not np.isfinite(beta):
-        raise ValueError("non-finite beta")
-    beta = max(float(beta), beta_floor)
-    g = np.clip(np.asarray(gamma0, dtype=float), gamma_clamp, 1.0 - gamma_clamp)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("non-finite gamma0")
-    out = _zero_log_odds(u, beta, np.log(g / (1.0 - g)), s2)
+    u = _check_finite(u)
+    DenoiserParams(beta, gamma0, s2)  # the denoiser's checks of the same quantities
+    out = -_activity_log_odds(u, max(float(beta), beta_floor), s2,
+                              _prior_log_odds(gamma0, gamma_clamp))
     return out if out.ndim else float(out)
 
 
-def _zero_log_odds(u, beta, log_prior_odds, s2):
-    """likelihood_update's arithmetic on validated inputs; beta may hold one
-    value per part, shaped to broadcast against u."""
-    total = beta + s2
-    return log_prior_odds + 0.5 * (np.log(total / beta) - u * u * (s2 / (beta * total)))
-
-
-def prior_update(l, gamma_clamp: float = 1e-12):
+def prior_update(l, gamma_clamp: float = GAMMA_CLAMP):
     """Updated zero-probability 1/(1+exp(-l)), clamped into (0, 1)."""
     out = np.clip(expit(l), gamma_clamp, 1.0 - gamma_clamp)
     return out if np.ndim(out) else float(out)
@@ -80,8 +72,7 @@ class _Exchange:
         self.like_s2 = prior.s2 if settings.part_variance == "half" else prior.sigma_x2
         self.cross = settings.likelihood_variant == "printed-cross-beta"
         self.clamp = settings.gamma_clamp
-        g = np.clip(gamma0, self.clamp, 1.0 - self.clamp)
-        self.log_prior_odds = np.log(g / (1.0 - g))
+        self.log_prior_odds = _prior_log_odds(gamma0, self.clamp)
         self.gamma = np.stack((gamma0, gamma0))
         self.log_odds, self.masks = _prior_log_odds(gamma0), _endpoint_masks(gamma0)
         self.memory = None  # (w, z'); the prior gamma depends on no data
@@ -98,7 +89,7 @@ class _Exchange:
             w, z_other = self.memory  # x (1 - pi) w = g pi (1 - pi) u w
             term = ((x * (1.0 - pi) * w).sum(axis=1) / z.shape[1])[:, None] * z_other
         beta_l = (beta[::-1] if self.cross else beta)[:, None]
-        l = _zero_log_odds(u, beta_l, self.log_prior_odds, self.like_s2)
+        l = -_activity_log_odds(u, beta_l, self.like_s2, self.log_prior_odds)
         self.gamma = prior_update(l, self.clamp)[::-1]
         # clamped into (0, 1), the working gammas have no endpoint priors
         self.log_odds, self.masks = _prior_log_odds(self.gamma), (None, None)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -168,15 +169,11 @@ class _Options:
 
 
 def _settings_from(opts: _Options) -> RecoverySettings:
-    return RecoverySettings(
-        t_max=opts.get("t_max", 100, int),
-        eps_tol=opts.get("eps_tol", 1e-4, float),
-        beta_floor=opts.get("beta_floor", 1e-12, float),
-        gamma_clamp=opts.get("gamma_clamp", 1e-12, float),
-        divergence_factor=opts.get("divergence_factor", 1e6, float),
-        likelihood_variant=opts.get("likelihood_variant", "own-beta"),
-        part_variance=opts.get("part_variance", "half"),
-    )
+    """RecoverySettings from the options that are set; the rest keep the
+    dataclass defaults."""
+    values = {f.name: opts.get(f.name, None, type(f.default))
+              for f in fields(RecoverySettings)}
+    return RecoverySettings(**{k: v for k, v in values.items() if v is not None})
 
 
 def _number_list(text: str, kind) -> list:
@@ -351,6 +348,7 @@ def cmd_grid(args) -> int:
     if points < 1 or not 0.0 < lo <= hi <= 1.0:
         raise UsageError("bad grid specification")
     ratios = tuple(float(v) for v in np.linspace(lo, hi, points))
+    settings = _settings_from(opts)
     cfg = GridConfig(
         n=opts.get("n", 256, int),
         m_ratios=ratios,
@@ -358,10 +356,10 @@ def cmd_grid(args) -> int:
         trials=opts.get("trials", 50, int),
         base_seed=opts.get("seed", 0, int),
         algorithms=_algorithms_from(opts),
-        success_threshold=opts.get("eps_tol", 1e-4, float),
+        success_threshold=settings.eps_tol,
         noiseless=True,
         sigma_x2=opts.get("sigma_x2", 1.0, float),
-        settings=_settings_from(opts),
+        settings=settings,
         workers=opts.get("workers", 1, int),
     )
     level = opts.get("level", 0.5, float)

@@ -2,14 +2,16 @@
 
 Under the decoupled channel u = x + v with v ~ N(0, beta) and
 x ~ gamma * delta(x) + (1 - gamma) * N(0, s2), the posterior mean is a
-Wiener gain s2/(s2+beta) times u, weighted by the posterior probability
-that x is nonzero.  denoise/denoise_deriv are the validated closed forms
-(denoise_terms returns both, and pi, from one evaluation of pi).  They run
-the same kernel as the solver loop, _posterior_terms, which takes its
-per-gamma constants precomputed, so the loop validates once per solve.
-denoise_numeric re-derives the same quantity by adaptive quadrature and
-exists purely to validate them.  exact_mmse is the full-vector oracle: the
-exact posterior mean over all 2^N supports, feasible only for small N.
+Wiener gain s2/(s2+beta) times u, weighted by the posterior probability pi
+that x is nonzero.  Its log-odds a, the latent activity, has one kernel,
+_activity_log_odds: pi = expit(a), bossamp's exchange is -a and support's
+EM detector reads a per part.  denoise/denoise_deriv are the validated
+closed forms (denoise_terms returns both, and pi, from one evaluation of
+pi).  They run the same kernel as the solver loop, _posterior_terms, which
+takes its per-gamma constants precomputed, so the loop validates once per
+solve.  denoise_numeric re-derives the same quantity by adaptive quadrature
+and exists purely to validate them.  exact_mmse is the full-vector oracle:
+the exact posterior mean over all 2^N supports, feasible only for small N.
 """
 
 from __future__ import annotations
@@ -21,10 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import expit
 
-from .model import BernoulliGaussianPrior
-
-BETA_FLOOR = 1e-12
-GAMMA_CLAMP = 1e-12
+from .model import BETA_FLOOR, GAMMA_CLAMP, BernoulliGaussianPrior
 
 
 @dataclass(frozen=True)
@@ -44,18 +43,25 @@ class DenoiserParams:
             raise ValueError("beta must be finite and nonnegative")
         object.__setattr__(self, "beta", max(float(self.beta), BETA_FLOOR))
         g = np.asarray(self.gamma, dtype=float)
-        if np.any(g < 0.0) or np.any(g > 1.0):
+        if not np.all((g >= 0.0) & (g <= 1.0)):
             raise ValueError("gamma must lie in [0, 1]")
         if not self.s2 > 0.0:
             raise ValueError("s2 must be positive")
         object.__setattr__(self, "s2", float(self.s2))
 
 
-def _prior_log_odds(gamma):
+def _prior_log_odds(gamma, clamp=GAMMA_CLAMP):
     """log((1 - g)/g), the prior log-odds of being active, at gamma clamped
-    away from {0, 1} so it stays finite."""
-    g = np.clip(gamma, GAMMA_CLAMP, 1.0 - GAMMA_CLAMP)
+    away from {0, 1} so it stays finite (clamp=0 keeps the endpoints' +-inf)."""
+    g = np.clip(gamma, clamp, 1.0 - clamp)
     return np.log((1.0 - g) / g)
+
+
+def _activity_log_odds(u, beta, s2, log_odds):
+    """a = log_odds + log(beta/(beta + s2))/2 + u^2 s2/(2 beta (beta + s2)),
+    the log-odds that x is active given u; beta floored (or one per part)."""
+    total = beta + s2
+    return log_odds + 0.5 * np.log(beta / total) + u * u * (s2 / (2.0 * beta * total))
 
 
 def _endpoint_masks(gamma):
@@ -77,11 +83,7 @@ def _posterior_terms(u, beta, s2, log_odds, slab=None, spike=None):
     """
     total = beta + s2
     gain = s2 / total
-    pi = expit(
-        log_odds
-        + 0.5 * np.log(beta / total)
-        + u * u * (s2 / (2.0 * beta * total))
-    )
+    pi = expit(_activity_log_odds(u, beta, s2, log_odds))
     if slab is not None:
         pi = np.where(slab, 1.0, pi)
     if spike is not None:

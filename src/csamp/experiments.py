@@ -376,6 +376,12 @@ def run_nmse_sweep(
     non-finite abort contributes NMSE 1 (the all-zero estimate)."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= K <= N")
+    if not len(m_list) or not len(snr_db_list):
+        raise ValueError("m_list and snr_db_list must be non-empty")
+    if any(int(m) < 1 for m in m_list):
+        raise ValueError("every M must be >= 1")
+    if not all(np.isfinite(float(s)) for s in snr_db_list):
+        raise ValueError("every SNR must be finite")
     cfg = GridConfig(n=n, trials=trials, base_seed=base_seed,
                      algorithms=tuple(algorithms), sigma_x2=sigma_x2,
                      settings=settings, workers=workers)

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BETA_FLOOR = 1e-12   # smallest effective noise variance a denoiser or detector uses
+GAMMA_CLAMP = 1e-12  # distance from {0, 1} of a clamped zero-probability
+
 
 class RecoveryError(RuntimeError):
     """Raised when an iterative recovery produces non-finite iterates."""
@@ -126,8 +129,8 @@ class RecoverySettings:
 
     t_max: int = 100
     eps_tol: float = 1e-4
-    beta_floor: float = 1e-12
-    gamma_clamp: float = 1e-12
+    beta_floor: float = BETA_FLOOR
+    gamma_clamp: float = GAMMA_CLAMP
     divergence_factor: float = 1e6
     likelihood_variant: str = "own-beta"
     part_variance: str = "half"
@@ -389,22 +392,23 @@ def load_instance(path) -> tuple[ProblemInstance, float, int]:
         pos += 1
         return row
 
-    def take_scalar(key: str) -> float:
+    def take_scalar(key: str, kind=float):
         ln, toks = take()
         if len(toks) != 2 or toks[0] != key:
             raise InstanceFormatError(ln, f"expected '{key} <value>'")
         try:
-            return float(toks[1])
+            return kind(toks[1])
         except ValueError:
-            raise InstanceFormatError(ln, f"bad numeric value for {key}: {toks[1]!r}")
+            what = "integer" if kind is int else "numeric"
+            raise InstanceFormatError(ln, f"bad {what} value for {key}: {toks[1]!r}")
 
-    m = int(take_scalar("M"))
-    n = int(take_scalar("N"))
+    m = take_scalar("M", int)
+    n = take_scalar("N", int)
     if m < 1 or n < 1:
         raise InstanceFormatError(rows[0][0], "M and N must be >= 1")
     sigma_x2 = take_scalar("sigma_x2")
     sigma_w2 = take_scalar("sigma_w2")
-    seed = int(take_scalar("seed"))
+    seed = take_scalar("seed", int)
 
     ln, toks = take()
     if not toks or toks[0] != "gamma0" or len(toks) != n + 1:

@@ -3,7 +3,8 @@
 Two rules: a prior-based comparison of the final working zero-probabilities,
 and a single EM E-step that classifies each component's (u_r, u_i) pair as
 effective noise versus signal plus effective noise.  Both resolve ties to
-ZERO and are evaluated in the log domain.
+ZERO.  The EM decision and both EM responsibilities are built from each
+part's activity log-odds (denoiser._activity_log_odds, slab sigma_x2/2).
 """
 
 from __future__ import annotations
@@ -11,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import expit
 
-from .model import ComplexVector
-
-_BETA_FLOOR = 1e-12
+from .denoiser import _activity_log_odds, _prior_log_odds
+from .model import BETA_FLOOR, ComplexVector
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,12 @@ def detect_prior_based(gamma_r, gamma_i) -> SupportEstimate:
     return SupportEstimate(~zero)
 
 
-def _log_normal(u, var):
-    return -0.5 * (np.log(2.0 * np.pi * var) + u * u / var)
+def _part_log_odds(u, beta: float, gamma, sigma_x2: float):
+    """One part's activity log-odds in the EM model; endpoint gammas give +-inf."""
+    u, g = np.asarray(u, dtype=float), np.asarray(gamma, dtype=float)
+    with np.errstate(divide="ignore"):
+        return _activity_log_odds(u, max(float(beta), BETA_FLOOR), sigma_x2 / 2.0,
+                                  _prior_log_odds(g, 0.0))
 
 
 def detect_em(
@@ -71,37 +75,24 @@ def detect_em(
 
     The all-zero weight uses N(u; 0, beta) per part, the all-active weight
     N(u; 0, beta + sigma_x2/2); the mixed-activity weights cancel from the
-    comparison.  Both sides are compared in the log domain so large |u|
-    never underflows to a 0-vs-0 tie.
+    comparison, which is a_r + a_i <= 0 in the parts' activity log-odds, so
+    large |u| never underflows to a 0-vs-0 tie.  Opposite endpoint gammas
+    (an undefined sum) stay zero.
     """
     u_r = np.asarray(u_r, dtype=float)
     u_i = np.asarray(u_i, dtype=float)
-    g_r = np.asarray(gamma_r, dtype=float)
-    g_i = np.asarray(gamma_i, dtype=float)
     if not (u_r.shape == u_i.shape and u_r.ndim == 1):
         raise ValueError("u vectors must be 1-D with equal length")
-    b_r = max(float(beta_r), _BETA_FLOOR)
-    b_i = max(float(beta_i), _BETA_FLOOR)
-    bbar_r = b_r + sigma_x2 / 2.0
-    bbar_i = b_i + sigma_x2 / 2.0
-    with np.errstate(divide="ignore"):
-        log_zero = (
-            np.log(g_r) + np.log(g_i) + _log_normal(u_r, b_r) + _log_normal(u_i, b_i)
-        )
-        log_active = (
-            np.log(1.0 - g_r)
-            + np.log(1.0 - g_i)
-            + _log_normal(u_r, bbar_r)
-            + _log_normal(u_i, bbar_i)
-        )
-    return SupportEstimate(~(log_zero >= log_active))
+    a_r = _part_log_odds(u_r, beta_r, gamma_r, sigma_x2)
+    a_i = _part_log_odds(u_i, beta_i, gamma_i, sigma_x2)
+    with np.errstate(invalid="ignore"):
+        return SupportEstimate(a_r + a_i > 0.0)
 
 
 def detect_em_cbamp(
     u_r, u_i, beta_r: float, beta_i: float, gamma0, sigma_x2: float
 ) -> SupportEstimate:
     """EM rule with the prior zero-probabilities in both gamma slots."""
-    gamma0 = np.asarray(gamma0, dtype=float)
     return detect_em(u_r, u_i, beta_r, beta_i, gamma0, gamma0, sigma_x2)
 
 
@@ -110,24 +101,11 @@ def em_responsibilities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Soft responsibilities (rho_zero, rho_active) over all four activity
     combinations; diagnostic only, the hard rule never consults the mixed
-    terms."""
-    u_r = np.asarray(u_r, dtype=float)
-    u_i = np.asarray(u_i, dtype=float)
-    g_r = np.asarray(gamma_r, dtype=float)
-    g_i = np.asarray(gamma_i, dtype=float)
-    b_r = max(float(beta_r), _BETA_FLOOR)
-    b_i = max(float(beta_i), _BETA_FLOOR)
-    bbar_r = b_r + sigma_x2 / 2.0
-    bbar_i = b_i + sigma_x2 / 2.0
-    with np.errstate(divide="ignore"):
-        log_sigma = np.stack([
-            np.log(g_r) + np.log(g_i) + _log_normal(u_r, b_r) + _log_normal(u_i, b_i),
-            np.log(g_r) + np.log(1 - g_i) + _log_normal(u_r, b_r) + _log_normal(u_i, bbar_i),
-            np.log(1 - g_r) + np.log(g_i) + _log_normal(u_r, bbar_r) + _log_normal(u_i, b_i),
-            np.log(1 - g_r) + np.log(1 - g_i) + _log_normal(u_r, bbar_r) + _log_normal(u_i, bbar_i),
-        ])
-    log_total = logsumexp(log_sigma, axis=0)
-    return np.exp(log_sigma[0] - log_total), np.exp(log_sigma[3] - log_total)
+    terms.  Given (u, gamma) the parts are independent, so each is a product
+    over the parts."""
+    a_r = _part_log_odds(u_r, beta_r, gamma_r, sigma_x2)
+    a_i = _part_log_odds(u_i, beta_i, gamma_i, sigma_x2)
+    return expit(-a_r) * expit(-a_i), expit(a_r) * expit(a_i)
 
 
 def apply_support(x_hat: ComplexVector, s: SupportEstimate) -> ComplexVector:

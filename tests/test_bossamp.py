@@ -3,6 +3,7 @@ import pytest
 
 from csamp.bamp import cbamp_recover
 from csamp.bossamp import cbossamp_recover, likelihood_update, prior_update
+from csamp.denoiser import DenoiserParams, denoise_terms
 from csamp.experiments import trial_rng
 from csamp.model import (
     ComplexVector,
@@ -11,6 +12,8 @@ from csamp.model import (
     make_instance,
     nmse,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestLikelihoodUpdate:
@@ -36,6 +39,22 @@ class TestLikelihoodUpdate:
             likelihood_update(np.inf, 1.0, 0.5, 1.0)
         with pytest.raises(ValueError):
             likelihood_update(0.0, np.nan, 0.5, 1.0)
+        # inputs DenoiserParams rejects for the same quantities
+        for beta, gamma0, s2 in ((-1.0, 0.5, 0.5), (1.0, 2.0, 0.5), (1.0, -0.1, 0.5),
+                                 (1.0, np.nan, 0.5), (1.0, 0.5, 0.0), (1.0, 0.5, -1.0)):
+            with pytest.raises(ValueError):
+                likelihood_update(1.0, beta, gamma0, s2)
+
+    def test_is_the_denoisers_zero_probability(self):
+        # the exchange's gamma and the denoiser's 1 - pi are one quantity
+        rng = np.random.default_rng(8)
+        for beta in (1e-14, 1e-6, 0.01, 0.3, 1.0, 5.0):
+            for gamma in (0.02, 0.5, 0.9, 0.999):
+                s2 = float(rng.uniform(0.1, 2.0))
+                u = rng.normal(0.0, 3.0 * np.sqrt(beta + s2), 50)
+                pi = denoise_terms(u, DenoiserParams(beta=beta, gamma=gamma, s2=s2))[2]
+                gamma_post = prior_update(likelihood_update(u, beta, gamma, s2))
+                np.testing.assert_allclose(gamma_post, 1.0 - pi, rtol=0.0, atol=1e-12)
 
     def test_gamma_endpoints_clamped(self):
         # exact 0/1 priors stay finite through the clamp

@@ -69,6 +69,15 @@ class TestRecover:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("m_line", ["M 1e400", "M 4.9"])
+    def test_non_integer_dimension_reports_line(self, capsys, tmp_path, m_line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"# header\n{m_line}\nN 5\n")
+        code, _, err = run_cli(capsys, "recover", "--instance", str(bad),
+                               "--algo", "cbamp")
+        assert code == 1
+        assert "bad instance file: line 2" in err
+
     def test_unknown_algo_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "recover", "--algo", "magic")
         assert code == 1

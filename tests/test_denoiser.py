@@ -13,6 +13,8 @@ from csamp.denoiser import (
 )
 from csamp.model import BernoulliGaussianPrior, gen_matrix
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def params_grid():
     return [
@@ -153,6 +155,8 @@ class TestNumericOracle:
             DenoiserParams(beta=-1.0, gamma=0.5, s2=0.5)
         with pytest.raises(ValueError):
             DenoiserParams(beta=0.1, gamma=1.5, s2=0.5)
+        with pytest.raises(ValueError):
+            DenoiserParams(beta=0.1, gamma=np.array([0.5, np.nan]), s2=0.5)
         with pytest.raises(ValueError):
             DenoiserParams(beta=0.1, gamma=0.5, s2=0.0)
 

@@ -237,6 +237,11 @@ class TestNmseSweep:
         with pytest.raises(ValueError):
             run_nmse_sweep(n=10, k=2, m_list=[5], snr_db_list=[10], trials=2,
                            algorithms=("magic",))
+        for m_list, snr_db_list in (([], [10]), ([5], []), ([0, 5], [10]),
+                                    ([5], [10, np.inf]), ([5], [np.nan])):
+            with pytest.raises(ValueError):
+                run_nmse_sweep(n=10, k=2, m_list=m_list, snr_db_list=snr_db_list,
+                               trials=2)
 
 
 class TestContour:

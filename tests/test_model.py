@@ -282,6 +282,19 @@ class TestInstanceFiles:
             load_instance(bad)
         assert err.value.line_no == 10
 
+    @pytest.mark.parametrize("line", ["M 1e400", "M 4.9", "N 5.0", "seed 0.5"])
+    def test_integer_fields_must_be_integers(self, tmp_path, line):
+        inst, _ = make_instance(3, 5, 2, np.random.default_rng(0))
+        path = tmp_path / "inst.txt"
+        save_instance(path, inst, 0.0, seed=0)
+        lines = path.read_text().splitlines()
+        at = next(i for i, l in enumerate(lines) if l.split()[0] == line.split()[0])
+        lines[at] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InstanceFormatError) as err:
+            load_instance(path)
+        assert err.value.line_no == at + 1
+
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("M 3\nN 5\n")

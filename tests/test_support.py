@@ -13,6 +13,8 @@ from csamp.support import (
     support_metrics,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def vec(*values):
     return np.array(values, dtype=float)
@@ -104,6 +106,36 @@ class TestEmRule:
         rho0, rho1 = em_responsibilities(u_r, u_i, 0.4, 0.7, g_r, g_i, 1.0)
         assert np.all((rho0 >= 0) & (rho1 >= 0) & (rho0 + rho1 <= 1 + 1e-12))
         assert np.array_equal(~est.active, rho0 >= rho1)
+
+    def test_responsibilities_match_normalised_densities(self):
+        rng = np.random.default_rng(6)
+        beta_r, beta_i, sigma_x2 = 0.3, 0.8, 1.2
+        u_r = rng.uniform(-4, 4, 200)
+        u_i = rng.uniform(-4, 4, 200)
+        g_r = rng.uniform(0.05, 0.95, 200)
+        g_i = rng.uniform(0.05, 0.95, 200)
+        zero_r = g_r * norm.pdf(u_r, scale=np.sqrt(beta_r))
+        zero_i = g_i * norm.pdf(u_i, scale=np.sqrt(beta_i))
+        act_r = (1 - g_r) * norm.pdf(u_r, scale=np.sqrt(beta_r + sigma_x2 / 2))
+        act_i = (1 - g_i) * norm.pdf(u_i, scale=np.sqrt(beta_i + sigma_x2 / 2))
+        weights = np.stack([zero_r * zero_i, zero_r * act_i, act_r * zero_i, act_r * act_i])
+        weights /= weights.sum(axis=0)
+        rho0, rho1 = em_responsibilities(u_r, u_i, beta_r, beta_i, g_r, g_i, sigma_x2)
+        np.testing.assert_allclose(rho0, weights[0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(rho1, weights[3], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("g_r, g_i, active", [
+        # decisions on the (u_r, u_i) grid {0, 2.5, 40}^2, recorded from the
+        # four-density rule: an exact gamma = 1 in either part keeps the
+        # component zero, opposite endpoints included; gamma = 0 makes it active
+        (0.0, 0.0, True), (0.0, 1.0, False), (1.0, 0.0, False), (1.0, 1.0, False),
+        (0.0, 0.3, True), (0.3, 0.0, True), (1.0, 0.3, False), (0.3, 1.0, False),
+    ])
+    def test_endpoint_gammas(self, g_r, g_i, active):
+        u = np.array([(a, b) for a in (0.0, 2.5, 40.0) for b in (0.0, 2.5, 40.0)])
+        n = len(u)
+        est = detect_em(u[:, 0], u[:, 1], 0.5, 0.5, np.full(n, g_r), np.full(n, g_i), 1.0)
+        assert np.array_equal(est.active, np.full(n, active))
 
     def test_cbamp_variant_is_equal_gamma_case(self):
         rng = np.random.default_rng(5)
