@@ -1,20 +1,25 @@
 """The AMP loop shared by every solver, and the soft-thresholding baseline.
 
-_iterate runs AMP on a stacked (k, N) state, one row per part of the
-problem: the real and imaginary parts share A, so each iteration makes one
-Z @ A and one X @ A.T for all live parts:
+_iterate runs AMP on a batch of problems (A_t, y_t) that share (M, N) and
+the prior: the live rows of all of them, one per (trial, part), form one
+stacked (R, N) state.  Each iteration makes, per trial, one Z @ A_t and one
+X @ A_t.T on that trial's live rows, at the shape a lone solve of the trial
+would use, and runs everything else once over all rows:
 
     U = X + A^T Z,    X' = eta(U; beta),    Z' = Y - A X' + (sum eta'(U) / M) Z,
 
-with beta = |z|^2 / M per part.  The denoiser returns X', the summed
+with beta = |z|^2 / M per row.  The denoiser returns X', the summed
 derivative and, for the Bernoulli-Gaussian prior, the posterior activity pi
 from one evaluation; an optional hook adds a term to Z' (cbossamp's
-likelihood exchange, bossamp.py).  Without a hook each part stops on its own
+likelihood exchange, bossamp.py).  Without a hook each row stops on its own
 rule, converged when |Z' - Z|^2 <= eps_tol |Z|^2 and diverged when |Z'|^2
-exceeds divergence_factor |Y|^2, and a stopped part is dropped from the
-state.  With the hook the rule is joint: all parts stop when the summed
-relative change drops to eps_tol or any part diverges.  A non-finite
-iterate raises RecoveryError; inputs are validated once, at entry.
+exceeds divergence_factor |Y|^2.  With the hook the rule is joint per
+trial: both parts stop when their summed relative change drops to eps_tol
+or either part diverges.  A stopped row is dropped from the state; as every
+operation but the matmuls is row by row, and those keep each trial's shape,
+a batched solve gives each trial the bits of its lone solve.  A non-finite
+iterate fails its whole trial with a RecoveryError, while the other trials
+run on; a lone solve raises it.  Inputs are validated once, at entry.
 
 Soft-thresholding AMP thresholds at lambda * sqrt(beta), beta unfloored; its
 Onsager coefficient is the active-set size over M (the soft threshold's
@@ -24,6 +29,7 @@ derivative sums to |x_hat|_0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -48,6 +54,7 @@ class AmpPartResult:
     iterations: int
     converged: bool
     diverged: bool
+    gamma: np.ndarray | None = None  # the hook's working gamma, if any
 
 
 def _shrink(u, theta):
@@ -74,63 +81,102 @@ def _sq_norms(v):
     return np.einsum("...i,...i->...", v, v)
 
 
-def _step(A, y, x, z, beta, denoise):
-    """One AMP iteration from (x, z) at noise variance beta: (u, x', z', pi)."""
-    u = x + z @ A
-    x_new, deriv_sum, pi = denoise(u, beta)
-    z_new = y - x_new @ A.T + (deriv_sum / A.shape[0])[..., None] * z
-    return u, x_new, z_new, pi
+def _spans(rows, problems):
+    """[(start, stop, A)] per trial over the live rows, rows holding the
+    (trial, part) of each: a trial's rows are consecutive."""
+    spans, start = [], 0
+    for trial, group in groupby(trial for trial, _ in rows):
+        stop = start + len(list(group))
+        spans.append((start, stop, problems[trial][0]))
+        start = stop
+    return spans
 
 
-def _iterate(A, Y, denoise, settings: RecoverySettings, beta_floor: float,
-             hook=None) -> list[AmpPartResult]:
-    """AMP on the rows of Y (module docstring); one result per row.
+def _times(spans, V, transpose=False):
+    """Each trial's rows of V times its A (or A.T), at the trial's own shape:
+    row 0 of a (2, M) @ A differs in bits from a (1, M) @ A."""
+    if len(spans) == 1:
+        A = spans[0][2]
+        return V @ (A.T if transpose else A)
+    out = np.empty((len(V), spans[0][2].shape[0 if transpose else 1]))
+    for start, stop, A in spans:
+        np.matmul(V[start:stop], A.T if transpose else A, out=out[start:stop])
+    return out
 
-    denoise(U, beta) -> (X, summed derivative per part, pi or None), beta
-    holding the parts' noise variances.  hook(U, beta, X, pi, Z) returns the
+
+def _iterate(problems, denoise, settings: RecoverySettings, beta_floor: float,
+             hook=None) -> list:
+    """AMP on the rows of every (A, Y) of problems (module docstring); per
+    problem, one AmpPartResult per row of its Y or the RecoveryError of a
+    non-finite iterate.  The problems share (M, N).
+
+    denoise(U, beta) -> (X, summed derivative per row, pi or None), beta
+    holding the rows' noise variances.  hook(U, beta, X, pi, Z) returns the
     term added to the new residual, Z being the one that formed U, and
-    selects the joint rule; without it the denoiser must treat all parts
-    alike, because stopped parts are dropped.
+    selects the joint rule over each problem's (re, im) pair of rows; the
+    hook's working gammas are hook.gamma, one row per live row, and
+    hook.keep(live) drops its rows with the loop's.  Without a hook the
+    denoiser must treat all rows alike, because stopped rows are dropped.
     """
-    m, n = A.shape
+    m, n = problems[0][0].shape
+    if any(A.shape != (m, n) for A, _ in problems):
+        raise ValueError("the problems of one solve must share (M, N)")
+    Y = np.concatenate([Y for _, Y in problems])
+    rows = [(trial, part) for trial, (_, Yt) in enumerate(problems)
+            for part in range(len(Yt))]
+    spans = _spans(rows, problems)
+    results: list = [[None] * len(Yt) for _, Yt in problems]
     initial = _sq_norms(Y)
     X, Z, energy = np.zeros((len(Y), n)), Y.copy(), initial
-    parts = list(range(len(Y)))  # the original row of each live part
-    results: list = [None] * len(parts)
     for t in range(1, settings.t_max + 1):
         beta = np.maximum(energy / m, beta_floor)
-        U, X, Z_new, pi = _step(A, Y, X, Z, beta, denoise)
+        U = X + _times(spans, Z)
+        X, deriv_sum, pi = denoise(U, beta)
+        Z_new = Y - _times(spans, X, transpose=True) + (deriv_sum / m)[:, None] * Z
         if hook is not None:
             Z_new += hook(U, beta, X, pi, Z)
-        if not (np.isfinite(X).all() and np.isfinite(Z_new).all()):
-            raise RecoveryError(f"AMP produced a non-finite iterate at t={t}")
         change = _sq_norms(Z_new - Z)
         prev, Z, energy = energy, Z_new, _sq_norms(Z_new)
         diverged = energy > settings.divergence_factor * initial
         if hook is None:
             converged = (prev == 0.0) | (change <= settings.eps_tol * prev)
-        else:  # joint rule on the summed relative change, 0/0 counting as 0
-            ratio = sum(c / p if p else (0.0 if c == 0.0 else np.inf)
-                        for c, p in zip(change.tolist(), prev.tolist()))
-            converged = np.full(len(parts), ratio <= settings.eps_tol)
-            diverged[:] = diverged.any()
+        else:  # joint rule on each pair's summed relative change, 0/0 as 0
+            ratio = change / prev if prev.all() else np.divide(
+                change, prev, where=prev != 0.0, out=np.where(change == 0.0, 0.0, np.inf))
+            converged = (ratio[0::2] + ratio[1::2] <= settings.eps_tol).repeat(2)
+            diverged = (diverged[0::2] | diverged[1::2]).repeat(2)
         diverged &= ~converged
         stop = converged | diverged
         if t == settings.t_max:
             stop[:] = True
+        if not (np.isfinite(X).all() and np.isfinite(Z_new).all()):
+            # the whole trial fails, a part that stopped before included
+            bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(Z_new).all(axis=1))
+            for trial in {rows[j][0] for j in np.flatnonzero(bad)}:
+                results[trial] = RecoveryError(
+                    f"AMP produced a non-finite iterate at t={t}")
+            stop |= [isinstance(results[trial], RecoveryError) for trial, _ in rows]
         if not stop.any():
             continue
+        gamma = None if hook is None else hook.gamma
         for j in np.flatnonzero(stop):
-            results[parts[j]] = AmpPartResult(
+            trial, part = rows[j]
+            if isinstance(results[trial], RecoveryError):
+                continue
+            results[trial][part] = AmpPartResult(
                 x_hat=X[j].copy(), u=U[j].copy(), beta=float(beta[j]),
                 iterations=t, converged=bool(converged[j]),
-                diverged=bool(diverged[j]))
+                diverged=bool(diverged[j]),
+                gamma=None if gamma is None else gamma[j].copy())
         if stop.all():
             break
         live = ~stop
         X, Z, Y = X[live], Z[live], Y[live]
         energy, initial = energy[live], initial[live]
-        parts = [p for p, keep in zip(parts, live) if keep]
+        rows = [row for row, keep in zip(rows, live) if keep]
+        spans = _spans(rows, problems)
+        if hook is not None:
+            hook.keep(live)
     return results
 
 
@@ -143,14 +189,29 @@ def _stack(A, *parts):
     return A, Y
 
 
-def _complex_output(parts, gamma_r=None, gamma_i=None) -> RecoveryOutput:
-    """Join the real and imaginary parts' results into one RecoveryOutput."""
-    r, i = parts
-    return RecoveryOutput(
-        x_hat=combine(r.x_hat, i.x_hat), u_r=r.u, u_i=i.u, beta_r=r.beta,
-        beta_i=i.beta, gamma_r=gamma_r, gamma_i=gamma_i,
-        iterations=max(r.iterations, i.iterations),
-        converged=r.converged and i.converged, diverged=r.diverged or i.diverged)
+def _complex_outputs(results, gamma0=None) -> list:
+    """Per problem of _iterate, its RecoveryOutput (or its RecoveryError):
+    the parts joined, with gamma0 echoed as both working gammas if given."""
+    outputs = []
+    for parts in results:
+        if not isinstance(parts, RecoveryError):
+            r, i = parts
+            gammas = (r.gamma, i.gamma) if gamma0 is None else (gamma0.copy(), gamma0.copy())
+            parts = RecoveryOutput(
+                x_hat=combine(r.x_hat, i.x_hat), u_r=r.u, u_i=i.u, beta_r=r.beta,
+                beta_i=i.beta, gamma_r=gammas[0], gamma_i=gammas[1],
+                iterations=max(r.iterations, i.iterations),
+                converged=r.converged and i.converged, diverged=r.diverged or i.diverged)
+        outputs.append(parts)
+    return outputs
+
+
+def _single(results):
+    """The result of a batch of one, raising its RecoveryError."""
+    (result,) = results
+    if isinstance(result, RecoveryError):
+        raise result
+    return result
 
 
 def _soft_denoiser(lam: float):
@@ -162,11 +223,17 @@ def _soft_denoiser(lam: float):
 
 def amp_recover(A: np.ndarray, y_part: np.ndarray, cfg: AmpConfig) -> AmpPartResult:
     """Soft-thresholding AMP on one real part."""
-    A, Y = _stack(A, y_part)
-    return _iterate(A, Y, _soft_denoiser(cfg.lam), cfg.settings, 0.0)[0]
+    return _single(_iterate([_stack(A, y_part)], _soft_denoiser(cfg.lam), cfg.settings,
+                            0.0))[0]
+
+
+def _camp_batch(problems, cfg: AmpConfig) -> list:
+    """camp_recover on each (A, y) of problems, in one loop: a RecoveryOutput
+    per problem, or the RecoveryError of one whose iterate went non-finite."""
+    stacked = [_stack(A, y.re, y.im) for A, y in problems]
+    return _complex_outputs(_iterate(stacked, _soft_denoiser(cfg.lam), cfg.settings, 0.0))
 
 
 def camp_recover(A: np.ndarray, y: ComplexVector, cfg: AmpConfig) -> RecoveryOutput:
     """AMP on the real and imaginary parts, each stopping on its own rule."""
-    A, Y = _stack(A, y.re, y.im)
-    return _complex_output(_iterate(A, Y, _soft_denoiser(cfg.lam), cfg.settings, 0.0))
+    return _single(_camp_batch([(A, y)], cfg))

@@ -26,7 +26,9 @@ arrays the step already holds.  Without it the coupled chains can lock into
 a period-2 oscillation of gamma on instances that cBAMP solves.
 
 The exchange stops on the loop's joint rule (summed relative residual
-change).  exchange=False is cbamp_recover itself, bit for bit.
+change).  In a batch each trial is a pair of rows, and the exchange swaps
+the rows within each pair.  exchange=False is cbamp_recover itself, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from .amp import AmpPartResult, _complex_output, _iterate, _sq_norms, _stack
+from .amp import AmpPartResult, _complex_outputs, _iterate, _single, _sq_norms, _stack
 from .bamp import _mmse, cbamp_recover
 from .denoiser import (DenoiserParams, _activity_log_odds, _check_finite, _endpoint_masks,
                        _prior_log_odds)
@@ -63,9 +65,17 @@ def prior_update(l, gamma_clamp: float = GAMMA_CLAMP):
     return out if np.ndim(out) else float(out)
 
 
+def _swap(a):
+    """a with the two rows of each (re, im) pair exchanged; a view for one pair."""
+    if len(a) == 2:
+        return a[::-1]
+    return a.reshape(-1, 2, *a.shape[1:])[:, ::-1].reshape(a.shape)
+
+
 class _Exchange:
-    """The likelihood exchange: the loop's hook, and the denoiser at the
-    working zero-probabilities it installs (starting at the prior)."""
+    """The likelihood exchange: the loop's hook over the (re, im) row pairs
+    of a batch, and the denoiser at the working zero-probabilities it
+    installs (starting at the prior)."""
 
     def __init__(self, gamma0, prior: BernoulliGaussianPrior, settings: RecoverySettings):
         self.s2 = prior.s2
@@ -73,8 +83,8 @@ class _Exchange:
         self.cross = settings.likelihood_variant == "printed-cross-beta"
         self.clamp = settings.gamma_clamp
         self.log_prior_odds = _prior_log_odds(gamma0, self.clamp)
-        self.gamma = np.stack((gamma0, gamma0))
-        self.log_odds, self.masks = _prior_log_odds(gamma0), _endpoint_masks(gamma0)
+        self.gamma = None  # one row per live row once the first step installs it
+        self.log_odds, self.masks = self.log_prior_odds, _endpoint_masks(gamma0)
         self.memory = None  # (w, z'); the prior gamma depends on no data
 
     def denoise(self, u, beta):
@@ -88,14 +98,43 @@ class _Exchange:
         if self.memory is not None:
             w, z_other = self.memory  # x (1 - pi) w = g pi (1 - pi) u w
             term = ((x * (1.0 - pi) * w).sum(axis=1) / z.shape[1])[:, None] * z_other
-        beta_l = (beta[::-1] if self.cross else beta)[:, None]
+        beta_l = (_swap(beta) if self.cross else beta)[:, None]
         l = -_activity_log_odds(u, beta_l, self.like_s2, self.log_prior_odds)
-        self.gamma = prior_update(l, self.clamp)[::-1]
+        self.gamma = _swap(prior_update(l, self.clamp))
         # clamped into (0, 1), the working gammas have no endpoint priors
-        self.log_odds, self.masks = _prior_log_odds(self.gamma), (None, None)
+        self.log_odds, self.masks = _prior_log_odds(self.gamma, self.clamp), (None, None)
         slope = self.like_s2 / (beta_l * (beta_l + self.like_s2))
-        self.memory = ((u * slope)[::-1], z[::-1])
+        self.memory = (_swap(u * slope), _swap(z))
         return term
+
+    def keep(self, live):
+        """Drop the rows of the pairs the loop stopped."""
+        w, z_other = self.memory
+        self.gamma, self.log_odds = self.gamma[live], self.log_odds[live]
+        self.memory = (w[live], z_other[live])
+
+
+def _no_data(n: int, gamma0, settings: RecoverySettings) -> list:
+    """The parts' results without data: the prior mean, gamma the prior."""
+    return [AmpPartResult(np.zeros(n), np.zeros(n), settings.beta_floor, 1, True, False,
+                          gamma0.copy()) for _ in range(2)]
+
+
+def _cbossamp_batch(problems, prior: BernoulliGaussianPrior,
+                    settings: RecoverySettings) -> list:
+    """cbossamp_recover on each (A, y) of problems, in one loop: a
+    RecoveryOutput per problem, or the RecoveryError of one whose iterate
+    went non-finite.  A problem without data is answered before the loop."""
+    stacked = [_stack(A, y.re, y.im) for A, y in problems]
+    n = stacked[0][0].shape[1]
+    gamma0 = prior.gamma0_vector(n)
+    has_data = [bool(_sq_norms(Y).any()) for _, Y in stacked]
+    live = [problem for problem, data in zip(stacked, has_data) if data]
+    ex = _Exchange(gamma0, prior, settings)
+    solved = iter(_iterate(live, ex.denoise, settings, settings.beta_floor, hook=ex)
+                  if live else [])
+    return _complex_outputs([next(solved) if data else _no_data(n, gamma0, settings)
+                             for data in has_data])
 
 
 def cbossamp_recover(
@@ -117,13 +156,4 @@ def cbossamp_recover(
     """
     if not exchange:
         return cbamp_recover(A, y, prior, settings)
-    A, Y = _stack(A, y.re, y.im)
-    n = A.shape[1]
-    gamma0 = prior.gamma0_vector(n)
-    if not _sq_norms(Y).any():  # no data: the prior mean, gamma stays the prior
-        parts = [AmpPartResult(np.zeros(n), np.zeros(n), settings.beta_floor, 1, True, False)
-                 for _ in range(2)]
-        return _complex_output(parts, gamma0.copy(), gamma0.copy())
-    ex = _Exchange(gamma0, prior, settings)
-    parts = _iterate(A, Y, ex.denoise, settings, settings.beta_floor, hook=ex)
-    return _complex_output(parts, ex.gamma[0].copy(), ex.gamma[1].copy())
+    return _single(_cbossamp_batch([(A, y)], prior, settings))

@@ -3,11 +3,16 @@
 Every sweep runs one trial loop, `_run_cell`: the instance for trial j of
 cell c is drawn once from SeedSequence((base_seed, c, j)), solved once by
 each algorithm, and each solve is scored by its NMSE and by the requested
-support detectors.  Comparisons are paired and any worker count reproduces
-the same bytes.  The public runners reduce the loop's tallies to rows;
-`run_grids` takes the recovery and support grids from one pass.  A solve
-that raises RecoveryError counts as diverged at t_max iterations, scores
-NMSE 1 and is never a success; it never aborts a sweep.
+support detectors.  The loop draws a cell's trials in chunks of consecutive
+trials (as many as fit CHUNK_BYTES of A, at least one), and each algorithm
+solves a chunk in one batched AMP loop (amp.py) that gives every trial the
+bits of its lone solve, so the chunk size changes no result.  Comparisons
+are paired and any worker count reproduces the same bytes.  The public
+runners reduce the loop's tallies to rows; `run_grids` takes the recovery
+and support grids from one pass.  A trial whose iterate goes non-finite
+fails alone, as a RecoveryError, while the rest of its chunk runs on: it
+counts as diverged at t_max iterations, scores NMSE 1 and is never a
+success; it never aborts a sweep.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from multiprocessing import Pool
 import numpy as np
 
 from ._version import __version__
-from .amp import AmpConfig, camp_recover, lambda_heuristic
-from .bamp import cbamp_recover
-from .bossamp import cbossamp_recover
+from .amp import AmpConfig, _camp_batch, _single, lambda_heuristic
+from .bamp import _cbamp_batch
+from .bossamp import _cbossamp_batch
 from .model import (
     BernoulliGaussianPrior,
     ProblemInstance,
@@ -153,6 +158,24 @@ def trial_rng(base_seed: int, cell_index: int, trial: int) -> np.random.Generato
     return np.random.default_rng(np.random.SeedSequence((base_seed, cell_index, trial)))
 
 
+def _solve_chunk(name: str, instances, k: int, settings: RecoverySettings,
+                 lam: float | None = None) -> list:
+    """Solve instances (sharing M, N and the prior) in one loop of the named
+    algorithm: per instance, its RecoveryOutput or the RecoveryError of its
+    non-finite iterate.  AMP's threshold multiplier is lam, or else the
+    heuristic at the true K."""
+    problems = [(inst.A, inst.y) for inst in instances]
+    if name == "amp":
+        if lam is None:
+            lam = lambda_heuristic(max(k, 1))
+        return _camp_batch(problems, AmpConfig(lam=lam, settings=settings))
+    if name == "cbamp":
+        return _cbamp_batch(problems, instances[0].prior, settings)
+    if name == "cbossamp":
+        return _cbossamp_batch(problems, instances[0].prior, settings)
+    raise ValueError(f"unknown algorithm {name!r}")
+
+
 def run_algorithm(
     name: str,
     inst: ProblemInstance,
@@ -161,16 +184,8 @@ def run_algorithm(
     lam: float | None = None,
 ) -> RecoveryOutput:
     """Dispatch one recovery; AMP's threshold multiplier is lam, or else the
-    heuristic at the true K."""
-    if name == "amp":
-        if lam is None:
-            lam = lambda_heuristic(max(k, 1))
-        return camp_recover(inst.A, inst.y, AmpConfig(lam=lam, settings=settings))
-    if name == "cbamp":
-        return cbamp_recover(inst.A, inst.y, inst.prior, settings)
-    if name == "cbossamp":
-        return cbossamp_recover(inst.A, inst.y, inst.prior, settings)
-    raise ValueError(f"unknown algorithm {name!r}")
+    heuristic at the true K.  A non-finite iterate raises RecoveryError."""
+    return _single(_solve_chunk(name, [inst], k, settings, lam))
 
 
 def detect_support(detector: str, out: RecoveryOutput,
@@ -228,41 +243,56 @@ class _Tally:
     exact: dict = field(default_factory=dict)
 
 
+# A chunk holds as many consecutive trials as fit this many bytes of A, and
+# at least one.  Solving a chunk in one loop amortises the per-call numpy
+# overhead that dominates an iteration at N=256: the desk-grid cells (at
+# most 474 KB of A per chunk) ran 1.7x faster.  At N=1000 the matmuls
+# dominate instead: chunks of three 1.2 MB matrices ran 16% slower (they
+# overflow a 2 MiB per-core L2) and a whole cell at once raised peak memory
+# by a third for no gain, so there each trial runs alone.
+CHUNK_BYTES = 1 << 20
+
+
 def _run_cell(task) -> dict:
     """The trial loop.  task = (cfg, index, m, k, snr, pairs): cell `index`
     of a sweep with settings cfg, M=m, K=k, linear SNR snr (None: noiseless)
     and the (algorithm, detector) pairs to score.  Each trial's instance is
-    drawn once and solved once by each of cfg.algorithms; returns
-    {algorithm: _Tally}."""
+    drawn once; each chunk of consecutive trials is solved in one loop by
+    each of cfg.algorithms; returns {algorithm: _Tally}."""
     cfg, index, m, k, snr, pairs = task
     tallies = {algo: _Tally() for algo in cfg.algorithms}
     for algo, detector in pairs:
         tallies[algo].exact[detector] = 0
-    for j in range(cfg.trials):
-        inst, _ = make_instance(
+    chunk = max(1, CHUNK_BYTES // (8 * m * cfg.n))
+    for first in range(0, cfg.trials, chunk):
+        instances = [make_instance(
             m, cfg.n, k, trial_rng(cfg.base_seed, index, j),
             sigma_x2=cfg.sigma_x2, snr=snr, noiseless=snr is None,
-        )
+        )[0] for j in range(first, min(first + chunk, cfg.trials))]
         for algo, tally in tallies.items():
-            try:
-                out = run_algorithm(algo, inst, k, cfg.settings)
-            except RecoveryError:
-                tally.scores.append(None)
-                tally.iterations += cfg.settings.t_max
-                tally.diverged += 1
-                continue
-            # NMSE, or the estimate's energy where the truth is all zero
-            zero = inst.x_true.norm_sq() == 0.0
-            tally.scores.append(out.x_hat.norm_sq() if zero
-                                else nmse(out.x_hat, inst.x_true))
-            tally.iterations += out.iterations
-            if out.diverged:
-                tally.diverged += 1
-            for detector in tally.exact:
-                est = detect_support(detector, out, inst.prior)
-                if support_metrics(inst.x_true, est).exact_match:
-                    tally.exact[detector] += 1
+            for inst, out in zip(instances, _solve_chunk(algo, instances, k, cfg.settings)):
+                _score(tally, inst, out, cfg.settings)
     return tallies
+
+
+def _score(tally: _Tally, inst: ProblemInstance, out, settings: RecoverySettings) -> None:
+    """Book one trial's solve, out, in tally: a RecoveryError counts as
+    diverged at t_max iterations, with score None."""
+    if isinstance(out, RecoveryError):
+        tally.scores.append(None)
+        tally.iterations += settings.t_max
+        tally.diverged += 1
+        return
+    # NMSE, or the estimate's energy where the truth is all zero
+    zero = inst.x_true.norm_sq() == 0.0
+    tally.scores.append(out.x_hat.norm_sq() if zero else nmse(out.x_hat, inst.x_true))
+    tally.iterations += out.iterations
+    if out.diverged:
+        tally.diverged += 1
+    for detector in tally.exact:
+        est = detect_support(detector, out, inst.prior)
+        if support_metrics(inst.x_true, est).exact_match:
+            tally.exact[detector] += 1
 
 
 # --- recovery and support-detection phase transitions -----------------------

@@ -402,10 +402,14 @@ def load_instance(path) -> tuple[ProblemInstance, float, int]:
             what = "integer" if kind is int else "numeric"
             raise InstanceFormatError(ln, f"bad {what} value for {key}: {toks[1]!r}")
 
-    m = take_scalar("M", int)
-    n = take_scalar("N", int)
-    if m < 1 or n < 1:
-        raise InstanceFormatError(rows[0][0], "M and N must be >= 1")
+    def take_dimension(key: str) -> int:
+        value = take_scalar(key, int)
+        if value < 1:
+            raise InstanceFormatError(rows[pos - 1][0], f"{key} must be >= 1")
+        return value
+
+    m = take_dimension("M")
+    n = take_dimension("N")
     sigma_x2 = take_scalar("sigma_x2")
     sigma_w2 = take_scalar("sigma_w2")
     seed = take_scalar("seed", int)

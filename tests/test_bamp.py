@@ -14,6 +14,8 @@ from csamp.model import (
     nmse,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestBampRecover:
     def test_zero_measurement_fixed_point(self):

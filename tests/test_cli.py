@@ -47,6 +47,13 @@ class TestRecover:
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
 
+    def test_gamma_clamp_reaches_cbamp(self, capsys):
+        argv = ("recover", "--n", "64", "--m", "24", "--k", "6", "--algo", "cbamp",
+                "--seed", "4")
+        _, default, _ = run_cli(capsys, *argv)
+        _, clamped, _ = run_cli(capsys, *argv, "--gamma-clamp", "0.45")
+        assert parse_row(clamped) != parse_row(default)
+
     def test_instance_file_round_trip(self, capsys, tmp_path):
         saved = tmp_path / "inst.txt"
         code, out1, _ = run_cli(

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import csamp.experiments as experiments
+from csamp.bamp import bamp_recover
 from csamp.experiments import (
+    KNOWN_ALGORITHMS,
     GridConfig,
     SweepResult,
     extract_contour,
@@ -14,7 +18,9 @@ from csamp.experiments import (
     trial_rng,
     write_csv,
 )
-from csamp.model import RecoverySettings
+from csamp.model import ComplexVector, RecoveryError, RecoverySettings, make_instance
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def forbidden(*args, **kwargs):
@@ -23,15 +29,16 @@ def forbidden(*args, **kwargs):
 
 @pytest.fixture
 def solved(monkeypatch):
-    """The algorithm name of every run_algorithm call a sweep makes."""
+    """The algorithm name of every solve a sweep makes, once per instance of
+    each chunk."""
     names = []
-    original = experiments.run_algorithm
+    original = experiments._solve_chunk
 
-    def counting(name, *args, **kwargs):
-        names.append(name)
-        return original(name, *args, **kwargs)
+    def counting(name, instances, *args, **kwargs):
+        names.extend([name] * len(instances))
+        return original(name, instances, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "run_algorithm", counting)
+    monkeypatch.setattr(experiments, "_solve_chunk", counting)
     return names
 
 
@@ -205,6 +212,66 @@ class TestRunGrids:
     def test_recovery_runner_runs_no_detector(self, monkeypatch):
         monkeypatch.setattr(experiments, "detect_support", forbidden)
         run_phase_transition(tiny_grid())
+
+
+def chunk_of_trials():
+    """Instances of one cell, (M, N, K) = (24, 64, 6), and the trial
+    numbers of those whose solve must fail."""
+    draws = [make_instance(24, 64, 6, trial_rng(7, 0, j))[0] for j in range(4)]
+    big = replace(draws[1], A=1e300 * draws[1].A)
+    instances = [
+        draws[0],
+        big,  # overflows at t=1
+        draws[2],
+        replace(big, y=ComplexVector(np.zeros(24), big.y.im)),  # its real part converges at t=1
+        replace(draws[3], y=ComplexVector.zeros(24)),  # no data
+        draws[3],
+    ]
+    return instances, (1, 3)
+
+
+class TestChunkedSolves:
+    @pytest.mark.parametrize("part_variance", ["half", "full"])
+    @pytest.mark.parametrize("variant", ["own-beta", "printed-cross-beta"])
+    @pytest.mark.parametrize("algo", KNOWN_ALGORITHMS)
+    def test_equal_lone_solves_bit_for_bit(self, algo, variant, part_variance):
+        settings = RecoverySettings(t_max=60, likelihood_variant=variant,
+                                    part_variance=part_variance)
+        instances, failing = chunk_of_trials()
+        # in trial 0 one cbamp part stops before the other
+        first = instances[0]
+        gamma0, s2 = first.prior.gamma0[0], first.prior.s2
+        assert (bamp_recover(first.A, first.y.re, gamma0, s2, settings).iterations
+                != bamp_recover(first.A, first.y.im, gamma0, s2, settings).iterations)
+        with np.errstate(over="ignore", invalid="ignore"):
+            chunk = experiments._solve_chunk(algo, instances, 6, settings)
+            for j, (inst, out) in enumerate(zip(instances, chunk)):
+                if j in failing:
+                    assert isinstance(out, RecoveryError)
+                    with pytest.raises(RecoveryError):
+                        experiments.run_algorithm(algo, inst, 6, settings)
+                    continue
+                alone = experiments.run_algorithm(algo, inst, 6, settings)
+                for part in ("re", "im"):
+                    assert np.array_equal(getattr(out.x_hat, part), getattr(alone.x_hat, part))
+                for name in ("u_r", "u_i", "gamma_r", "gamma_i"):
+                    assert np.array_equal(getattr(out, name), getattr(alone, name))
+                assert ((out.beta_r, out.beta_i, out.iterations, out.converged, out.diverged)
+                        == (alone.beta_r, alone.beta_i, alone.iterations, alone.converged,
+                            alone.diverged))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_bytes_do_not_depend_on_the_chunk_budget(self, monkeypatch, tmp_path,
+                                                          workers):
+        cfg = tiny_grid(trials=5, workers=workers)
+        files = {}
+        for budget in (1, 1 << 30):  # one trial per chunk; the whole cell
+            monkeypatch.setattr(experiments, "CHUNK_BYTES", budget)
+            for result in run_grids(cfg):
+                path = tmp_path / f"{result.kind}-{budget}.csv"
+                result.to_csv(path)
+                files.setdefault(result.kind, []).append(path.read_bytes())
+        assert all(small == large for small, large in files.values())
 
 
 class TestNmseSweep:

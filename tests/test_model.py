@@ -282,7 +282,7 @@ class TestInstanceFiles:
             load_instance(bad)
         assert err.value.line_no == 10
 
-    @pytest.mark.parametrize("line", ["M 1e400", "M 4.9", "N 5.0", "seed 0.5"])
+    @pytest.mark.parametrize("line", ["M 1e400", "M 4.9", "N 5.0", "seed 0.5", "N 0"])
     def test_integer_fields_must_be_integers(self, tmp_path, line):
         inst, _ = make_instance(3, 5, 2, np.random.default_rng(0))
         path = tmp_path / "inst.txt"
