@@ -23,6 +23,7 @@ from .denoiser import DenoiserParams, denoise, denoise_numeric, exact_mmse
 from .experiments import (
     GridConfig,
     _fmt,
+    _trial_chunks,
     detect_support,
     extract_contour,
     run_algorithm,
@@ -34,6 +35,7 @@ from .experiments import (
 )
 from .model import (
     InstanceFormatError,
+    RecoveryError,
     RecoverySettings,
     load_instance,
     make_instance,
@@ -83,26 +85,36 @@ def oracle_validation_rows(trials=200, seed=0, n=10, m=6, k=2, snr_db=20.0,
                            algorithms=("amp", "cbamp", "cbossamp")):
     """Mean per-part MSE of each algorithm against the enumeration oracle.
 
+    The trials run through the sweeps' trial loop as cell 0 (trial j drawn
+    from trial_rng(seed, 0, j)), each algorithm solving them in one batched
+    loop, and exact_mmse takes both parts of a trial in one call.  A solve
+    that fails with RecoveryError raises it.
+
     Returns (rows, violations): one row per (algorithm, part) with the
     paired-mean MSEs, and the list of rows where the algorithm beats the
     oracle by more than 1e-9.
     """
+    if n > 14:
+        raise ValueError(f"support enumeration infeasible for N={n} > 14")
+    cfg = GridConfig(n=n, trials=trials, base_seed=seed,
+                     algorithms=tuple(algorithms), settings=settings)
     snr = None if noiseless else 10.0 ** (snr_db / 10.0)
     alg_sums = {(a, p): 0.0 for a in algorithms for p in ("re", "im")}
     oracle_sums = {"re": 0.0, "im": 0.0}
-    for j in range(trials):
-        rng = trial_rng(seed, 0, j)
-        inst, sigma_w2 = make_instance(m, n, k, rng, snr=snr, noiseless=noiseless)
-        for part in ("re", "im"):
-            y_part = getattr(inst.y, part)
-            x_part = getattr(inst.x_true, part)
-            x_star = exact_mmse(inst.A, y_part, inst.prior, sigma_w2 / 2.0)
-            oracle_sums[part] += float(np.sum((x_star - x_part) ** 2)) / n
+    for draws, outs in _trial_chunks(cfg, 0, m, k, snr):
+        for inst, sigma_w2 in draws:
+            x_star = exact_mmse(inst.A, np.stack((inst.y.re, inst.y.im)),
+                                inst.prior, sigma_w2 / 2.0)
+            for part, x_part in zip(("re", "im"), x_star):
+                oracle_sums[part] += float(
+                    np.sum((x_part - getattr(inst.x_true, part)) ** 2)) / n
         for algo in algorithms:
-            out = run_algorithm(algo, inst, k, settings)
-            for part in ("re", "im"):
-                err = getattr(out.x_hat, part) - getattr(inst.x_true, part)
-                alg_sums[(algo, part)] += float(err @ err) / n
+            for (inst, _), out in zip(draws, outs[algo]):
+                if isinstance(out, RecoveryError):
+                    raise out
+                for part in ("re", "im"):
+                    err = getattr(out.x_hat, part) - getattr(inst.x_true, part)
+                    alg_sums[(algo, part)] += float(err @ err) / n
     rows = []
     violations = []
     for algo in algorithms:
@@ -219,6 +231,10 @@ def build_parser() -> _Parser:
     p_rec.add_argument("--instance", default=None, help="instance file to load")
     p_rec.add_argument("--save-instance", default=None, dest="save_instance",
                        help="write the generated instance to this path")
+    p_rec.add_argument("--cell", type=int, default=None,
+                       help="draw the instance of this sweep cell (default 0)")
+    p_rec.add_argument("--trial", type=int, default=None,
+                       help="draw the instance of this trial (default 0)")
     p_rec.add_argument("--n", type=int, default=None)
     p_rec.add_argument("--m", type=int, default=None)
     p_rec.add_argument("--k", type=int, default=None)
@@ -294,7 +310,7 @@ def cmd_recover(args) -> int:
         if n is None or m is None or k is None:
             raise UsageError("generation needs --n, --m and --k (or --instance)")
         snr_db = opts.get("snr_db", None, float)
-        rng = trial_rng(seed, 0, 0)
+        rng = trial_rng(seed, opts.get("cell", 0, int), opts.get("trial", 0, int))
         inst, sigma_w2 = make_instance(
             m, n, k, rng,
             sigma_x2=opts.get("sigma_x2", 1.0, float),
@@ -405,6 +421,12 @@ def cmd_nmse_sweep(args) -> int:
 def cmd_validate(args) -> int:
     opts = _Options(args, "validate-denoiser")
     tol = opts.get("tol", 1e-8, float)
+    # the oracle runs first, so bad oracle options fail before any grid point
+    oracle = None if opts.get("skip_oracle", False, bool) else oracle_validation_rows(
+        trials=opts.get("trials", 200, int),
+        seed=opts.get("seed", 0, int),
+        settings=_settings_from(opts),
+    )
     rows, max_diff = denoiser_validation_rows()
     out = opts.get("out", None, str)
     if out:
@@ -424,12 +446,8 @@ def cmd_validate(args) -> int:
     else:
         print(f"denoiser grid ok: {len(rows)} points, max |diff| = {max_diff:.3e}")
 
-    if not opts.get("skip_oracle", False, bool):
-        oracle_rows, violations = oracle_validation_rows(
-            trials=opts.get("trials", 200, int),
-            seed=opts.get("seed", 0, int),
-            settings=_settings_from(opts),
-        )
+    if oracle is not None:
+        oracle_rows, violations = oracle
         for algo, part, alg_mse, oracle_mse, margin in oracle_rows:
             print(f"{algo:9s} {part}: mse={alg_mse:.6e} oracle={oracle_mse:.6e} "
                   f"margin={margin:+.3e}")

@@ -11,7 +11,8 @@ pi).  They run the same kernel as the solver loop, _posterior_terms, which
 takes its per-gamma constants precomputed, so the loop validates once per
 solve.  denoise_numeric re-derives the same quantity by adaptive quadrature
 and exists purely to validate them.  exact_mmse is the full-vector oracle:
-the exact posterior mean over all 2^N supports, feasible only for small N.
+the exact posterior mean over all 2^N supports, feasible only for small N,
+of one real part or of parts stacked as rows, which share the enumeration.
 """
 
 from __future__ import annotations
@@ -139,21 +140,16 @@ def denoise_numeric(u: float, p: DenoiserParams, rel_tol: float = 1e-12) -> floa
     sig_post = np.sqrt(beta * s2 / total)
     radius = max(10.0 * np.sqrt(s2), abs(mu) + 12.0 * sig_post)
 
+    # the constants of the integrand, computed once for every callback
+    two_beta, two_s2 = 2.0 * beta, 2.0 * s2
+    log_norm_beta = 0.5 * np.log(2.0 * np.pi * beta)
+    log_norm_s2 = 0.5 * np.log(2.0 * np.pi * s2)
     # peak height of the joint density, used to rescale before integrating
-    log_scale = (
-        -u * u / (2.0 * total)
-        - 0.5 * np.log(2.0 * np.pi * beta)
-        - 0.5 * np.log(2.0 * np.pi * s2)
-    )
+    log_scale = -u * u / (2.0 * total) - log_norm_beta - log_norm_s2
 
     def scaled_joint(x):
-        return np.exp(
-            -((u - x) ** 2) / (2.0 * beta)
-            - x * x / (2.0 * s2)
-            - 0.5 * np.log(2.0 * np.pi * beta)
-            - 0.5 * np.log(2.0 * np.pi * s2)
-            - log_scale
-        )
+        return np.exp(-((u - x) ** 2) / two_beta - x * x / two_s2
+                      - log_norm_beta - log_norm_s2 - log_scale)
 
     eps = 1e-9 * radius
     breaks = sorted(set(np.clip([mu - 8 * sig_post, mu, mu + 8 * sig_post],
@@ -179,7 +175,7 @@ def denoise_numeric(u: float, p: DenoiserParams, rel_tol: float = 1e-12) -> floa
     mean_cont = integrate(lambda x: x * scaled_joint(x), "conditional mean")
 
     # spike evidence, rescaled by the same factor as the integrals
-    log_spike = -u * u / (2.0 * beta) - 0.5 * np.log(2.0 * np.pi * beta) - log_scale
+    log_spike = -u * u / two_beta - log_norm_beta - log_scale
     spike = gamma * np.exp(log_spike)
 
     num = (1.0 - gamma) * mean_cont
@@ -193,22 +189,25 @@ def exact_mmse(
     prior: BernoulliGaussianPrior,
     sigma_w2_part: float,
 ) -> np.ndarray:
-    """Exact posterior mean for one real part by support enumeration.
+    """Exact posterior mean by support enumeration, for one real part
+    (y_part (M,) gives (N,)) or parts stacked as rows ((P, M) gives (P, N)).
 
     Sums over all supports S: the posterior weight of S combines the prior
     activity probabilities with the Gaussian evidence of y under
     x_S ~ N(0, s2 I), and the per-support conditional mean is the ridge
-    solve (A_S^T A_S + (sigma_w2/s2) I)^{-1} A_S^T y.  Cost is 2^N small
-    solves, so N is capped at 14.  A zero noise variance is floored at
-    BETA_FLOOR to keep the evidence proper.
+    solve (A_S^T A_S + (sigma_w2/s2) I)^{-1} A_S^T y.  Stacked parts share
+    the enumeration, the evidence matrices and their log-determinants; each
+    part has its own solve, so a row gets the bits of its one-part call.
+    Cost is 2^N small solves per part, so N is capped at 14.  A zero noise
+    variance is floored at BETA_FLOOR to keep the evidence proper.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y_part, dtype=float)
     m, n = A.shape
     if n > 14:
         raise ValueError(f"support enumeration infeasible for N={n} > 14")
-    if y.shape != (m,):
-        raise ValueError("y_part length must equal M")
+    if y.ndim not in (1, 2) or y.shape[-1] != m:
+        raise ValueError("y_part must be (M,) or parts stacked as rows (P, M)")
     s2 = prior.s2
     gamma = prior.gamma0_vector(n)
     sw2 = max(float(sigma_w2_part), BETA_FLOOR)
@@ -218,59 +217,47 @@ def exact_mmse(
     free = np.flatnonzero((gamma > 0.0) & (gamma < 1.0))
 
     gram = A.T @ A
-    aty = A.T @ y
-    yty = float(y @ y)
-    base_const = -0.5 * (m * np.log(2.0 * np.pi) + m * np.log(sw2) + yty / sw2)
-
     log_g = np.log(np.where(gamma > 0.0, gamma, 1.0))       # excluded when 0
     log_1mg = np.log(np.where(gamma < 1.0, 1.0 - gamma, 1.0))
     base_prior = float(log_g[free].sum())                   # all free inactive
     prior_bonus = log_1mg - log_g                           # per activated component
 
-    supports: list[np.ndarray] = []
-    log_weights: list[np.ndarray] = []
-    means: list[np.ndarray] = []
+    # per support size: the supports, their evidence matrices, log|Sigma_S|
+    # and prior log-weights, shared by every part
+    blocks = []
     for k_free in range(len(free) + 1):
         combos = list(itertools.combinations(free, k_free))
-        idx = np.array(
-            [np.concatenate((forced_on, np.array(c, dtype=int))) for c in combos],
-            dtype=int,
-        ).reshape(len(combos), len(forced_on) + k_free)
+        idx = np.concatenate((
+            np.tile(forced_on, (len(combos), 1)),
+            np.array(combos, dtype=int).reshape(len(combos), k_free),
+        ), axis=1)
         k = idx.shape[1]
-        if k == 0:
-            supports.append(idx)
-            log_weights.append(np.array([base_prior + base_const]))
-            means.append(np.zeros((1, 0)))
-            continue
-        g_batch = gram[idx[:, :, None], idx[:, None, :]]
-        b_batch = aty[idx]
-        c_batch = g_batch + (sw2 / s2) * np.eye(k)
-        sol = np.linalg.solve(c_batch, b_batch[:, :, None])[:, :, 0]
+        c_batch = gram[idx[:, :, None], idx[:, None, :]] + (sw2 / s2) * np.eye(k)
         sign, logdet_c = np.linalg.slogdet(c_batch)
         if np.any(sign <= 0):
             raise np.linalg.LinAlgError("non-positive-definite evidence matrix")
         # log N(y; 0, s2 A_S A_S^T + sw2 I) via determinant lemma + Woodbury
         logdet_sigma = m * np.log(sw2) + k * np.log(s2 / sw2) + logdet_c
-        quad_form = (yty - np.einsum("ij,ij->i", b_batch, sol)) / sw2
-        log_ev = -0.5 * (m * np.log(2.0 * np.pi) + logdet_sigma + quad_form)
         # prior_bonus is zero for forced-on components, so including them
         # in idx adds nothing
-        lw = base_prior + prior_bonus[idx].sum(axis=1) + log_ev
-        supports.append(idx)
-        log_weights.append(lw)
-        means.append(sol)
+        blocks.append((idx, c_batch, logdet_sigma,
+                       base_prior + prior_bonus[idx].sum(axis=1)))
 
-    all_lw = np.concatenate(log_weights)
-    shift = all_lw.max()
-    weights = np.exp(all_lw - shift)
-    weights /= weights.sum()
-
-    x_hat = np.zeros(n)
-    pos = 0
-    for idx, mean in zip(supports, means):
-        w = weights[pos : pos + idx.shape[0]]
-        pos += idx.shape[0]
-        if idx.shape[1] == 0:
-            continue
-        np.add.at(x_hat, idx.ravel(), (w[:, None] * mean).ravel())
+    ends = np.cumsum([len(idx) for idx, *_ in blocks])
+    x_hat = np.zeros(y.shape[:-1] + (n,))
+    for y_p, x_p in zip(np.atleast_2d(y), np.atleast_2d(x_hat)):
+        aty, yty = A.T @ y_p, float(y_p @ y_p)
+        log_weights, means = [], []
+        for idx, c_batch, logdet_sigma, log_prior in blocks:
+            b_batch = aty[idx]
+            sol = np.linalg.solve(c_batch, b_batch[:, :, None])[:, :, 0]
+            quad_form = (yty - np.einsum("ij,ij->i", b_batch, sol)) / sw2
+            log_ev = -0.5 * (m * np.log(2.0 * np.pi) + logdet_sigma + quad_form)
+            log_weights.append(log_prior + log_ev)
+            means.append(sol)
+        all_lw = np.concatenate(log_weights)
+        weights = np.exp(all_lw - all_lw.max())
+        weights /= weights.sum()
+        for (idx, *_), mean, w in zip(blocks, means, np.split(weights, ends[:-1])):
+            np.add.at(x_p, idx.ravel(), (w[:, None] * mean).ravel())
     return x_hat

@@ -3,7 +3,8 @@
 Every sweep runs one trial loop, `_run_cell`: the instance for trial j of
 cell c is drawn once from SeedSequence((base_seed, c, j)), solved once by
 each algorithm, and each solve is scored by its NMSE and by the requested
-support detectors.  The loop draws a cell's trials in chunks of consecutive
+support detectors.  The exact-MMSE oracle check (cli) draws and solves
+through the same `_trial_chunks`.  The loop draws a cell's trials in chunks of consecutive
 trials (as many as fit CHUNK_BYTES of A, at least one), and each algorithm
 solves a chunk in one batched AMP loop (amp.py) that gives every trial the
 bits of its lone solve, so the chunk size changes no result.  Comparisons
@@ -253,24 +254,33 @@ class _Tally:
 CHUNK_BYTES = 1 << 20
 
 
+def _trial_chunks(cfg: GridConfig, index: int, m: int, k: int, snr):
+    """The trial loop's draws and solves: per chunk of consecutive trials of
+    cell `index` (M=m, K=k, linear SNR snr, None: noiseless), the drawn
+    (instance, sigma_w2) pairs and {algorithm: the chunk's outputs}."""
+    chunk = max(1, CHUNK_BYTES // (8 * m * cfg.n))
+    for first in range(0, cfg.trials, chunk):
+        draws = [make_instance(
+            m, cfg.n, k, trial_rng(cfg.base_seed, index, j),
+            sigma_x2=cfg.sigma_x2, snr=snr, noiseless=snr is None,
+        ) for j in range(first, min(first + chunk, cfg.trials))]
+        instances = [inst for inst, _ in draws]
+        yield draws, {algo: _solve_chunk(algo, instances, k, cfg.settings)
+                      for algo in cfg.algorithms}
+
+
 def _run_cell(task) -> dict:
     """The trial loop.  task = (cfg, index, m, k, snr, pairs): cell `index`
     of a sweep with settings cfg, M=m, K=k, linear SNR snr (None: noiseless)
-    and the (algorithm, detector) pairs to score.  Each trial's instance is
-    drawn once; each chunk of consecutive trials is solved in one loop by
-    each of cfg.algorithms; returns {algorithm: _Tally}."""
+    and the (algorithm, detector) pairs to score.  Scores every solve of
+    _trial_chunks; returns {algorithm: _Tally}."""
     cfg, index, m, k, snr, pairs = task
     tallies = {algo: _Tally() for algo in cfg.algorithms}
     for algo, detector in pairs:
         tallies[algo].exact[detector] = 0
-    chunk = max(1, CHUNK_BYTES // (8 * m * cfg.n))
-    for first in range(0, cfg.trials, chunk):
-        instances = [make_instance(
-            m, cfg.n, k, trial_rng(cfg.base_seed, index, j),
-            sigma_x2=cfg.sigma_x2, snr=snr, noiseless=snr is None,
-        )[0] for j in range(first, min(first + chunk, cfg.trials))]
+    for draws, outs in _trial_chunks(cfg, index, m, k, snr):
         for algo, tally in tallies.items():
-            for inst, out in zip(instances, _solve_chunk(algo, instances, k, cfg.settings)):
+            for (inst, _), out in zip(draws, outs[algo]):
                 _score(tally, inst, out, cfg.settings)
     return tallies
 

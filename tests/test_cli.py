@@ -1,12 +1,18 @@
+import numpy as np
 import pytest
 
+import csamp.cli as cli
+import csamp.experiments as experiments
 from csamp.cli import (
     denoiser_validation_rows,
     main,
     oracle_validation_rows,
 )
-from csamp.denoiser import denoise
-from csamp.experiments import read_csv
+from csamp.denoiser import denoise, exact_mmse
+from csamp.experiments import GridConfig, read_csv, run_algorithm, trial_rng
+from csamp.model import RecoveryError, RecoverySettings, load_instance, make_instance
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +94,34 @@ class TestRecover:
     def test_unknown_algo_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "recover", "--algo", "magic")
         assert code == 1
+
+    def test_cell_and_trial_draw_the_sweep_instance(self, capsys, tmp_path):
+        saved = tmp_path / "inst.txt"
+        code, _, _ = run_cli(
+            capsys, "recover", "--n", "32", "--m", "16", "--k", "3", "--algo", "cbamp",
+            "--seed", "5", "--cell", "4", "--trial", "2", "--save-instance", str(saved),
+        )
+        assert code == 0
+        inst, sigma_w2, seed = load_instance(saved)
+        # trial 2 of cell 4, as the sweep's trial loop draws it
+        cfg = GridConfig(n=32, trials=3, base_seed=5, algorithms=())
+        (draws, _), = experiments._trial_chunks(cfg, 4, 16, 3, None)
+        drawn, drawn_sigma_w2 = draws[2]
+        assert seed == 5 and sigma_w2 == drawn_sigma_w2
+        for name in ("x_true", "w", "y"):
+            for part in ("re", "im"):
+                assert np.array_equal(getattr(getattr(inst, name), part),
+                                      getattr(getattr(drawn, name), part))
+        assert np.array_equal(inst.A, drawn.A)
+
+    def test_cell_and_trial_default_to_zero(self, capsys):
+        argv = ("recover", "--n", "48", "--m", "24", "--k", "3", "--algo", "cbamp",
+                "--seed", "6")
+        _, default, _ = run_cli(capsys, *argv)
+        _, explicit, _ = run_cli(capsys, *argv, "--cell", "0", "--trial", "0")
+        _, other, _ = run_cli(capsys, *argv, "--trial", "1")
+        assert default == explicit
+        assert other != default
 
 
 class TestSweeps:
@@ -214,6 +248,71 @@ class TestValidate:
         rows, violations = oracle_validation_rows(trials=40, seed=1)
         assert violations == []
         assert all(row[2] >= row[3] - 1e-9 for row in rows)
+
+    @pytest.mark.parametrize("noiseless", [True, False])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_oracle_rows_equal_per_trial_reference(self, noiseless, seed):
+        trials, n, m, k = 15, 10, 6, 2
+        snr = None if noiseless else 100.0
+        algorithms = ("amp", "cbamp", "cbossamp")
+        alg_sums = {(a, p): 0.0 for a in algorithms for p in ("re", "im")}
+        oracle_sums = {"re": 0.0, "im": 0.0}
+        for j in range(trials):
+            inst, sigma_w2 = make_instance(m, n, k, trial_rng(seed, 0, j), snr=snr,
+                                           noiseless=noiseless)
+            for part in ("re", "im"):
+                x_star = exact_mmse(inst.A, getattr(inst.y, part), inst.prior,
+                                    sigma_w2 / 2.0)
+                oracle_sums[part] += float(
+                    np.sum((x_star - getattr(inst.x_true, part)) ** 2)) / n
+            for algo in algorithms:
+                out = run_algorithm(algo, inst, k, RecoverySettings())
+                for part in ("re", "im"):
+                    err = getattr(out.x_hat, part) - getattr(inst.x_true, part)
+                    alg_sums[(algo, part)] += float(err @ err) / n
+        expected = []
+        for algo in algorithms:
+            for part in ("re", "im"):
+                alg_mse = alg_sums[(algo, part)] / trials
+                oracle_mse = oracle_sums[part] / trials
+                expected.append((algo, part, alg_mse, oracle_mse, alg_mse - oracle_mse))
+        rows, _ = oracle_validation_rows(trials=trials, seed=seed, n=n, m=m, k=k,
+                                         snr_db=20.0, noiseless=noiseless)
+        assert rows == expected
+
+    def test_oracle_raises_recovery_error(self, monkeypatch):
+        target = make_instance(6, 10, 2, trial_rng(2, 0, 4), snr=100.0)[0]
+        solve = experiments._solve_chunk
+
+        def failing_trial_4(name, instances, *args, **kwargs):
+            outs = solve(name, instances, *args, **kwargs)
+            return [RecoveryError("non-finite iterate")
+                    if name == "cbamp" and np.array_equal(inst.A, target.A) else out
+                    for inst, out in zip(instances, outs)]
+
+        monkeypatch.setattr(experiments, "_solve_chunk", failing_trial_4)
+        with pytest.raises(RecoveryError):
+            oracle_validation_rows(trials=6, seed=2)
+
+    @pytest.mark.parametrize("kwargs", [dict(trials=0), dict(trials=-1), dict(n=20)])
+    def test_oracle_entry_checks(self, monkeypatch, kwargs):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(cli, "make_instance", no_draw)
+        monkeypatch.setattr(experiments, "make_instance", no_draw)
+        with pytest.raises(ValueError):
+            oracle_validation_rows(**kwargs)
+
+    def test_zero_trials_is_usage_error_before_the_grid(self, capsys, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("ran the denoiser grid")
+
+        monkeypatch.setattr(cli, "denoiser_validation_rows", no_grid)
+        code, out, err = run_cli(capsys, "validate-denoiser", "--trials", "0")
+        assert code == 1
+        assert err.startswith("error:") and "trials" in err
+        assert out == ""
 
 
 def test_version_flag(capsys):

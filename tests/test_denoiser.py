@@ -230,3 +230,21 @@ class TestExactMmse:
         assert out[2] == 0.0
         assert abs(out[0] - 1.2) < 1e-2
         assert abs(out[3] - 0.4) < 2e-2
+
+    @pytest.mark.parametrize("gamma0, n", [(0.5, 10), ([0.0, 0.5, 1.0, 0.5], 4), (1.0, 8)])
+    @pytest.mark.parametrize("sw2", [0.0, 0.05])
+    def test_stacked_parts_equal_one_part_calls(self, gamma0, n, sw2):
+        rng = np.random.default_rng(7)
+        A = gen_matrix(6, n, rng)
+        y = rng.standard_normal((2, 6))
+        prior = BernoulliGaussianPrior(gamma0=gamma0)
+        stacked = exact_mmse(A, y, prior, sw2)
+        assert stacked.shape == (2, n)
+        assert np.array_equal(stacked, np.stack([exact_mmse(A, y[0], prior, sw2),
+                                                 exact_mmse(A, y[1], prior, sw2)]))
+
+    @pytest.mark.parametrize("shape", [(2, 5), (5,), (2, 2, 4)])
+    def test_bad_y_shape_rejected(self, shape):
+        A = gen_matrix(4, 6, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            exact_mmse(A, np.ones(shape), BernoulliGaussianPrior(gamma0=0.5), 0.1)

@@ -20,6 +20,8 @@ from csamp.model import (
     split,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestGenMatrix:
     def test_entries_are_plus_minus_half_for_m4(self):
