@@ -9,17 +9,18 @@ would use, and runs everything else once over all rows:
     U = X + A^T Z,    X' = eta(U; beta),    Z' = Y - A X' + (sum eta'(U) / M) Z,
 
 with beta = |z|^2 / M per row.  The denoiser returns X', the summed
-derivative and, for the Bernoulli-Gaussian prior, the posterior activity pi
-from one evaluation; an optional hook adds a term to Z' (cbossamp's
-likelihood exchange, bossamp.py).  Without a hook each row stops on its own
-rule, converged when |Z' - Z|^2 <= eps_tol |Z|^2 and diverged when |Z'|^2
-exceeds divergence_factor |Y|^2.  With the hook the rule is joint per
-trial: both parts stop when their summed relative change drops to eps_tol
-or either part diverges.  A stopped row is dropped from the state; as every
-operation but the matmuls is row by row, and those keep each trial's shape,
-a batched solve gives each trial the bits of its lone solve.  A non-finite
-iterate fails its whole trial with a RecoveryError, while the other trials
-run on; a lone solve raises it.  Inputs are validated once, at entry.
+derivative and the terms of its step that an optional hook reuses to add a
+term to Z' (cbossamp's likelihood exchange, bossamp.py).  Without a hook
+each row stops on its own rule, converged when |Z' - Z|^2 <= eps_tol |Z|^2
+and diverged when |Z'|^2 exceeds divergence_factor |Y|^2.  With the hook the
+rule is joint per trial: both parts stop when their summed relative change
+drops to eps_tol or either part diverges.  A stopped row is dropped from the
+state; as every operation but the matmuls is row by row, and those keep each
+trial's shape, a batched solve gives each trial the bits of its lone solve.
+A non-finite iterate fails its whole trial with a RecoveryError, while the
+other trials run on; a lone solve raises it.  A non-finite X' reaches Z'
+through A, so X' and Z' are checked entry by entry only when some |Z'|^2 is
+not finite.  Inputs are validated once, at entry.
 
 Soft-thresholding AMP thresholds at lambda * sqrt(beta), beta unfloored; its
 Onsager coefficient is the active-set size over M (the soft threshold's
@@ -110,13 +111,13 @@ def _iterate(problems, denoise, settings: RecoverySettings, beta_floor: float,
     problem, one AmpPartResult per row of its Y or the RecoveryError of a
     non-finite iterate.  The problems share (M, N).
 
-    denoise(U, beta) -> (X, summed derivative per row, pi or None), beta
-    holding the rows' noise variances.  hook(U, beta, X, pi, Z) returns the
-    term added to the new residual, Z being the one that formed U, and
-    selects the joint rule over each problem's (re, im) pair of rows; the
-    hook's working gammas are hook.gamma, one row per live row, and
-    hook.keep(live) drops its rows with the loop's.  Without a hook the
-    denoiser must treat all rows alike, because stopped rows are dropped.
+    denoise(U, beta) -> (X, summed derivative per row, *terms), beta holding
+    the rows' noise variances.  hook(U, beta, X, terms, Z) returns the term
+    added to the new residual, Z being the one that formed U, and selects the
+    joint rule over each problem's (re, im) pair of rows; hook.gamma(j) is
+    stopping row j's working gamma, and hook.keep(live) drops its rows with
+    the loop's.  Without a hook the denoiser must treat all rows alike,
+    because stopped rows are dropped.
     """
     m, n = problems[0][0].shape
     if any(A.shape != (m, n) for A, _ in problems):
@@ -126,18 +127,18 @@ def _iterate(problems, denoise, settings: RecoverySettings, beta_floor: float,
             for part in range(len(Yt))]
     spans = _spans(rows, problems)
     results: list = [[None] * len(Yt) for _, Yt in problems]
-    initial = _sq_norms(Y)
-    X, Z, energy = np.zeros((len(Y), n)), Y.copy(), initial
+    X, Z, energy = np.zeros((len(Y), n)), Y.copy(), _sq_norms(Y)
+    limit = settings.divergence_factor * energy
     for t in range(1, settings.t_max + 1):
         beta = np.maximum(energy / m, beta_floor)
         U = X + _times(spans, Z)
-        X, deriv_sum, pi = denoise(U, beta)
+        X, deriv_sum, *terms = denoise(U, beta)
         Z_new = Y - _times(spans, X, transpose=True) + (deriv_sum / m)[:, None] * Z
         if hook is not None:
-            Z_new += hook(U, beta, X, pi, Z)
+            Z_new += hook(U, beta, X, terms, Z)
         change = _sq_norms(Z_new - Z)
         prev, Z, energy = energy, Z_new, _sq_norms(Z_new)
-        diverged = energy > settings.divergence_factor * initial
+        diverged = energy > limit
         if hook is None:
             converged = (prev == 0.0) | (change <= settings.eps_tol * prev)
         else:  # joint rule on each pair's summed relative change, 0/0 as 0
@@ -145,20 +146,20 @@ def _iterate(problems, denoise, settings: RecoverySettings, beta_floor: float,
                 change, prev, where=prev != 0.0, out=np.where(change == 0.0, 0.0, np.inf))
             converged = (ratio[0::2] + ratio[1::2] <= settings.eps_tol).repeat(2)
             diverged = (diverged[0::2] | diverged[1::2]).repeat(2)
-        diverged &= ~converged
         stop = converged | diverged
         if t == settings.t_max:
             stop[:] = True
-        if not (np.isfinite(X).all() and np.isfinite(Z_new).all()):
+        # X reaches Z through A (a zero column keeps X at 0): |Z|^2 flags both
+        if not np.isfinite(energy).all():
             # the whole trial fails, a part that stopped before included
-            bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(Z_new).all(axis=1))
+            bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(Z).all(axis=1))
             for trial in {rows[j][0] for j in np.flatnonzero(bad)}:
                 results[trial] = RecoveryError(
                     f"AMP produced a non-finite iterate at t={t}")
             stop |= [isinstance(results[trial], RecoveryError) for trial, _ in rows]
         if not stop.any():
             continue
-        gamma = None if hook is None else hook.gamma
+        diverged &= ~converged
         for j in np.flatnonzero(stop):
             trial, part = rows[j]
             if isinstance(results[trial], RecoveryError):
@@ -167,12 +168,12 @@ def _iterate(problems, denoise, settings: RecoverySettings, beta_floor: float,
                 x_hat=X[j].copy(), u=U[j].copy(), beta=float(beta[j]),
                 iterations=t, converged=bool(converged[j]),
                 diverged=bool(diverged[j]),
-                gamma=None if gamma is None else gamma[j].copy())
+                gamma=None if hook is None else hook.gamma(j))
         if stop.all():
             break
         live = ~stop
         X, Z, Y = X[live], Z[live], Y[live]
-        energy, initial = energy[live], initial[live]
+        energy, limit = energy[live], limit[live]
         rows = [row for row, keep in zip(rows, live) if keep]
         spans = _spans(rows, problems)
         if hook is not None:

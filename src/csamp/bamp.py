@@ -14,28 +14,28 @@ from __future__ import annotations
 import numpy as np
 
 from .amp import AmpPartResult, _complex_outputs, _iterate, _single, _sq_norms, _stack
-from .denoiser import BETA_FLOOR, _endpoint_masks, _posterior_terms, _prior_log_odds
+from .denoiser import BETA_FLOOR, _endpoint_masks, _posterior_terms, _prior_log_odds, _uniform
 from .model import (GAMMA_CLAMP, BernoulliGaussianPrior, ComplexVector, RecoveryOutput,
                     RecoverySettings)
 
 
 def _mmse(u, beta, s2, log_odds, slab=None, spike=None):
-    """The loop's denoiser: (x, summed derivative per part, pi)."""
-    x, deriv, pi = _posterior_terms(u, np.maximum(beta, BETA_FLOOR)[..., None], s2,
-                                    log_odds, slab, spike)
-    return x, deriv.sum(axis=-1), pi
+    """The loop's denoiser: (x, summed derivative per part, pi, u^2, 1 - pi)."""
+    x, deriv, *rest = _posterior_terms(u, np.maximum(beta, BETA_FLOOR)[..., None], s2,
+                                       log_odds, slab, spike)
+    return x, deriv.sum(axis=-1), *rest
 
 
 def _mmse_denoiser(gamma, s2: float, clamp: float = GAMMA_CLAMP):
-    """_mmse at zero probabilities gamma (one vector for every part), with
-    the inputs validated and gamma's constants (its log-odds clamped by
-    clamp) computed once."""
+    """_mmse's (x, summed derivative, pi) at zero probabilities gamma (one
+    vector for every part), with the inputs validated and gamma's constants
+    (its log-odds clamped by clamp, one if gamma is uniform) computed once."""
     if np.any(gamma < 0.0) or np.any(gamma > 1.0):
         raise ValueError("gamma must lie in [0, 1]")
     if not s2 > 0.0:
         raise ValueError("s2 must be positive")
-    log_odds, (slab, spike) = _prior_log_odds(gamma, clamp), _endpoint_masks(gamma)
-    return lambda u, beta: _mmse(u, beta, s2, log_odds, slab, spike)
+    log_odds, (slab, spike) = _prior_log_odds(_uniform(gamma), clamp), _endpoint_masks(gamma)
+    return lambda u, beta: _mmse(u, beta, s2, log_odds, slab, spike)[:3]
 
 
 def bamp_step(A, y, x, z, gamma, s2, beta_floor):

@@ -6,9 +6,10 @@ component's evidence for being zero is extracted from one part
 (likelihood_update), converted into a probability (prior_update) and
 installed as the other part's working zero-probability for the next step.
 That evidence l is the negative of the denoiser's activity log-odds
-(denoiser._activity_log_odds) at the likelihood's slab variance.
-This couples the two estimates through the shared support without ever
-mixing their amplitudes.
+(denoiser._activity_log_odds) at the likelihood's slab variance, installed
+as the other part's log-odds clipped to those of the clamped gammas (gamma
+itself is formed only as a row stops).  This couples the two estimates
+through the shared support without ever mixing their amplitudes.
 
 Because a part's working gamma is a function of the other part's previous
 pseudo-data u', its estimate depends on u' as well as on its own u, and
@@ -39,7 +40,7 @@ from scipy.special import expit
 from .amp import AmpPartResult, _complex_outputs, _iterate, _single, _sq_norms, _stack
 from .bamp import _mmse, cbamp_recover
 from .denoiser import (DenoiserParams, _activity_log_odds, _check_finite, _endpoint_masks,
-                       _prior_log_odds)
+                       _prior_log_odds, _uniform)
 from .model import (BETA_FLOOR, GAMMA_CLAMP, BernoulliGaussianPrior, ComplexVector,
                     RecoveryOutput, RecoverySettings)
 
@@ -54,8 +55,8 @@ def likelihood_update(u, beta: float, gamma0, s2: float, beta_floor: float = BET
     """
     u = _check_finite(u)
     DenoiserParams(beta, gamma0, s2)  # the denoiser's checks of the same quantities
-    out = -_activity_log_odds(u, max(float(beta), beta_floor), s2,
-                              _prior_log_odds(gamma0, gamma_clamp))
+    out = -_activity_log_odds(u * u, max(float(beta), beta_floor), s2,
+                              _prior_log_odds(gamma0, gamma_clamp))[0]
     return out if out.ndim else float(out)
 
 
@@ -66,52 +67,56 @@ def prior_update(l, gamma_clamp: float = GAMMA_CLAMP):
 
 
 def _swap(a):
-    """a with the two rows of each (re, im) pair exchanged; a view for one pair."""
-    if len(a) == 2:
-        return a[::-1]
-    return a.reshape(-1, 2, *a.shape[1:])[:, ::-1].reshape(a.shape)
+    """A (pairs, 2, ...) view of a, each (re, im) pair's rows exchanged."""
+    return a.reshape(-1, 2, *a.shape[1:])[:, ::-1]
 
 
 class _Exchange:
     """The likelihood exchange: the loop's hook over the (re, im) row pairs
-    of a batch, and the denoiser at the working zero-probabilities it
-    installs (starting at the prior)."""
+    of a batch, and the denoiser at the working log-odds it installs
+    (starting at the prior)."""
 
     def __init__(self, gamma0, prior: BernoulliGaussianPrior, settings: RecoverySettings):
         self.s2 = prior.s2
         self.like_s2 = prior.s2 if settings.part_variance == "half" else prior.sigma_x2
         self.cross = settings.likelihood_variant == "printed-cross-beta"
         self.clamp = settings.gamma_clamp
-        self.log_prior_odds = _prior_log_odds(gamma0, self.clamp)
-        self.gamma = None  # one row per live row once the first step installs it
+        self.bounds = _prior_log_odds(np.array([1.0 - self.clamp, self.clamp]), self.clamp)
+        self.log_prior_odds = _prior_log_odds(_uniform(gamma0), self.clamp)
         self.log_odds, self.masks = self.log_prior_odds, _endpoint_masks(gamma0)
+        self.a = None  # each row's own activity log-odds, once the first step sets it
         self.memory = None  # (w, z'); the prior gamma depends on no data
 
     def denoise(self, u, beta):
         return _mmse(u, beta, self.s2, self.log_odds, *self.masks)
 
-    def __call__(self, u, beta, x, pi, z):
+    def __call__(self, u, beta, x, terms, z):
         """The memory term b z' of this step; then each part's likelihood
-        sets the other part's gamma, and w = u s/(beta (beta + s)) and the
-        residual z that formed u are kept for the other part's next term."""
+        sets the other part's log-odds, and w = u s/(beta (beta + s)) and the
+        residual z that formed u are kept for the other part's next term.
+        terms = (pi, u^2, 1 - pi) of the denoiser's step."""
+        _, uu, q = terms
         term = 0.0
         if self.memory is not None:
-            w, z_other = self.memory  # x (1 - pi) w = g pi (1 - pi) u w
-            term = ((x * (1.0 - pi) * w).sum(axis=1) / z.shape[1])[:, None] * z_other
-        beta_l = (_swap(beta) if self.cross else beta)[:, None]
-        l = -_activity_log_odds(u, beta_l, self.like_s2, self.log_prior_odds)
-        self.gamma = _swap(prior_update(l, self.clamp))
-        # clamped into (0, 1), the working gammas have no endpoint priors
-        self.log_odds, self.masks = _prior_log_odds(self.gamma, self.clamp), (None, None)
-        slope = self.like_s2 / (beta_l * (beta_l + self.like_s2))
-        self.memory = (_swap(u * slope), _swap(z))
+            w, z_prev = self.memory  # x (1 - pi) w = g pi (1 - pi) u w
+            b = (x * q * w).sum(axis=1) / z.shape[1]
+            term = (b.reshape(-1, 2, 1) * _swap(z_prev)).reshape(z.shape)
+        beta_l = (_swap(beta).reshape(-1) if self.cross else beta)[:, None]
+        self.a, _, slope = _activity_log_odds(uu, beta_l, self.like_s2, self.log_prior_odds)
+        # the other part's -l, clamped as its gamma is: no endpoint priors
+        self.log_odds, self.masks = np.clip(_swap(self.a), *self.bounds).reshape(u.shape), ()
+        self.memory = ((_swap(u) * _swap(slope)).reshape(u.shape), z)
         return term
+
+    def gamma(self, j):
+        """Row j's working gamma, prior_update of the other part's l."""
+        return prior_update(-self.a[j ^ 1], self.clamp)
 
     def keep(self, live):
         """Drop the rows of the pairs the loop stopped."""
-        w, z_other = self.memory
-        self.gamma, self.log_odds = self.gamma[live], self.log_odds[live]
-        self.memory = (w[live], z_other[live])
+        w, z_prev = self.memory
+        self.a, self.log_odds = self.a[live], self.log_odds[live]
+        self.memory = (w[live], z_prev[live])
 
 
 def _no_data(n: int, gamma0, settings: RecoverySettings) -> list:

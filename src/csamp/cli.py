@@ -302,7 +302,7 @@ def cmd_recover(args) -> int:
     if opts.get("instance", None, str):
         inst, sigma_w2, _ = load_instance(opts.get("instance", None, str))
         k = int(np.count_nonzero(inst.x_true.support()))
-        snr_db = None
+        snr_db = cell = trial = None
     else:
         n = opts.get("n", None, int)
         m = opts.get("m", None, int)
@@ -310,7 +310,8 @@ def cmd_recover(args) -> int:
         if n is None or m is None or k is None:
             raise UsageError("generation needs --n, --m and --k (or --instance)")
         snr_db = opts.get("snr_db", None, float)
-        rng = trial_rng(seed, opts.get("cell", 0, int), opts.get("trial", 0, int))
+        cell, trial = opts.get("cell", 0, int), opts.get("trial", 0, int)
+        rng = trial_rng(seed, cell, trial)
         inst, sigma_w2 = make_instance(
             m, n, k, rng,
             sigma_x2=opts.get("sigma_x2", 1.0, float),
@@ -333,11 +334,11 @@ def cmd_recover(args) -> int:
         metrics = support_metrics(inst.x_true, detect_support(detector, out, inst.prior))
         exact, fp, fn = metrics.exact_match, metrics.false_positives, metrics.false_negatives
 
-    columns = ["algorithm", "n", "m", "k", "seed", "snr_db", "nmse", "iterations",
-               "converged", "diverged", "detector", "exact_support",
+    columns = ["algorithm", "n", "m", "k", "seed", "cell", "trial", "snr_db", "nmse",
+               "iterations", "converged", "diverged", "detector", "exact_support",
                "false_positives", "false_negatives"]
     row = (algo, inst.n, inst.m, k, seed,
-           "" if snr_db is None else snr_db,
+           *("" if v is None else v for v in (cell, trial, snr_db)),
            nmse(out.x_hat, inst.x_true) if inst.x_true.norm_sq() > 0 else "",
            out.iterations, out.converged, out.diverged, detector, exact, fp, fn)
     print(",".join(columns))

@@ -9,10 +9,11 @@ EM detector reads a per part.  denoise/denoise_deriv are the validated
 closed forms (denoise_terms returns both, and pi, from one evaluation of
 pi).  They run the same kernel as the solver loop, _posterior_terms, which
 takes its per-gamma constants precomputed, so the loop validates once per
-solve.  denoise_numeric re-derives the same quantity by adaptive quadrature
-and exists purely to validate them.  exact_mmse is the full-vector oracle:
-the exact posterior mean over all 2^N supports, feasible only for small N,
-of one real part or of parts stacked as rows, which share the enumeration.
+solve, and hands u^2 and 1 - pi on to the exchange.  denoise_numeric
+re-derives the same quantity by adaptive quadrature and exists purely to
+validate them.  exact_mmse is the full-vector oracle: the exact posterior
+mean over all 2^N supports, feasible only for small N, of one real part or
+of parts stacked as rows, which share the enumeration.
 """
 
 from __future__ import annotations
@@ -58,11 +59,18 @@ def _prior_log_odds(gamma, clamp=GAMMA_CLAMP):
     return np.log((1.0 - g) / g)
 
 
-def _activity_log_odds(u, beta, s2, log_odds):
-    """a = log_odds + log(beta/(beta + s2))/2 + u^2 s2/(2 beta (beta + s2)),
-    the log-odds that x is active given u; beta floored (or one per part)."""
+def _activity_log_odds(uu, beta, s2, log_odds):
+    """(a, gain, c): a = log_odds + log(beta/(beta + s2))/2 + uu c/2, the
+    log-odds that x is active given uu = u^2, with c = s2/(beta (beta + s2))
+    and the Wiener gain s2/(beta + s2); beta floored (or one per row)."""
     total = beta + s2
-    return log_odds + 0.5 * np.log(beta / total) + u * u * (s2 / (2.0 * beta * total))
+    c = s2 / (beta * total)
+    return log_odds + 0.5 * np.log(beta / total) + uu * (0.5 * c), s2 / total, c
+
+
+def _uniform(gamma):
+    """gamma's one value if every component has it (a per-row add), else gamma."""
+    return gamma.flat[0] if gamma.size and (gamma == gamma.flat[0]).all() else gamma
 
 
 def _endpoint_masks(gamma):
@@ -74,24 +82,25 @@ def _endpoint_masks(gamma):
 
 
 def _posterior_terms(u, beta, s2, log_odds, slab=None, spike=None):
-    """(estimate, derivative, pi) of the closed form, pi evaluated once in
-    the log domain; the kernel behind denoise_terms and the solver loops.
+    """(estimate, derivative, pi, u^2, 1 - pi) of the closed form, each formed
+    once, pi in the log domain; the kernel of denoise_terms and the solver loops.
 
     Takes validated inputs: beta floored (it may be an array broadcasting
     against u, one value per part), log_odds = _prior_log_odds(gamma), and
     the endpoint masks of gamma, which restore pi = 1 for gamma = 0 and
     pi = 0 for gamma = 1 whatever u is.
     """
-    total = beta + s2
-    gain = s2 / total
-    pi = expit(_activity_log_odds(u, beta, s2, log_odds))
+    uu = u * u
+    a, gain, c = _activity_log_odds(uu, beta, s2, log_odds)
+    pi = expit(a)
     if slab is not None:
         pi = np.where(slab, 1.0, pi)
     if spike is not None:
         pi = np.where(spike, 0.0, pi)
+    q = 1.0 - pi
     x = gain * u * pi
-    deriv = gain * pi * (1.0 + u * u * (1.0 - pi) * (s2 / (beta * total)))
-    return x, deriv, pi
+    deriv = gain * pi * (1.0 + uu * q * c)
+    return x, deriv, pi, uu, q
 
 
 def _check_finite(u) -> np.ndarray:
@@ -104,7 +113,7 @@ def _check_finite(u) -> np.ndarray:
 def denoise_terms(u, p: DenoiserParams):
     """(denoise, denoise_deriv, pi) from one evaluation of pi."""
     return _posterior_terms(_check_finite(u), p.beta, p.s2,
-                            _prior_log_odds(p.gamma), *_endpoint_masks(p.gamma))
+                            _prior_log_odds(p.gamma), *_endpoint_masks(p.gamma))[:3]
 
 
 def denoise(u, p: DenoiserParams):
@@ -140,10 +149,10 @@ def denoise_numeric(u: float, p: DenoiserParams, rel_tol: float = 1e-12) -> floa
     sig_post = np.sqrt(beta * s2 / total)
     radius = max(10.0 * np.sqrt(s2), abs(mu) + 12.0 * sig_post)
 
-    # the constants of the integrand, computed once for every callback
+    # the integrand's constants, once for every callback, as (cheaper) floats
     two_beta, two_s2 = 2.0 * beta, 2.0 * s2
-    log_norm_beta = 0.5 * np.log(2.0 * np.pi * beta)
-    log_norm_s2 = 0.5 * np.log(2.0 * np.pi * s2)
+    log_norm_beta = float(0.5 * np.log(2.0 * np.pi * beta))
+    log_norm_s2 = float(0.5 * np.log(2.0 * np.pi * s2))
     # peak height of the joint density, used to rescale before integrating
     log_scale = -u * u / (2.0 * total) - log_norm_beta - log_norm_s2
 

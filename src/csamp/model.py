@@ -276,13 +276,16 @@ def calibrate_noise(
     with each part N(0, sigma_w2 / 2).  noiseless=True returns exact zeros.
     """
     A = np.asarray(A, dtype=float)
-    m = A.shape[0]
     if noiseless:
-        return ComplexVector.zeros(m), 0.0
+        return ComplexVector.zeros(A.shape[0]), 0.0
+    return _noise_for(A @ x.re, A @ x.im, snr, rng)
+
+
+def _noise_for(ax_r, ax_i, snr: float, rng: np.random.Generator):
+    """calibrate_noise's draw, given the parts of Ax."""
     if not snr > 0.0:
         raise ValueError("snr must be positive")
-    ax_r = A @ x.re
-    ax_i = A @ x.im
+    m = len(ax_r)
     energy = float(ax_r @ ax_r + ax_i @ ax_i)
     if energy == 0.0:
         raise ValueError("Ax is zero; SNR calibration undefined")
@@ -320,13 +323,14 @@ def make_instance(
     """
     A = gen_matrix(m, n, rng)
     x = gen_signal_exact_k(n, k, sigma_x2, rng)
+    ax_r, ax_i = A @ x.re, A @ x.im  # once for both the noise and y
     if noiseless:
         w, sigma_w2 = ComplexVector.zeros(m), 0.0
     else:
         if snr is None:
             raise ValueError("snr required when noiseless=False")
-        w, sigma_w2 = calibrate_noise(A, x, snr, rng)
-    y = measure(A, x, w)
+        w, sigma_w2 = _noise_for(ax_r, ax_i, snr, rng)
+    y = ComplexVector(ax_r + w.re, ax_i + w.im)
     if gamma0 is None:
         gamma0 = 1.0 - k / n
     prior = BernoulliGaussianPrior(gamma0=gamma0, sigma_x2=sigma_x2)

@@ -64,8 +64,8 @@ def _part_log_odds(u, beta: float, gamma, sigma_x2: float):
     """One part's activity log-odds in the EM model; endpoint gammas give +-inf."""
     u, g = np.asarray(u, dtype=float), np.asarray(gamma, dtype=float)
     with np.errstate(divide="ignore"):
-        return _activity_log_odds(u, max(float(beta), BETA_FLOOR), sigma_x2 / 2.0,
-                                  _prior_log_odds(g, 0.0))
+        return _activity_log_odds(u * u, max(float(beta), BETA_FLOOR), sigma_x2 / 2.0,
+                                  _prior_log_odds(g, 0.0))[0]
 
 
 def detect_em(

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from csamp.amp import _iterate, _stack
 from csamp.bamp import cbamp_recover
-from csamp.bossamp import cbossamp_recover, likelihood_update, prior_update
-from csamp.denoiser import DenoiserParams, denoise_terms
-from csamp.experiments import trial_rng
+from csamp.bossamp import _Exchange, cbossamp_recover, likelihood_update, prior_update
+from csamp.denoiser import DenoiserParams, _prior_log_odds, denoise_terms
+from csamp.experiments import _solve_chunk, trial_rng
 from csamp.model import (
+    GAMMA_CLAMP,
     ComplexVector,
     RecoveryError,
     RecoverySettings,
@@ -93,6 +95,43 @@ class TestExchange:
         beta, s2, gamma0 = 0.4, 0.5, 0.5
         gamma_other = prior_update(likelihood_update(0.0, beta, gamma0, s2))
         assert gamma_other > gamma0
+
+
+    @pytest.mark.parametrize("variant", ["own-beta", "printed-cross-beta"])
+    def test_stopped_gamma_is_prior_update_of_the_other_part(self, variant):
+        # a batch of three trials stopped at t=1: each part's working gamma
+        # is, bit for bit, prior_update of the other part's likelihood
+        settings = RecoverySettings(t_max=1, likelihood_variant=variant)
+        instances = [make_instance(40, 80, 8, trial_rng(11, 0, j))[0] for j in range(3)]
+        for inst, out in zip(instances, _solve_chunk("cbossamp", instances, 8, settings)):
+            gamma0, s2 = inst.prior.gamma0_vector(80), inst.prior.s2
+            cross = variant == "printed-cross-beta"
+            beta_r, beta_i = (out.beta_i, out.beta_r) if cross else (out.beta_r, out.beta_i)
+            assert np.array_equal(out.gamma_i,
+                                  prior_update(likelihood_update(out.u_r, beta_r, gamma0, s2)))
+            assert np.array_equal(out.gamma_r,
+                                  prior_update(likelihood_update(out.u_i, beta_i, gamma0, s2)))
+
+    @pytest.mark.parametrize("clamp", [GAMMA_CLAMP, 0.01])
+    @pytest.mark.parametrize("t_max", [1, 3])
+    def test_installed_log_odds_match_the_gamma_round_trip(self, clamp, t_max):
+        # the exchange installs the other part's -l clipped to the log-odds
+        # of the clamped gammas: within 1e-9 of log((1 - g)/g) at
+        # g = prior_update(l), and equal to it where the clamp binds
+        settings = RecoverySettings(t_max=t_max, gamma_clamp=clamp)
+        instances = [make_instance(40, 80, 8, trial_rng(12, 0, j))[0] for j in range(3)]
+        prior = instances[0].prior
+        ex = _Exchange(prior.gamma0_vector(80), prior, settings)
+        _iterate([_stack(inst.A, inst.y.re, inst.y.im) for inst in instances], ex.denoise,
+                 settings, settings.beta_floor, hook=ex)
+        round_trip = _prior_log_odds(prior_update(-ex.a, clamp), clamp)
+        round_trip = round_trip.reshape(-1, 2, 80)[:, ::-1].reshape(ex.a.shape)
+        lo, hi = _prior_log_odds(np.array([1.0 - clamp, clamp]), clamp)
+        assert np.all((ex.log_odds >= lo) & (ex.log_odds <= hi))
+        assert np.max(np.abs(ex.log_odds - round_trip)) <= 1e-9
+        bound = (ex.log_odds == lo) | (ex.log_odds == hi)
+        assert bound.any() or clamp == GAMMA_CLAMP  # the wide clamp binds
+        assert np.array_equal(ex.log_odds[bound], round_trip[bound])
 
 
 class TestCbossampRecover:

@@ -114,7 +114,7 @@ class TestRecover:
                                       getattr(getattr(drawn, name), part))
         assert np.array_equal(inst.A, drawn.A)
 
-    def test_cell_and_trial_default_to_zero(self, capsys):
+    def test_cell_and_trial_default_to_zero(self, capsys, tmp_path):
         argv = ("recover", "--n", "48", "--m", "24", "--k", "3", "--algo", "cbamp",
                 "--seed", "6")
         _, default, _ = run_cli(capsys, *argv)
@@ -122,6 +122,20 @@ class TestRecover:
         _, other, _ = run_cli(capsys, *argv, "--trial", "1")
         assert default == explicit
         assert other != default
+        # the rows say which instance they solved, the --out CSV too
+        assert (parse_row(default)["cell"], parse_row(default)["trial"]) == ("0", "0")
+        out, saved = tmp_path / "row.csv", tmp_path / "inst.txt"
+        _, printed, _ = run_cli(capsys, *argv, "--cell", "2", "--trial", "1",
+                                "--out", str(out), "--save-instance", str(saved))
+        assert (parse_row(printed)["cell"], parse_row(printed)["trial"]) == ("2", "1")
+        columns, rows, _ = read_csv(out)
+        assert (rows[0][columns.index("cell")], rows[0][columns.index("trial")]) == ("2", "1")
+        # a file's instance belongs to no cell or trial
+        _, loaded, _ = run_cli(capsys, "recover", "--instance", str(saved), "--algo", "cbamp",
+                               "--out", str(out))
+        assert (parse_row(loaded)["cell"], parse_row(loaded)["trial"]) == ("", "")
+        columns, rows, _ = read_csv(out)
+        assert (rows[0][columns.index("cell")], rows[0][columns.index("trial")]) == ("", "")
 
 
 class TestSweeps:

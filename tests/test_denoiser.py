@@ -91,6 +91,23 @@ class TestLoopKernel:
             assert deriv_sum[0] == np.sum(deriv)
 
 
+    @pytest.mark.parametrize("k", [0, 3, 24])
+    def test_uniform_gamma_batch_bitwise_equals_denoise_terms(self, k):
+        # a uniform gamma0 = 1 - K/N (K=0: all spike, K=N: all slab) has one
+        # prior log-odds for the batch; each row keeps denoise_terms' bits
+        rng = np.random.default_rng(k)
+        n, s2 = 24, 0.5
+        gamma = np.full(n, 1.0 - k / n)
+        beta = np.array([0.0, 1e-14, 0.05, 0.8, 3.0])
+        u = rng.normal(0.0, 2.0, (len(beta), n))
+        x_loop, deriv_sum, pi_loop = _mmse_denoiser(gamma, s2)(u, beta)
+        for row, b in enumerate(beta):
+            x, deriv, pi = denoise_terms(u[row], DenoiserParams(beta=b, gamma=gamma, s2=s2))
+            assert np.array_equal(x_loop[row], x)
+            assert np.array_equal(pi_loop[row], pi)
+            assert deriv_sum[row] == np.sum(deriv)
+
+
 class TestDerivative:
     def test_dense_prior_constant(self):
         p = DenoiserParams(beta=0.4, gamma=0.0, s2=0.5)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -259,6 +260,29 @@ class TestChunkedSolves:
                 assert ((out.beta_r, out.beta_i, out.iterations, out.converged, out.diverged)
                         == (alone.beta_r, alone.beta_i, alone.iterations, alone.converged,
                             alone.diverged))
+
+    @pytest.mark.parametrize("algo", KNOWN_ALGORITHMS)
+    def test_non_finite_trial_fails_alone_without_new_warnings(self, algo):
+        # one trial overflows at t=1; in another |z|^2 overflows while the
+        # iterate stays finite, so the finite check's exact pass clears it
+        # and the trial stops as diverged
+        draws = [make_instance(24, 64, 6, trial_rng(8, 0, j))[0] for j in range(4)]
+        instances = [draws[0], replace(draws[1], A=1e300 * draws[1].A), draws[2],
+                     replace(draws[3], A=1e100 * draws[3].A)]
+        settings = RecoverySettings(t_max=40)
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("always")
+            chunk = experiments._solve_chunk(algo, instances, 6, settings)
+            alone = [experiments._solve_chunk(algo, [inst], 6, settings)[0]
+                     for inst in instances]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert [isinstance(out, RecoveryError) for out in chunk] == [False, True, False, False]
+        assert chunk[3].diverged and chunk[3].iterations == 1
+        for j in (0, 2, 3):
+            assert np.array_equal(chunk[j].x_hat.re, alone[j].x_hat.re)
+            assert np.array_equal(chunk[j].x_hat.im, alone[j].x_hat.im)
+            assert chunk[j].iterations == alone[j].iterations
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_grid_bytes_do_not_depend_on_the_chunk_budget(self, monkeypatch, tmp_path,
