@@ -41,7 +41,6 @@ from .support import (
     SupportMetrics,
     apply_support,
     detect_em,
-    detect_em_cbamp,
     detect_prior_based,
     em_responsibilities,
     support_metrics,
@@ -61,6 +60,5 @@ __all__ = [
     "gen_signal_exact_k", "load_instance", "make_instance", "measure", "nmse",
     "save_instance", "split",
     "SupportEstimate", "SupportMetrics", "apply_support", "detect_em",
-    "detect_em_cbamp", "detect_prior_based", "em_responsibilities",
-    "support_metrics",
+    "detect_prior_based", "em_responsibilities", "support_metrics",
 ]

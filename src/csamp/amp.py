@@ -20,7 +20,9 @@ trial's shape, a batched solve gives each trial the bits of its lone solve.
 A non-finite iterate fails its whole trial with a RecoveryError, while the
 other trials run on; a lone solve raises it.  A non-finite X' reaches Z'
 through A, so X' and Z' are checked entry by entry only when some |Z'|^2 is
-not finite.  Inputs are validated once, at entry.
+not finite.  Inputs are validated once, at entry.  _solve is every complex
+solver's way into and out of the loop: it stacks each y's (re, im) parts as
+two rows, checked against its A, and joins the two rows' results.
 
 Soft-thresholding AMP thresholds at lambda * sqrt(beta), beta unfloored; its
 Onsager coefficient is the active-set size over M (the soft threshold's
@@ -190,20 +192,28 @@ def _stack(A, *parts):
     return A, Y
 
 
-def _complex_outputs(results, gamma0=None) -> list:
-    """Per problem of _iterate, its RecoveryOutput (or its RecoveryError):
-    the parts joined, with gamma0 echoed as both working gammas if given."""
+def _solve(problems, denoise, settings: RecoverySettings, beta_floor: float, hook=None,
+           gamma0=None, answer=lambda Y: None) -> list:
+    """Per (A, y) of problems, its RecoveryOutput or the RecoveryError of its
+    non-finite iterate; gamma0, if given, is echoed as both working gammas,
+    and a problem that answer(Y) answers (not None) skips the loop."""
+    stacked = [_stack(A, y.re, y.im) for A, y in problems]
+    answers = [answer(Y) for _, Y in stacked]
+    live = [problem for problem, out in zip(stacked, answers) if out is None]
+    solved = iter(_iterate(live, denoise, settings, beta_floor, hook) if live else [])
     outputs = []
-    for parts in results:
-        if not isinstance(parts, RecoveryError):
-            r, i = parts
+    for out in answers:
+        if out is None:
+            out = next(solved)
+        if isinstance(out, list):  # a solve's (re, im) results
+            r, i = out
             gammas = (r.gamma, i.gamma) if gamma0 is None else (gamma0.copy(), gamma0.copy())
-            parts = RecoveryOutput(
+            out = RecoveryOutput(
                 x_hat=combine(r.x_hat, i.x_hat), u_r=r.u, u_i=i.u, beta_r=r.beta,
                 beta_i=i.beta, gamma_r=gammas[0], gamma_i=gammas[1],
                 iterations=max(r.iterations, i.iterations),
                 converged=r.converged and i.converged, diverged=r.diverged or i.diverged)
-        outputs.append(parts)
+        outputs.append(out)
     return outputs
 
 
@@ -231,8 +241,7 @@ def amp_recover(A: np.ndarray, y_part: np.ndarray, cfg: AmpConfig) -> AmpPartRes
 def _camp_batch(problems, cfg: AmpConfig) -> list:
     """camp_recover on each (A, y) of problems, in one loop: a RecoveryOutput
     per problem, or the RecoveryError of one whose iterate went non-finite."""
-    stacked = [_stack(A, y.re, y.im) for A, y in problems]
-    return _complex_outputs(_iterate(stacked, _soft_denoiser(cfg.lam), cfg.settings, 0.0))
+    return _solve(problems, _soft_denoiser(cfg.lam), cfg.settings, 0.0)
 
 
 def camp_recover(A: np.ndarray, y: ComplexVector, cfg: AmpConfig) -> RecoveryOutput:

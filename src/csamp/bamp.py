@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .amp import AmpPartResult, _complex_outputs, _iterate, _single, _sq_norms, _stack
+from .amp import AmpPartResult, _iterate, _single, _solve, _sq_norms, _stack
 from .denoiser import BETA_FLOOR, _endpoint_masks, _posterior_terms, _prior_log_odds, _uniform
 from .model import (GAMMA_CLAMP, BernoulliGaussianPrior, ComplexVector, RecoveryOutput,
                     RecoverySettings)
@@ -30,7 +30,7 @@ def _mmse_denoiser(gamma, s2: float, clamp: float = GAMMA_CLAMP):
     """_mmse's (x, summed derivative, pi) at zero probabilities gamma (one
     vector for every part), with the inputs validated and gamma's constants
     (its log-odds clamped by clamp, one if gamma is uniform) computed once."""
-    if np.any(gamma < 0.0) or np.any(gamma > 1.0):
+    if not np.all((gamma >= 0.0) & (gamma <= 1.0)):
         raise ValueError("gamma must lie in [0, 1]")
     if not s2 > 0.0:
         raise ValueError("s2 must be positive")
@@ -68,10 +68,9 @@ def bamp_recover(A: np.ndarray, y_part: np.ndarray, gamma0, s2: float,
 def _cbamp_batch(problems, prior: BernoulliGaussianPrior, settings: RecoverySettings) -> list:
     """cbamp_recover on each (A, y) of problems, in one loop: a RecoveryOutput
     per problem, or the RecoveryError of one whose iterate went non-finite."""
-    stacked = [_stack(A, y.re, y.im) for A, y in problems]
-    gamma0 = prior.gamma0_vector(stacked[0][0].shape[1])
+    gamma0 = prior.gamma0_vector(np.shape(problems[0][0])[-1])
     denoise = _mmse_denoiser(gamma0, prior.s2, settings.gamma_clamp)
-    return _complex_outputs(_iterate(stacked, denoise, settings, settings.beta_floor), gamma0)
+    return _solve(problems, denoise, settings, settings.beta_floor, gamma0=gamma0)
 
 
 def cbamp_recover(A: np.ndarray, y: ComplexVector, prior: BernoulliGaussianPrior,

@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from .amp import AmpPartResult, _complex_outputs, _iterate, _single, _sq_norms, _stack
+from .amp import _single, _solve, _sq_norms
 from .bamp import _mmse, cbamp_recover
 from .denoiser import (DenoiserParams, _activity_log_odds, _check_finite, _endpoint_masks,
                        _prior_log_odds, _uniform)
@@ -119,10 +119,14 @@ class _Exchange:
         self.memory = (w[live], z_prev[live])
 
 
-def _no_data(n: int, gamma0, settings: RecoverySettings) -> list:
-    """The parts' results without data: the prior mean, gamma the prior."""
-    return [AmpPartResult(np.zeros(n), np.zeros(n), settings.beta_floor, 1, True, False,
-                          gamma0.copy()) for _ in range(2)]
+def _no_data(Y, gamma0, settings: RecoverySettings) -> RecoveryOutput | None:
+    """The answer to a problem without data, the prior mean with gamma the
+    prior; None if Y has data."""
+    if _sq_norms(Y).any():
+        return None
+    n = gamma0.size
+    return RecoveryOutput(ComplexVector.zeros(n), np.zeros(n), np.zeros(n), settings.beta_floor,
+                          settings.beta_floor, gamma0.copy(), gamma0.copy(), 1, True)
 
 
 def _cbossamp_batch(problems, prior: BernoulliGaussianPrior,
@@ -130,16 +134,10 @@ def _cbossamp_batch(problems, prior: BernoulliGaussianPrior,
     """cbossamp_recover on each (A, y) of problems, in one loop: a
     RecoveryOutput per problem, or the RecoveryError of one whose iterate
     went non-finite.  A problem without data is answered before the loop."""
-    stacked = [_stack(A, y.re, y.im) for A, y in problems]
-    n = stacked[0][0].shape[1]
-    gamma0 = prior.gamma0_vector(n)
-    has_data = [bool(_sq_norms(Y).any()) for _, Y in stacked]
-    live = [problem for problem, data in zip(stacked, has_data) if data]
+    gamma0 = prior.gamma0_vector(np.shape(problems[0][0])[-1])
     ex = _Exchange(gamma0, prior, settings)
-    solved = iter(_iterate(live, ex.denoise, settings, settings.beta_floor, hook=ex)
-                  if live else [])
-    return _complex_outputs([next(solved) if data else _no_data(n, gamma0, settings)
-                             for data in has_data])
+    return _solve(problems, ex.denoise, settings, settings.beta_floor, hook=ex,
+                  answer=lambda Y: _no_data(Y, gamma0, settings))
 
 
 def cbossamp_recover(

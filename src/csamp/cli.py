@@ -5,8 +5,8 @@ validate-denoiser.  Options may come from a '--config' INI file (one flat
 section per subcommand, keys named like the long flags with underscores);
 explicit flags override the file, which overrides the scale presets.
 
-Exit codes: 0 success, 1 usage/config error, 2 validation failure,
-3 I/O error.
+Exit codes: 0 success, 1 usage/config error or a solve whose iterate went
+non-finite, 2 validation failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import numpy as np
 from ._version import __version__
 from .denoiser import DenoiserParams, denoise, denoise_numeric, exact_mmse
 from .experiments import (
+    KNOWN_ALGORITHMS,
+    KNOWN_DETECTORS,
     GridConfig,
     _fmt,
     _trial_chunks,
@@ -82,7 +84,7 @@ def denoiser_validation_rows(denoise_fn=denoise, u_grid=VALIDATION_U_GRID,
 
 def oracle_validation_rows(trials=200, seed=0, n=10, m=6, k=2, snr_db=20.0,
                            noiseless=False, settings=RecoverySettings(),
-                           algorithms=("amp", "cbamp", "cbossamp")):
+                           algorithms=KNOWN_ALGORITHMS):
     """Mean per-part MSE of each algorithm against the enumeration oracle.
 
     The trials run through the sweeps' trial loop as cell 0 (trial j drawn
@@ -162,19 +164,12 @@ class _Options:
         )
         self.presets = presets or {}
 
-    def get(self, name, default, convert=None):
+    def get(self, name, default, convert):
         value = self.args.get(name)
         if value is not None:
             return value
         if name in self.config:
-            raw = self.config[name]
-            if convert is bool or isinstance(default, bool):
-                return _parse_bool(raw)
-            if convert is not None:
-                return convert(raw)
-            if default is not None:
-                return type(default)(raw)
-            return raw
+            return (_parse_bool if convert is bool else convert)(self.config[name])
         if name in self.presets:
             return self.presets[name]
         return default
@@ -218,7 +213,7 @@ def _add_sweep_common(parser):
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--algos", default=None,
-                        help="space/comma separated subset of amp cbamp cbossamp")
+                        help="space/comma separated subset of " + " ".join(KNOWN_ALGORITHMS))
 
 
 def build_parser() -> _Parser:
@@ -242,10 +237,10 @@ def build_parser() -> _Parser:
     p_rec.add_argument("--gamma0", type=float, default=None)
     p_rec.add_argument("--snr-db", type=float, default=None, dest="snr_db",
                        help="omit for a noiseless instance")
-    p_rec.add_argument("--algo", default=None, choices=("amp", "cbamp", "cbossamp"))
+    p_rec.add_argument("--algo", default=None, choices=KNOWN_ALGORITHMS)
     p_rec.add_argument("--lam", type=float, default=None,
                        help="AMP threshold multiplier (default: heuristic from K)")
-    p_rec.add_argument("--detect", default=None, choices=("prior", "em", "none"))
+    p_rec.add_argument("--detect", default=None, choices=(*KNOWN_DETECTORS, "none"))
 
     for name, text in (("phase-transition", "recovery success-rate grid"),
                        ("support-pt", "support-detection success grid")):
@@ -284,7 +279,7 @@ def build_parser() -> _Parser:
 def _algorithms_from(opts) -> tuple[str, ...]:
     raw = opts.get("algos", None, str)
     if raw is None:
-        return ("amp", "cbamp", "cbossamp")
+        return KNOWN_ALGORITHMS
     algos = tuple(raw.replace(",", " ").split())
     if not algos:
         raise UsageError("empty --algos")
@@ -479,7 +474,7 @@ def main(argv=None) -> int:
     except InstanceFormatError as exc:
         print(f"error: bad instance file: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, RecoveryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -45,14 +45,6 @@ class ComplexVector:
     def __len__(self) -> int:
         return self.re.size
 
-    def to_complex(self) -> np.ndarray:
-        return self.re + 1j * self.im
-
-    @classmethod
-    def from_complex(cls, x) -> "ComplexVector":
-        x = np.asarray(x, dtype=complex)
-        return cls(x.real.copy(), x.imag.copy())
-
     @classmethod
     def zeros(cls, n: int) -> "ComplexVector":
         return cls(np.zeros(n), np.zeros(n))
@@ -95,7 +87,7 @@ class BernoulliGaussianPrior:
         g = np.atleast_1d(np.asarray(self.gamma0, dtype=float))
         if g.ndim != 1:
             raise ValueError("gamma0 must be scalar or 1-D")
-        if np.any(g < 0.0) or np.any(g > 1.0):
+        if not np.all((g >= 0.0) & (g <= 1.0)):
             raise ValueError("gamma0 entries must lie in [0, 1]")
         if not self.sigma_x2 > 0.0:
             raise ValueError("sigma_x2 must be positive")

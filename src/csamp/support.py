@@ -54,7 +54,7 @@ def detect_prior_based(gamma_r, gamma_i) -> SupportEstimate:
     g_i = np.asarray(gamma_i, dtype=float)
     if g_r.shape != g_i.shape or g_r.ndim != 1:
         raise ValueError("gamma vectors must be 1-D with equal length")
-    if np.any((g_r < 0) | (g_r > 1) | (g_i < 0) | (g_i > 1)):
+    if not np.all((g_r >= 0) & (g_r <= 1) & (g_i >= 0) & (g_i <= 1)):
         raise ValueError("gamma entries must lie in [0, 1]")
     zero = g_r * g_i >= (1.0 - g_r) * (1.0 - g_i)
     return SupportEstimate(~zero)
@@ -87,13 +87,6 @@ def detect_em(
     a_i = _part_log_odds(u_i, beta_i, gamma_i, sigma_x2)
     with np.errstate(invalid="ignore"):
         return SupportEstimate(a_r + a_i > 0.0)
-
-
-def detect_em_cbamp(
-    u_r, u_i, beta_r: float, beta_i: float, gamma0, sigma_x2: float
-) -> SupportEstimate:
-    """EM rule with the prior zero-probabilities in both gamma slots."""
-    return detect_em(u_r, u_i, beta_r, beta_i, gamma0, gamma0, sigma_x2)
 
 
 def em_responsibilities(

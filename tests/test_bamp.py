@@ -89,6 +89,12 @@ class TestBampRecover:
         out = bamp_recover(A, np.zeros(8), 0.5, 0.5)
         assert out.beta >= 1e-12
 
+    @pytest.mark.parametrize("gamma0", [np.nan, 1.5, -0.1])
+    def test_gamma_outside_unit_interval_rejected(self, gamma0):
+        A = gen_matrix(8, 16, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="gamma"):
+            bamp_recover(A, np.ones(8), gamma0, 0.5)
+
 
 class TestComplexBamp:
     def test_purely_real_signal(self):

@@ -143,6 +143,13 @@ class TestCbossampRecover:
         assert out.converged and out.iterations == 1
         np.testing.assert_array_equal(out.gamma_r, inst.prior.gamma0_vector(16))
 
+    @pytest.mark.parametrize("solve", [cbamp_recover, cbossamp_recover])
+    def test_zero_data_with_wrong_y_length_rejected(self, solve):
+        # a problem without data skips cbossamp's loop, never the shape check
+        inst, _ = make_instance(8, 16, 0, trial_rng(0, 0, 0))
+        with pytest.raises(ValueError, match="y length must equal M"):
+            solve(inst.A, ComplexVector.zeros(9), inst.prior)
+
     def test_easy_regime_and_iteration_parity(self):
         # N=256, M=128, K=13 noiseless: >=90% success; iteration count at or
         # below cbamp's on at least 60% of shared seeds

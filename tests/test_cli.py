@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from csamp.cli import (
 )
 from csamp.denoiser import denoise, exact_mmse
 from csamp.experiments import GridConfig, read_csv, run_algorithm, trial_rng
-from csamp.model import RecoveryError, RecoverySettings, load_instance, make_instance
+from csamp.model import (RecoveryError, RecoverySettings, load_instance, make_instance,
+                         save_instance)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -90,6 +93,38 @@ class TestRecover:
                                "--algo", "cbamp")
         assert code == 1
         assert "bad instance file: line 2" in err
+
+    @pytest.mark.parametrize("algo", ["amp", "cbamp", "cbossamp"])
+    def test_nan_gamma0_is_usage_error(self, capsys, algo):
+        code, out, err = run_cli(capsys, "recover", "--n", "16", "--m", "8", "--k", "2",
+                                 "--gamma0", "nan", "--algo", algo)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "gamma0" in err
+        assert "Traceback" not in err
+
+    def test_nan_gamma0_in_instance_file_is_usage_error(self, capsys, tmp_path):
+        saved = tmp_path / "inst.txt"
+        run_cli(capsys, "recover", "--n", "8", "--m", "4", "--k", "2", "--algo", "cbamp",
+                "--save-instance", str(saved))
+        lines = saved.read_text().splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith("gamma0"))
+        lines[at] = "gamma0 " + " ".join(["nan"] + ["0.75"] * 7)
+        saved.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "recover", "--instance", str(saved),
+                                 "--algo", "cbamp")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "gamma0" in err
+
+    def test_non_finite_iterate_is_an_error_line(self, capsys, tmp_path):
+        # an instance whose A overflows the residual at t=1
+        saved = tmp_path / "inst.txt"
+        inst, sigma_w2 = make_instance(16, 32, 3, trial_rng(0, 0, 0))
+        save_instance(saved, replace(inst, A=1e300 * inst.A), sigma_w2, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(capsys, "recover", "--instance", str(saved),
+                                     "--algo", "cbamp")
+        assert code == 1 and out == ""
+        assert err == "error: AMP produced a non-finite iterate at t=1\n"
 
     def test_unknown_algo_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "recover", "--algo", "magic")

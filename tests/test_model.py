@@ -246,6 +246,9 @@ class TestSettingsAndPrior:
     def test_prior_validation(self):
         with pytest.raises(ValueError):
             BernoulliGaussianPrior(gamma0=1.5)
+        for gamma0 in (np.nan, [0.2, np.nan]):
+            with pytest.raises(ValueError, match="gamma0"):
+                BernoulliGaussianPrior(gamma0=gamma0)
         with pytest.raises(ValueError):
             BernoulliGaussianPrior(gamma0=0.5, sigma_x2=0.0)
 
@@ -296,6 +299,17 @@ class TestInstanceFiles:
         with pytest.raises(InstanceFormatError) as err:
             load_instance(path)
         assert err.value.line_no == at + 1
+
+    def test_nan_gamma0_rejected(self, tmp_path):
+        inst, _ = make_instance(3, 5, 2, np.random.default_rng(0))
+        path = tmp_path / "inst.txt"
+        save_instance(path, inst, 0.0, seed=0)
+        lines = path.read_text().splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith("gamma0"))
+        lines[at] = "gamma0 0.6 nan 0.6 0.6 0.6"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="gamma0"):
+            load_instance(path)
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "short.txt"

@@ -7,7 +7,6 @@ from csamp.support import (
     SupportEstimate,
     apply_support,
     detect_em,
-    detect_em_cbamp,
     detect_prior_based,
     em_responsibilities,
     support_metrics,
@@ -56,6 +55,12 @@ class TestPriorRule:
             detect_prior_based(vec(0.5), vec(0.5, 0.5))
         with pytest.raises(ValueError):
             detect_prior_based(vec(1.5), vec(0.5))
+
+    @pytest.mark.parametrize("g_r, g_i", [(vec(np.nan, 0.2), vec(0.3, 0.2)),
+                                          (vec(0.3, 0.2), vec(0.3, np.nan))])
+    def test_nan_gamma_rejected(self, g_r, g_i):
+        with pytest.raises(ValueError):
+            detect_prior_based(g_r, g_i)
 
 
 class TestEmRule:
@@ -137,15 +142,6 @@ class TestEmRule:
         est = detect_em(u[:, 0], u[:, 1], 0.5, 0.5, np.full(n, g_r), np.full(n, g_i), 1.0)
         assert np.array_equal(est.active, np.full(n, active))
 
-    def test_cbamp_variant_is_equal_gamma_case(self):
-        rng = np.random.default_rng(5)
-        u_r = rng.uniform(-4, 4, 50)
-        u_i = rng.uniform(-4, 4, 50)
-        g0 = rng.uniform(0.1, 0.9, 50)
-        a = detect_em_cbamp(u_r, u_i, 0.5, 0.5, g0, 1.0)
-        b = detect_em(u_r, u_i, 0.5, 0.5, g0, g0, 1.0)
-        assert np.array_equal(a.active, b.active)
-
     def test_uninformative_prior_uses_amplitudes_only(self):
         # g=0.5 cancels: the decision reduces to the density comparison,
         # which is a radius threshold in (u_r, u_i)
@@ -168,9 +164,9 @@ class TestDetectionOnSolverOutput:
         for j in range(50):
             inst, _ = make_instance(128, 256, 13, trial_rng(55, 0, j))
             out = cbamp_recover(inst.A, inst.y, inst.prior)
-            est = detect_em_cbamp(out.u_r, out.u_i, out.beta_r, out.beta_i,
-                                  inst.prior.gamma0_vector(256),
-                                  inst.prior.sigma_x2)
+            g0 = inst.prior.gamma0_vector(256)
+            est = detect_em(out.u_r, out.u_i, out.beta_r, out.beta_i, g0, g0,
+                            inst.prior.sigma_x2)
             hits += support_metrics(inst.x_true, est).exact_match
         assert hits >= 45
 
