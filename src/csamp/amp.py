@@ -2,9 +2,14 @@
 
 _iterate runs AMP on a batch of problems (A_t, y_t) that share (M, N) and
 the prior: the live rows of all of them, one per (trial, part), form one
-stacked (R, N) state.  Each iteration makes, per trial, one Z @ A_t and one
-X @ A_t.T on that trial's live rows, at the shape a lone solve of the trial
-would use, and runs everything else once over all rows:
+stacked (R, N) state, the trials with two live rows ahead of those with one.
+Each iteration makes one stacked matmul per live-row count r (1 or 2): the
+Z rows of the T trials with r live rows, as a (T, r, M) view, times those
+trials' A stacked (T, M, N), and the same with X and A.T.  numpy runs each
+matrix of a stack through the kernel of the lone (r, M) @ A_t, so every
+trial's product has the shape and bits of its lone solve's.  The A stack is
+rebuilt only when the live trials change, and a lone trial's is a view.
+Everything else runs once over all rows:
 
     U = X + A^T Z,    X' = eta(U; beta),    Z' = Y - A X' + (sum eta'(U) / M) Z,
 
@@ -16,7 +21,7 @@ and diverged when |Z'|^2 exceeds divergence_factor |Y|^2.  With the hook the
 rule is joint per trial: both parts stop when their summed relative change
 drops to eps_tol or either part diverges.  A stopped row is dropped from the
 state; as every operation but the matmuls is row by row, and those keep each
-trial's shape, a batched solve gives each trial the bits of its lone solve.
+trial's bits, a batched solve gives each trial the bits of its lone solve.
 A non-finite iterate fails its whole trial with a RecoveryError, while the
 other trials run on; a lone solve raises it.  A non-finite X' reaches Z'
 through A, so X' and Z' are checked entry by entry only when some |Z'|^2 is
@@ -32,6 +37,7 @@ derivative sums to |x_hat|_0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from collections import Counter
 from itertools import groupby
 
 import numpy as np
@@ -84,27 +90,52 @@ def _sq_norms(v):
     return np.einsum("...i,...i->...", v, v)
 
 
-def _spans(rows, problems):
-    """[(start, stop, A)] per trial over the live rows, rows holding the
-    (trial, part) of each: a trial's rows are consecutive."""
-    spans, start = [], 0
-    for trial, group in groupby(trial for trial, _ in rows):
-        stop = start + len(list(group))
-        spans.append((start, stop, problems[trial][0]))
-        start = stop
-    return spans
+def _keep(rows, live):
+    """The indices of the live state rows in their new order: the trials with
+    more live rows first, a stable order otherwise, so each trial's rows stay
+    consecutive and the trials with r live rows are one run."""
+    live = np.flatnonzero(live)
+    counts = Counter(rows[j][0] for j in live)
+    return np.array(sorted(live, key=lambda j: -counts[rows[j][0]]))
 
 
-def _times(spans, V, transpose=False):
-    """Each trial's rows of V times its A (or A.T), at the trial's own shape:
-    row 0 of a (2, M) @ A differs in bits from a (1, M) @ A."""
-    if len(spans) == 1:
-        A = spans[0][2]
-        return V @ (A.T if transpose else A)
-    out = np.empty((len(V), spans[0][2].shape[0 if transpose else 1]))
-    for start, stop, A in spans:
-        np.matmul(V[start:stop], A.T if transpose else A, out=out[start:stop])
-    return out
+class _StackedA:
+    """The live trials' A stacked (T, M, N) in state order, a lone trial's as
+    a view, and the runs of trials with r live rows, as (r, row slice, trial
+    slice).  The stack is rebuilt only when the live trials change, the old
+    one freed first."""
+
+    def __init__(self, problems, rows):
+        self.problems, self.trials = problems, None
+        self.update(rows)
+
+    def update(self, rows):
+        """Follow the live rows, the (trial, part) of each in state order."""
+        counts = Counter(trial for trial, _ in rows)
+        self.runs, row, first = [], 0, 0
+        for r, run in groupby(counts.values()):
+            size = len(list(run))
+            self.runs.append((r, slice(row, row + size * r), slice(first, first + size)))
+            row, first = row + size * r, first + size
+        if list(counts) != self.trials:
+            self.trials, self.A = list(counts), None
+            self.A = (self.problems[self.trials[0]][0][None] if len(self.trials) == 1
+                      else np.stack([self.problems[trial][0] for trial in self.trials]))
+
+    def times(self, V, transpose=False):
+        """Each trial's rows of V times its A (or A.T), one stacked matmul
+        (T, r, M) @ (T, M, N) per run: numpy runs each matrix of a stack
+        through the kernel of the lone product, so a trial keeps the bits of
+        its lone solve, while row 0 of a (2, M) @ A differs in bits from a
+        (1, M) @ A."""
+        B = self.A.transpose(0, 2, 1) if transpose else self.A
+        if len(self.runs) == 1:
+            return (V.reshape(len(B), self.runs[0][0], -1) @ B).reshape(len(V), -1)
+        out = np.empty((len(V), B.shape[2]))
+        for r, rows, trials in self.runs:
+            np.matmul(V[rows].reshape(-1, r, V.shape[1]), B[trials],
+                      out=out[rows].reshape(-1, r, B.shape[2]))
+        return out
 
 
 def _iterate(problems, denoise, settings: RecoverySettings, beta_floor: float,
@@ -117,9 +148,11 @@ def _iterate(problems, denoise, settings: RecoverySettings, beta_floor: float,
     the rows' noise variances.  hook(U, beta, X, terms, Z) returns the term
     added to the new residual, Z being the one that formed U, and selects the
     joint rule over each problem's (re, im) pair of rows; hook.gamma(j) is
-    stopping row j's working gamma, and hook.keep(live) drops its rows with
-    the loop's.  Without a hook the denoiser must treat all rows alike,
-    because stopped rows are dropped.
+    stopping row j's working gamma, and hook.keep(index) takes its rows to
+    the loop's new order, index holding the old row of each new one (the
+    joint rule stops pairs, so it keeps their order).  Without a hook the
+    denoiser must treat all rows alike, because rows are dropped and
+    reordered.
     """
     m, n = problems[0][0].shape
     if any(A.shape != (m, n) for A, _ in problems):
@@ -127,15 +160,15 @@ def _iterate(problems, denoise, settings: RecoverySettings, beta_floor: float,
     Y = np.concatenate([Y for _, Y in problems])
     rows = [(trial, part) for trial, (_, Yt) in enumerate(problems)
             for part in range(len(Yt))]
-    spans = _spans(rows, problems)
+    stacked = _StackedA(problems, rows)
     results: list = [[None] * len(Yt) for _, Yt in problems]
     X, Z, energy = np.zeros((len(Y), n)), Y.copy(), _sq_norms(Y)
     limit = settings.divergence_factor * energy
     for t in range(1, settings.t_max + 1):
         beta = np.maximum(energy / m, beta_floor)
-        U = X + _times(spans, Z)
+        U = X + stacked.times(Z)
         X, deriv_sum, *terms = denoise(U, beta)
-        Z_new = Y - _times(spans, X, transpose=True) + (deriv_sum / m)[:, None] * Z
+        Z_new = Y - stacked.times(X, transpose=True) + (deriv_sum / m)[:, None] * Z
         if hook is not None:
             Z_new += hook(U, beta, X, terms, Z)
         change = _sq_norms(Z_new - Z)
@@ -173,13 +206,13 @@ def _iterate(problems, denoise, settings: RecoverySettings, beta_floor: float,
                 gamma=None if hook is None else hook.gamma(j))
         if stop.all():
             break
-        live = ~stop
-        X, Z, Y = X[live], Z[live], Y[live]
-        energy, limit = energy[live], limit[live]
-        rows = [row for row, keep in zip(rows, live) if keep]
-        spans = _spans(rows, problems)
+        keep = _keep(rows, ~stop)
+        X, Z, Y = X[keep], Z[keep], Y[keep]
+        energy, limit = energy[keep], limit[keep]
+        rows = [rows[j] for j in keep]
+        stacked.update(rows)
         if hook is not None:
-            hook.keep(live)
+            hook.keep(keep)
     return results
 
 

@@ -112,11 +112,12 @@ class _Exchange:
         """Row j's working gamma, prior_update of the other part's l."""
         return prior_update(-self.a[j ^ 1], self.clamp)
 
-    def keep(self, live):
-        """Drop the rows of the pairs the loop stopped."""
+    def keep(self, index):
+        """Keep the rows of the pairs the loop keeps, index holding the old
+        row of each."""
         w, z_prev = self.memory
-        self.a, self.log_odds = self.a[live], self.log_odds[live]
-        self.memory = (w[live], z_prev[live])
+        self.a, self.log_odds = self.a[index], self.log_odds[index]
+        self.memory = (w[index], z_prev[index])
 
 
 def _no_data(Y, gamma0, settings: RecoverySettings) -> RecoveryOutput | None:

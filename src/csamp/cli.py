@@ -36,6 +36,8 @@ from .experiments import (
     write_csv,
 )
 from .model import (
+    LIKELIHOOD_VARIANTS,
+    PART_VARIANCES,
     InstanceFormatError,
     RecoveryError,
     RecoverySettings,
@@ -89,8 +91,9 @@ def oracle_validation_rows(trials=200, seed=0, n=10, m=6, k=2, snr_db=20.0,
 
     The trials run through the sweeps' trial loop as cell 0 (trial j drawn
     from trial_rng(seed, 0, j)), each algorithm solving them in one batched
-    loop, and exact_mmse takes both parts of a trial in one call.  A solve
-    that fails with RecoveryError raises it.
+    loop, and exact_mmse takes the trials of a chunk, both parts each, in
+    one call (they share the cell's prior).  A solve that fails with
+    RecoveryError raises it.
 
     Returns (rows, violations): one row per (algorithm, part) with the
     paired-mean MSEs, and the list of rows where the algorithm beats the
@@ -104,9 +107,10 @@ def oracle_validation_rows(trials=200, seed=0, n=10, m=6, k=2, snr_db=20.0,
     alg_sums = {(a, p): 0.0 for a in algorithms for p in ("re", "im")}
     oracle_sums = {"re": 0.0, "im": 0.0}
     for draws, outs in _trial_chunks(cfg, 0, m, k, snr):
-        for inst, sigma_w2 in draws:
-            x_star = exact_mmse(inst.A, np.stack((inst.y.re, inst.y.im)),
-                                inst.prior, sigma_w2 / 2.0)
+        x_stars = exact_mmse(np.stack([inst.A for inst, _ in draws]),
+                             np.stack([(inst.y.re, inst.y.im) for inst, _ in draws]),
+                             draws[0][0].prior, np.array([s for _, s in draws]) / 2.0)
+        for (inst, _), x_star in zip(draws, x_stars):
             for part, x_part in zip(("re", "im"), x_star):
                 oracle_sums[part] += float(
                     np.sum((x_part - getattr(inst.x_true, part)) ** 2)) / n
@@ -200,10 +204,9 @@ def _add_common(parser):
     parser.add_argument("--gamma-clamp", type=float, default=None, dest="gamma_clamp")
     parser.add_argument("--divergence-factor", type=float, default=None,
                         dest="divergence_factor")
-    parser.add_argument("--likelihood-variant", default=None,
-                        choices=("own-beta", "printed-cross-beta"),
+    parser.add_argument("--likelihood-variant", default=None, choices=LIKELIHOOD_VARIANTS,
                         dest="likelihood_variant")
-    parser.add_argument("--part-variance", default=None, choices=("half", "full"),
+    parser.add_argument("--part-variance", default=None, choices=PART_VARIANCES,
                         dest="part_variance")
 
 

@@ -11,9 +11,13 @@ pi).  They run the same kernel as the solver loop, _posterior_terms, which
 takes its per-gamma constants precomputed, so the loop validates once per
 solve, and hands u^2 and 1 - pi on to the exchange.  denoise_numeric
 re-derives the same quantity by adaptive quadrature and exists purely to
-validate them.  exact_mmse is the full-vector oracle: the exact posterior
-mean over all 2^N supports, feasible only for small N, of one real part or
-of parts stacked as rows, which share the enumeration.
+validate them; its conditional-mean integral reuses the evidence integral's
+integrand values at the nodes the two share.  exact_mmse is the full-vector
+oracle: the exact posterior mean over all 2^N supports, feasible only for
+small N, of one real part, of parts stacked as rows, or of trials stacked
+on a leading axis.  One call enumerates the supports once; per support size
+it makes one batched slogdet and one batched solve for a group of trials,
+and every row keeps the bits of a one-part call.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import expit
 
-from .model import BETA_FLOOR, GAMMA_CLAMP, BernoulliGaussianPrior
+from .model import BETA_FLOOR, CHUNK_BYTES, GAMMA_CLAMP, BernoulliGaussianPrior
 
 
 @dataclass(frozen=True)
@@ -156,9 +160,20 @@ def denoise_numeric(u: float, p: DenoiserParams, rel_tol: float = 1e-12) -> floa
     # peak height of the joint density, used to rescale before integrating
     log_scale = -u * u / (2.0 * total) - log_norm_beta - log_norm_s2
 
+    # the two integrals share most of their nodes: each value is kept by its
+    # node, and the second integral reuses it (same node, same expression)
+    joint_at: dict = {}
+
     def scaled_joint(x):
-        return np.exp(-((u - x) ** 2) / two_beta - x * x / two_s2
-                      - log_norm_beta - log_norm_s2 - log_scale)
+        joint_at[x] = value = np.exp(-((u - x) ** 2) / two_beta - x * x / two_s2
+                                     - log_norm_beta - log_norm_s2 - log_scale)
+        return value
+
+    def x_scaled_joint(x):
+        try:
+            return x * joint_at[x]
+        except KeyError:
+            return x * scaled_joint(x)
 
     eps = 1e-9 * radius
     breaks = sorted(set(np.clip([mu - 8 * sig_post, mu, mu + 8 * sig_post],
@@ -181,7 +196,7 @@ def denoise_numeric(u: float, p: DenoiserParams, rel_tol: float = 1e-12) -> floa
         return val
 
     evidence_cont = integrate(scaled_joint, "evidence")
-    mean_cont = integrate(lambda x: x * scaled_joint(x), "conditional mean")
+    mean_cont = integrate(x_scaled_joint, "conditional mean")
 
     # spike evidence, rescaled by the same factor as the integrals
     log_spike = -u * u / two_beta - log_norm_beta - log_scale
@@ -196,77 +211,105 @@ def exact_mmse(
     A: np.ndarray,
     y_part: np.ndarray,
     prior: BernoulliGaussianPrior,
-    sigma_w2_part: float,
+    sigma_w2_part: float | np.ndarray,
 ) -> np.ndarray:
     """Exact posterior mean by support enumeration, for one real part
-    (y_part (M,) gives (N,)) or parts stacked as rows ((P, M) gives (P, N)).
+    (y_part (M,) gives (N,)), parts stacked as rows ((P, M) gives (P, N)), or
+    trials stacked on a leading axis: A (T, M, N), y_part (T, P, M) and
+    sigma_w2_part (T,) give (T, P, N).
 
     Sums over all supports S: the posterior weight of S combines the prior
     activity probabilities with the Gaussian evidence of y under
     x_S ~ N(0, s2 I), and the per-support conditional mean is the ridge
-    solve (A_S^T A_S + (sigma_w2/s2) I)^{-1} A_S^T y.  Stacked parts share
-    the enumeration, the evidence matrices and their log-determinants; each
-    part has its own solve, so a row gets the bits of its one-part call.
-    Cost is 2^N small solves per part, so N is capped at 14.  A zero noise
-    variance is floored at BETA_FLOOR to keep the evidence proper.
+    solve (A_S^T A_S + (sigma_w2/s2) I)^{-1} A_S^T y.  The supports are
+    enumerated once per call; per support size, the trials of a group (as
+    many as fit CHUNK_BYTES of evidence matrices) share one batched slogdet
+    and one batched solve, and a trial's parts share its evidence matrices
+    and their log-determinants.  Each part keeps its own right-hand side and
+    every reduction runs on contiguous operands, so a row gets the bits of a
+    one-part call of its trial alone.  Cost is 2^N small solves per part, so
+    N is capped at 14.  A zero noise variance is floored at BETA_FLOOR to
+    keep the evidence proper.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y_part, dtype=float)
-    m, n = A.shape
+    if A.ndim == 2:
+        if y.ndim not in (1, 2) or y.shape[-1] != A.shape[0]:
+            raise ValueError("y_part must be (M,) or parts stacked as rows (P, M)")
+        shape = y.shape[:-1] + A.shape[1:]
+        A, y = A[None], y.reshape(1, -1, A.shape[0])
+        sw2 = np.array([float(sigma_w2_part)])
+    else:
+        shape = None
+        sw2 = np.asarray(sigma_w2_part, dtype=float)
+        if (A.ndim != 3 or y.ndim != 3 or y.shape[0] != len(A)
+                or y.shape[2] != A.shape[1] or sw2.shape != (len(A),)):
+            raise ValueError("stacked trials take A (T, M, N), y_part (T, P, M) "
+                             "and sigma_w2_part (T,)")
+    m, n = A.shape[1:]
     if n > 14:
         raise ValueError(f"support enumeration infeasible for N={n} > 14")
-    if y.ndim not in (1, 2) or y.shape[-1] != m:
-        raise ValueError("y_part must be (M,) or parts stacked as rows (P, M)")
     s2 = prior.s2
     gamma = prior.gamma0_vector(n)
-    sw2 = max(float(sigma_w2_part), BETA_FLOOR)
+    sw2 = np.maximum(sw2, BETA_FLOOR)
 
     # components with degenerate priors are fixed, not enumerated
     forced_on = np.flatnonzero(gamma == 0.0)
     free = np.flatnonzero((gamma > 0.0) & (gamma < 1.0))
 
-    gram = A.T @ A
     log_g = np.log(np.where(gamma > 0.0, gamma, 1.0))       # excluded when 0
     log_1mg = np.log(np.where(gamma < 1.0, 1.0 - gamma, 1.0))
     base_prior = float(log_g[free].sum())                   # all free inactive
     prior_bonus = log_1mg - log_g                           # per activated component
-
-    # per support size: the supports, their evidence matrices, log|Sigma_S|
-    # and prior log-weights, shared by every part
-    blocks = []
+    # per support size: the supports, forced-on components first, and their
+    # prior log-weights (prior_bonus is zero for forced-on components, so
+    # including them adds nothing)
+    supports = []
     for k_free in range(len(free) + 1):
         combos = list(itertools.combinations(free, k_free))
         idx = np.concatenate((
             np.tile(forced_on, (len(combos), 1)),
             np.array(combos, dtype=int).reshape(len(combos), k_free),
         ), axis=1)
-        k = idx.shape[1]
-        c_batch = gram[idx[:, :, None], idx[:, None, :]] + (sw2 / s2) * np.eye(k)
-        sign, logdet_c = np.linalg.slogdet(c_batch)
-        if np.any(sign <= 0):
-            raise np.linalg.LinAlgError("non-positive-definite evidence matrix")
-        # log N(y; 0, s2 A_S A_S^T + sw2 I) via determinant lemma + Woodbury
-        logdet_sigma = m * np.log(sw2) + k * np.log(s2 / sw2) + logdet_c
-        # prior_bonus is zero for forced-on components, so including them
-        # in idx adds nothing
-        blocks.append((idx, c_batch, logdet_sigma,
-                       base_prior + prior_bonus[idx].sum(axis=1)))
+        supports.append((idx, base_prior + prior_bonus[idx].sum(axis=1)))
+    ends = np.cumsum([len(idx) for idx, _ in supports])
+    group = max(1, CHUNK_BYTES // max(1, 8 * sum(idx.size * idx.shape[1]
+                                                 for idx, _ in supports)))
 
-    ends = np.cumsum([len(idx) for idx, *_ in blocks])
     x_hat = np.zeros(y.shape[:-1] + (n,))
-    for y_p, x_p in zip(np.atleast_2d(y), np.atleast_2d(x_hat)):
-        aty, yty = A.T @ y_p, float(y_p @ y_p)
+    for first in range(0, len(A), group):
+        At, yt = A[first:first + group], y[first:first + group]
+        sw = sw2[first:first + group, None]                 # (G, 1), against (G, C)
+        # per trial and part, the kernels (and bits) of the lone A.T @ A,
+        # A.T @ y_p and y_p @ y_p
+        gram = At.transpose(0, 2, 1) @ At
+        aty = (At.transpose(0, 2, 1)[:, None] @ yt[..., None])[..., 0]
+        yty = (yt[..., None, :] @ yt[..., :, None])[..., 0]  # (G, P, 1)
         log_weights, means = [], []
-        for idx, c_batch, logdet_sigma, log_prior in blocks:
-            b_batch = aty[idx]
-            sol = np.linalg.solve(c_batch, b_batch[:, :, None])[:, :, 0]
-            quad_form = (yty - np.einsum("ij,ij->i", b_batch, sol)) / sw2
-            log_ev = -0.5 * (m * np.log(2.0 * np.pi) + logdet_sigma + quad_form)
+        for idx, log_prior in supports:
+            k = idx.shape[1]
+            c_batch = gram[:, idx[:, :, None], idx[:, None, :]]
+            c_batch += (sw / s2)[..., None, None] * np.eye(k)
+            sign, logdet_c = np.linalg.slogdet(c_batch)
+            if np.any(sign <= 0):
+                raise np.linalg.LinAlgError("non-positive-definite evidence matrix")
+            # log N(y; 0, s2 A_S A_S^T + sw2 I) via determinant lemma + Woodbury
+            logdet_sigma = m * np.log(sw) + k * np.log(s2 / sw) + logdet_c
+            # einsum reduces a strided gather in another order (k >= 3)
+            b_batch = np.ascontiguousarray(aty[:, :, idx])
+            # c_batch broadcast over the parts: one right-hand side per solve
+            sol = np.ascontiguousarray(
+                np.linalg.solve(c_batch[:, None], b_batch[..., None])[..., 0])
+            quad_form = (yty - np.einsum("...ij,...ij->...i", b_batch, sol)) / sw[..., None]
+            log_ev = -0.5 * (m * np.log(2.0 * np.pi) + logdet_sigma[:, None] + quad_form)
             log_weights.append(log_prior + log_ev)
             means.append(sol)
-        all_lw = np.concatenate(log_weights)
-        weights = np.exp(all_lw - all_lw.max())
-        weights /= weights.sum()
-        for (idx, *_), mean, w in zip(blocks, means, np.split(weights, ends[:-1])):
-            np.add.at(x_p, idx.ravel(), (w[:, None] * mean).ravel())
-    return x_hat
+        all_lw = np.concatenate(log_weights, axis=-1)
+        weights = np.exp(all_lw - all_lw.max(axis=-1, keepdims=True))
+        weights /= weights.sum(axis=-1, keepdims=True)
+        rows = x_hat[first:first + group].reshape(-1, n)
+        for (idx, _), mean, w in zip(supports, means,
+                                     np.split(weights, ends[:-1], axis=-1)):
+            np.add.at(rows, (np.arange(len(rows))[:, None], idx.ravel()),
+                      (w[..., None] * mean).reshape(len(rows), -1))
+    return x_hat if shape is None else x_hat.reshape(shape)

@@ -31,6 +31,7 @@ from .amp import AmpConfig, _camp_batch, _single, lambda_heuristic
 from .bamp import _cbamp_batch
 from .bossamp import _cbossamp_batch
 from .model import (
+    CHUNK_BYTES,
     BernoulliGaussianPrior,
     ProblemInstance,
     RecoveryError,
@@ -242,16 +243,6 @@ class _Tally:
     iterations: int = 0
     diverged: int = 0
     exact: dict = field(default_factory=dict)
-
-
-# A chunk holds as many consecutive trials as fit this many bytes of A, and
-# at least one.  Solving a chunk in one loop amortises the per-call numpy
-# overhead that dominates an iteration at N=256: the desk-grid cells (at
-# most 474 KB of A per chunk) ran 1.7x faster.  At N=1000 the matmuls
-# dominate instead: chunks of three 1.2 MB matrices ran 16% slower (they
-# overflow a 2 MiB per-core L2) and a whole cell at once raised peak memory
-# by a third for no gain, so there each trial runs alone.
-CHUNK_BYTES = 1 << 20
 
 
 def _trial_chunks(cfg: GridConfig, index: int, m: int, k: int, snr):

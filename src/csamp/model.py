@@ -15,6 +15,18 @@ import numpy as np
 BETA_FLOOR = 1e-12   # smallest effective noise variance a denoiser or detector uses
 GAMMA_CLAMP = 1e-12  # distance from {0, 1} of a clamped zero-probability
 
+# The working-set budget of a batch of trials.  A sweep's chunk holds as many
+# consecutive trials as fit this many bytes of A, and at least one
+# (experiments); exact_mmse enumerates the supports of as many trials at once
+# as fit it with their evidence matrices (about four at N=10).  Solving a
+# chunk in one loop amortises the per-call numpy overhead that dominates an
+# iteration at N=256: the desk-grid cells (at most 474 KB of A per chunk) ran
+# 1.7x faster.  At N=1000 the matmuls dominate instead: chunks of three
+# 1.2 MB matrices ran 16% slower (they overflow a 2 MiB per-core L2) and a
+# whole cell at once raised peak memory by a third for no gain, so there each
+# trial runs alone.
+CHUNK_BYTES = 1 << 20
+
 
 class RecoveryError(RuntimeError):
     """Raised when an iterative recovery produces non-finite iterates."""
@@ -71,6 +83,22 @@ def split(x: ComplexVector) -> tuple[np.ndarray, np.ndarray]:
     return x.re, x.im
 
 
+def _checked_gamma0(gamma0) -> np.ndarray:
+    """gamma0 as a 1-D float array, its entries in [0, 1] (NaN rejected)."""
+    g = np.atleast_1d(np.asarray(gamma0, dtype=float))
+    if g.ndim != 1:
+        raise ValueError("gamma0 must be scalar or 1-D")
+    if not np.all((g >= 0.0) & (g <= 1.0)):
+        raise ValueError("gamma0 entries must lie in [0, 1]")
+    return g
+
+
+def _checked_sigma_x2(sigma_x2) -> float:
+    if not sigma_x2 > 0.0:
+        raise ValueError("sigma_x2 must be positive")
+    return float(sigma_x2)
+
+
 @dataclass(frozen=True)
 class BernoulliGaussianPrior:
     """Spike-and-slab prior: zero w.p. gamma0, else CN(0, sigma_x2).
@@ -84,15 +112,8 @@ class BernoulliGaussianPrior:
     sigma_x2: float = 1.0
 
     def __post_init__(self):
-        g = np.atleast_1d(np.asarray(self.gamma0, dtype=float))
-        if g.ndim != 1:
-            raise ValueError("gamma0 must be scalar or 1-D")
-        if not np.all((g >= 0.0) & (g <= 1.0)):
-            raise ValueError("gamma0 entries must lie in [0, 1]")
-        if not self.sigma_x2 > 0.0:
-            raise ValueError("sigma_x2 must be positive")
-        object.__setattr__(self, "gamma0", g)
-        object.__setattr__(self, "sigma_x2", float(self.sigma_x2))
+        object.__setattr__(self, "gamma0", _checked_gamma0(self.gamma0))
+        object.__setattr__(self, "sigma_x2", _checked_sigma_x2(self.sigma_x2))
 
     @property
     def s2(self) -> float:
@@ -106,6 +127,11 @@ class BernoulliGaussianPrior:
         if self.gamma0.size != n:
             raise ValueError(f"gamma0 has length {self.gamma0.size}, expected {n}")
         return self.gamma0.copy()
+
+
+# the values of RecoverySettings' two likelihood switches, and the CLI's choices
+LIKELIHOOD_VARIANTS = ("own-beta", "printed-cross-beta")
+PART_VARIANCES = ("half", "full")
 
 
 @dataclass(frozen=True)
@@ -138,9 +164,9 @@ class RecoverySettings:
             raise ValueError("gamma_clamp must lie in (0, 0.5)")
         if self.divergence_factor <= 1.0:
             raise ValueError("divergence_factor must exceed 1")
-        if self.likelihood_variant not in ("own-beta", "printed-cross-beta"):
+        if self.likelihood_variant not in LIKELIHOOD_VARIANTS:
             raise ValueError(f"unknown likelihood_variant {self.likelihood_variant!r}")
-        if self.part_variance not in ("half", "full"):
+        if self.part_variance not in PART_VARIANCES:
             raise ValueError(f"unknown part_variance {self.part_variance!r}")
 
 
@@ -404,9 +430,16 @@ def load_instance(path) -> tuple[ProblemInstance, float, int]:
             raise InstanceFormatError(rows[pos - 1][0], f"{key} must be >= 1")
         return value
 
+    def checked(check, value):
+        """check(value), a fault in it reported at the line just taken."""
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise InstanceFormatError(rows[pos - 1][0], str(exc)) from None
+
     m = take_dimension("M")
     n = take_dimension("N")
-    sigma_x2 = take_scalar("sigma_x2")
+    sigma_x2 = checked(_checked_sigma_x2, take_scalar("sigma_x2"))
     sigma_w2 = take_scalar("sigma_w2")
     seed = take_scalar("seed", int)
 
@@ -417,6 +450,7 @@ def load_instance(path) -> tuple[ProblemInstance, float, int]:
         gamma0 = np.array([float(t) for t in toks[1:]])
     except ValueError:
         raise InstanceFormatError(ln, "bad numeric value in gamma0")
+    gamma0 = checked(_checked_gamma0, gamma0)
 
     def take_marker(name: str) -> None:
         ln, toks = take()

@@ -7,8 +7,6 @@ from csamp.amp import AmpConfig, amp_recover, camp_recover, lambda_heuristic, so
 from csamp.experiments import trial_rng
 from csamp.model import ComplexVector, RecoveryError, RecoverySettings, make_instance, nmse
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestSoftThreshold:
     def test_basic_values(self):

@@ -14,8 +14,6 @@ from csamp.model import (
     nmse,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestBampRecover:
     def test_zero_measurement_fixed_point(self):

@@ -15,8 +15,6 @@ from csamp.model import (
     nmse,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestLikelihoodUpdate:
     def test_reference_value(self):

