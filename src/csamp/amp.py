@@ -1,8 +1,11 @@
 """The AMP loop shared by every solver, and the soft-thresholding baseline.
 
-_iterate runs AMP on a batch of problems (A_t, y_t) that share (M, N) and
-the prior: the live rows of all of them, one per (trial, part), form one
-stacked (R, N) state, the trials with two live rows ahead of those with one.
+_iterate runs AMP on a batch of problems (A_t, y_t) that share (M, N): the
+live rows of all of them, one per (trial, part), form one stacked (R, N)
+state, the trials with two live rows ahead of those with one.  Each
+problem keeps its own denoiser constants (amp's lambda, a prior's s2 and
+log-odds), held as one row per state row: a column when they are scalars,
+which gives the bits of the scalar in every elementwise operation.
 Each iteration makes one stacked matmul per live-row count r (1 or 2): the
 Z rows of the T trials with r live rows, as a (T, r, M) view, times those
 trials' A stacked (T, M, N), and the same with X and A.T.  numpy runs each
@@ -13,9 +16,10 @@ Everything else runs once over all rows:
 
     U = X + A^T Z,    X' = eta(U; beta),    Z' = Y - A X' + (sum eta'(U) / M) Z,
 
-with beta = |z|^2 / M per row.  The denoiser returns X', the summed
-derivative and the terms of its step that an optional hook reuses to add a
-term to Z' (cbossamp's likelihood exchange, bossamp.py).  Without a hook
+with beta = |z|^2 / M per row and eta's constants those of each row's
+problem.  The denoiser returns X', the summed derivative and the terms of
+its step that an optional hook reuses to add a term to Z' (cbossamp's
+likelihood exchange, bossamp.py).  Without a hook
 each row stops on its own rule, converged when |Z' - Z|^2 <= eps_tol |Z|^2
 and diverged when |Z'|^2 exceeds divergence_factor |Y|^2.  With the hook the
 rule is joint per trial: both parts stop when their summed relative change
@@ -85,6 +89,13 @@ def lambda_heuristic(k: int) -> float:
     return 2.678 * float(k) ** -0.181
 
 
+def _rows(values):
+    """Per-problem constants (each a scalar or a length-N vector) stacked one
+    row per problem: (P, 1) if all are scalars, else (P, N)."""
+    shape = max((np.shape(v) for v in values), key=len) or (1,)
+    return np.stack([np.broadcast_to(v, shape) for v in values])
+
+
 def _sq_norms(v):
     """|v|^2 of a vector, or of each part of a stacked state."""
     return np.einsum("...i,...i->...", v, v)
@@ -138,19 +149,27 @@ class _StackedA:
         return out
 
 
+def _take(consts, index):
+    """The rows index of each entry of consts (None stays None)."""
+    return [None if c is None else c[index] for c in consts]
+
+
 def _iterate(problems, denoise, settings: RecoverySettings, beta_floor: float,
-             hook=None) -> list:
+             consts=(), hook=None) -> list:
     """AMP on the rows of every (A, Y) of problems (module docstring); per
     problem, one AmpPartResult per row of its Y or the RecoveryError of a
     non-finite iterate.  The problems share (M, N).
 
-    denoise(U, beta) -> (X, summed derivative per row, *terms), beta holding
-    the rows' noise variances.  hook(U, beta, X, terms, Z) returns the term
-    added to the new residual, Z being the one that formed U, and selects the
-    joint rule over each problem's (re, im) pair of rows; hook.gamma(j) is
-    stopping row j's working gamma, and hook.keep(index) takes its rows to
-    the loop's new order, index holding the old row of each new one (the
-    joint rule stops pairs, so it keeps their order).  Without a hook the
+    denoise(U, beta, *consts) -> (X, summed derivative per row, *terms),
+    beta holding the rows' noise variances and consts the denoiser's
+    constants of the rows' problems: each entry of consts holds one row per
+    problem (or is None), and the loop repeats it for each of the problem's
+    rows and keeps it in the rows' order.  hook(U, beta, X, terms, Z)
+    returns the term added to the new residual, Z being the one that formed
+    U, and selects the joint rule over each problem's (re, im) pair of rows;
+    hook.gamma(j) is stopping row j's working gamma, and hook.keep(index)
+    takes its rows to the loop's new order, index holding the old row of
+    each new one (the joint rule stops pairs, so it keeps their order).  Without a hook the
     denoiser must treat all rows alike, because rows are dropped and
     reordered.
     """
@@ -161,13 +180,14 @@ def _iterate(problems, denoise, settings: RecoverySettings, beta_floor: float,
     rows = [(trial, part) for trial, (_, Yt) in enumerate(problems)
             for part in range(len(Yt))]
     stacked = _StackedA(problems, rows)
+    consts = _take(consts, [trial for trial, _ in rows])
     results: list = [[None] * len(Yt) for _, Yt in problems]
     X, Z, energy = np.zeros((len(Y), n)), Y.copy(), _sq_norms(Y)
     limit = settings.divergence_factor * energy
     for t in range(1, settings.t_max + 1):
         beta = np.maximum(energy / m, beta_floor)
         U = X + stacked.times(Z)
-        X, deriv_sum, *terms = denoise(U, beta)
+        X, deriv_sum, *terms = denoise(U, beta, *consts)
         Z_new = Y - stacked.times(X, transpose=True) + (deriv_sum / m)[:, None] * Z
         if hook is not None:
             Z_new += hook(U, beta, X, terms, Z)
@@ -208,7 +228,7 @@ def _iterate(problems, denoise, settings: RecoverySettings, beta_floor: float,
             break
         keep = _keep(rows, ~stop)
         X, Z, Y = X[keep], Z[keep], Y[keep]
-        energy, limit = energy[keep], limit[keep]
+        energy, limit, consts = energy[keep], limit[keep], _take(consts, keep)
         rows = [rows[j] for j in keep]
         stacked.update(rows)
         if hook is not None:
@@ -225,22 +245,26 @@ def _stack(A, *parts):
     return A, Y
 
 
-def _solve(problems, denoise, settings: RecoverySettings, beta_floor: float, hook=None,
-           gamma0=None, answer=lambda Y: None) -> list:
+def _solve(problems, denoise, settings: RecoverySettings, beta_floor: float, consts=(),
+           hook=None, gamma0s=None, answer=lambda j, Y: None) -> list:
     """Per (A, y) of problems, its RecoveryOutput or the RecoveryError of its
-    non-finite iterate; gamma0, if given, is echoed as both working gammas,
-    and a problem that answer(Y) answers (not None) skips the loop."""
+    non-finite iterate.  consts are the denoiser's per-problem constants, one
+    row per problem each (_iterate); gamma0s, if given, holds per problem the
+    gamma echoed as both working gammas; a problem j that answer(j, Y)
+    answers (not None) skips the loop."""
     stacked = [_stack(A, y.re, y.im) for A, y in problems]
-    answers = [answer(Y) for _, Y in stacked]
-    live = [problem for problem, out in zip(stacked, answers) if out is None]
-    solved = iter(_iterate(live, denoise, settings, beta_floor, hook) if live else [])
+    answers = [answer(j, Y) for j, (_, Y) in enumerate(stacked)]
+    live = [j for j, out in enumerate(answers) if out is None]
+    solved = iter(_iterate([stacked[j] for j in live], denoise, settings, beta_floor,
+                           _take(consts, live), hook) if live else [])
     outputs = []
-    for out in answers:
+    for j, out in enumerate(answers):
         if out is None:
             out = next(solved)
         if isinstance(out, list):  # a solve's (re, im) results
             r, i = out
-            gammas = (r.gamma, i.gamma) if gamma0 is None else (gamma0.copy(), gamma0.copy())
+            gammas = ((r.gamma, i.gamma) if gamma0s is None
+                      else (gamma0s[j].copy(), gamma0s[j].copy()))
             out = RecoveryOutput(
                 x_hat=combine(r.x_hat, i.x_hat), u_r=r.u, u_i=i.u, beta_r=r.beta,
                 beta_i=i.beta, gamma_r=gammas[0], gamma_i=gammas[1],
@@ -258,25 +282,28 @@ def _single(results):
     return result
 
 
-def _soft_denoiser(lam: float):
-    def soft(u, beta):
-        x = _shrink(u, lam * np.sqrt(beta)[..., None])
-        return x, (x != 0.0).sum(axis=-1), None
-    return soft
+def _soft(u, beta, lam):
+    """The loop's soft-thresholding denoiser at each row's multiplier lam."""
+    x = _shrink(u, lam * np.sqrt(beta)[..., None])
+    return x, (x != 0.0).sum(axis=-1), None
 
 
 def amp_recover(A: np.ndarray, y_part: np.ndarray, cfg: AmpConfig) -> AmpPartResult:
     """Soft-thresholding AMP on one real part."""
-    return _single(_iterate([_stack(A, y_part)], _soft_denoiser(cfg.lam), cfg.settings,
-                            0.0))[0]
+    return _single(_iterate([_stack(A, y_part)], _soft, cfg.settings, 0.0,
+                            (_rows([cfg.lam]),)))[0]
 
 
-def _camp_batch(problems, cfg: AmpConfig) -> list:
-    """camp_recover on each (A, y) of problems, in one loop: a RecoveryOutput
-    per problem, or the RecoveryError of one whose iterate went non-finite."""
-    return _solve(problems, _soft_denoiser(cfg.lam), cfg.settings, 0.0)
+def _camp_batch(problems, lams, settings: RecoverySettings) -> list:
+    """camp_recover on each (A, y) of problems at its threshold multiplier
+    lams[j], in one loop: a RecoveryOutput per problem, or the RecoveryError
+    of one whose iterate went non-finite."""
+    lams = _rows(lams)
+    if not (lams > 0.0).all():
+        raise ValueError("lambda must be positive")
+    return _solve(problems, _soft, settings, 0.0, (lams,))
 
 
 def camp_recover(A: np.ndarray, y: ComplexVector, cfg: AmpConfig) -> RecoveryOutput:
     """AMP on the real and imaginary parts, each stopping on its own rule."""
-    return _single(_camp_batch([(A, y)], cfg))
+    return _single(_camp_batch([(A, y)], [cfg.lam], cfg.settings))

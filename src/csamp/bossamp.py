@@ -37,10 +37,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from .amp import _single, _solve, _sq_norms
-from .bamp import _mmse, cbamp_recover
-from .denoiser import (DenoiserParams, _activity_log_odds, _check_finite, _endpoint_masks,
-                       _prior_log_odds, _uniform)
+from .amp import _rows, _single, _solve, _sq_norms
+from .bamp import _mmse, _prior_rows, cbamp_recover
+from .denoiser import DenoiserParams, _activity_log_odds, _check_finite, _prior_log_odds
 from .model import (BETA_FLOOR, GAMMA_CLAMP, BernoulliGaussianPrior, ComplexVector,
                     RecoveryOutput, RecoverySettings)
 
@@ -73,38 +72,44 @@ def _swap(a):
 
 class _Exchange:
     """The likelihood exchange: the loop's hook over the (re, im) row pairs
-    of a batch, and the denoiser at the working log-odds it installs
-    (starting at the prior)."""
+    of a batch, and the denoiser at the working log-odds it installs (each
+    row's prior log-odds, with its endpoint masks, until the first step
+    installs them)."""
 
-    def __init__(self, gamma0, prior: BernoulliGaussianPrior, settings: RecoverySettings):
-        self.s2 = prior.s2
-        self.like_s2 = prior.s2 if settings.part_variance == "half" else prior.sigma_x2
+    def __init__(self, settings: RecoverySettings):
         self.cross = settings.likelihood_variant == "printed-cross-beta"
         self.clamp = settings.gamma_clamp
         self.bounds = _prior_log_odds(np.array([1.0 - self.clamp, self.clamp]), self.clamp)
-        self.log_prior_odds = _prior_log_odds(_uniform(gamma0), self.clamp)
-        self.log_odds, self.masks = self.log_prior_odds, _endpoint_masks(gamma0)
+        self.log_odds = None  # the installed log-odds, once the first step sets them
         self.a = None  # each row's own activity log-odds, once the first step sets it
         self.memory = None  # (w, z'); the prior gamma depends on no data
 
-    def denoise(self, u, beta):
-        return _mmse(u, beta, self.s2, self.log_odds, *self.masks)
+    def denoise(self, u, beta, s2, log_prior_odds, slab, spike, like_s2):
+        """_mmse's terms at the working log-odds, then the rows' prior
+        log-odds and likelihood slab variance (_exchange_rows) for the
+        exchange of this step."""
+        if self.log_odds is None:
+            terms = _mmse(u, beta, s2, log_prior_odds, slab, spike)
+        else:
+            terms = _mmse(u, beta, s2, self.log_odds)
+        return *terms, log_prior_odds, like_s2
 
     def __call__(self, u, beta, x, terms, z):
         """The memory term b z' of this step; then each part's likelihood
         sets the other part's log-odds, and w = u s/(beta (beta + s)) and the
         residual z that formed u are kept for the other part's next term.
-        terms = (pi, u^2, 1 - pi) of the denoiser's step."""
-        _, uu, q = terms
+        terms = (pi, u^2, 1 - pi, prior log-odds, likelihood slab variance)
+        of the denoiser's step."""
+        _, uu, q, log_prior_odds, like_s2 = terms
         term = 0.0
         if self.memory is not None:
             w, z_prev = self.memory  # x (1 - pi) w = g pi (1 - pi) u w
             b = (x * q * w).sum(axis=1) / z.shape[1]
             term = (b.reshape(-1, 2, 1) * _swap(z_prev)).reshape(z.shape)
         beta_l = (_swap(beta).reshape(-1) if self.cross else beta)[:, None]
-        self.a, _, slope = _activity_log_odds(uu, beta_l, self.like_s2, self.log_prior_odds)
+        self.a, _, slope = _activity_log_odds(uu, beta_l, like_s2, log_prior_odds)
         # the other part's -l, clamped as its gamma is: no endpoint priors
-        self.log_odds, self.masks = np.clip(_swap(self.a), *self.bounds).reshape(u.shape), ()
+        self.log_odds = np.clip(_swap(self.a), *self.bounds).reshape(u.shape)
         self.memory = ((_swap(u) * _swap(slope)).reshape(u.shape), z)
         return term
 
@@ -130,15 +135,24 @@ def _no_data(Y, gamma0, settings: RecoverySettings) -> RecoveryOutput | None:
                           settings.beta_floor, gamma0.copy(), gamma0.copy(), 1, True)
 
 
-def _cbossamp_batch(problems, prior: BernoulliGaussianPrior,
-                    settings: RecoverySettings) -> list:
-    """cbossamp_recover on each (A, y) of problems, in one loop: a
-    RecoveryOutput per problem, or the RecoveryError of one whose iterate
-    went non-finite.  A problem without data is answered before the loop."""
-    gamma0 = prior.gamma0_vector(np.shape(problems[0][0])[-1])
-    ex = _Exchange(gamma0, prior, settings)
-    return _solve(problems, ex.denoise, settings, settings.beta_floor, hook=ex,
-                  answer=lambda Y: _no_data(Y, gamma0, settings))
+def _exchange_rows(problems, priors, settings: RecoverySettings):
+    """bamp._prior_rows, the slab variance of the likelihood added to the
+    constants."""
+    gamma0s, consts = _prior_rows(problems, priors, settings.gamma_clamp)
+    like_s2 = consts[0] if settings.part_variance == "half" else _rows(
+        [prior.sigma_x2 for prior in priors])
+    return gamma0s, (*consts, like_s2)
+
+
+def _cbossamp_batch(problems, priors, settings: RecoverySettings) -> list:
+    """cbossamp_recover on each (A, y) of problems under its prior priors[j],
+    in one loop: a RecoveryOutput per problem, or the RecoveryError of one
+    whose iterate went non-finite.  A problem without data is answered
+    before the loop."""
+    gamma0s, consts = _exchange_rows(problems, priors, settings)
+    ex = _Exchange(settings)
+    return _solve(problems, ex.denoise, settings, settings.beta_floor, consts, hook=ex,
+                  answer=lambda j, Y: _no_data(Y, gamma0s[j], settings))
 
 
 def cbossamp_recover(
@@ -160,4 +174,4 @@ def cbossamp_recover(
     """
     if not exchange:
         return cbamp_recover(A, y, prior, settings)
-    return _single(_cbossamp_batch([(A, y)], prior, settings))
+    return _single(_cbossamp_batch([(A, y)], [prior], settings))

@@ -24,8 +24,9 @@ from .experiments import (
     KNOWN_ALGORITHMS,
     KNOWN_DETECTORS,
     GridConfig,
+    _chunks,
     _fmt,
-    _trial_chunks,
+    _solve_draws,
     detect_support,
     extract_contour,
     run_algorithm,
@@ -89,11 +90,11 @@ def oracle_validation_rows(trials=200, seed=0, n=10, m=6, k=2, snr_db=20.0,
                            algorithms=KNOWN_ALGORITHMS):
     """Mean per-part MSE of each algorithm against the enumeration oracle.
 
-    The trials run through the sweeps' trial loop as cell 0 (trial j drawn
-    from trial_rng(seed, 0, j)), each algorithm solving them in one batched
-    loop, and exact_mmse takes the trials of a chunk, both parts each, in
-    one call (they share the cell's prior).  A solve that fails with
-    RecoveryError raises it.
+    The trials run through the sweeps' trial loop as its one cell, cell 0
+    (trial j drawn from trial_rng(seed, 0, j)), each algorithm solving a
+    chunk in one batched loop, and exact_mmse takes the trials of a chunk,
+    both parts each, in one call (they share the cell's prior).  A solve
+    that fails with RecoveryError raises it.
 
     Returns (rows, violations): one row per (algorithm, part) with the
     paired-mean MSEs, and the list of rows where the algorithm beats the
@@ -106,7 +107,8 @@ def oracle_validation_rows(trials=200, seed=0, n=10, m=6, k=2, snr_db=20.0,
     snr = None if noiseless else 10.0 ** (snr_db / 10.0)
     alg_sums = {(a, p): 0.0 for a in algorithms for p in ("re", "im")}
     oracle_sums = {"re": 0.0, "im": 0.0}
-    for draws, outs in _trial_chunks(cfg, 0, m, k, snr):
+    for chunk in _chunks(cfg, [(0, m, k, snr)]):
+        draws, outs = _solve_draws(cfg, chunk)
         x_stars = exact_mmse(np.stack([inst.A for inst, _ in draws]),
                              np.stack([(inst.y.re, inst.y.im) for inst, _ in draws]),
                              draws[0][0].prior, np.array([s for _, s in draws]) / 2.0)
@@ -289,10 +291,17 @@ def _algorithms_from(opts) -> tuple[str, ...]:
     return algos
 
 
+def _nonnegative(flag: str, value: int) -> int:
+    """value, checked as --flag's (a seed, cell or trial number)."""
+    if value < 0:
+        raise UsageError(f"--{flag} must be nonnegative")
+    return value
+
+
 def cmd_recover(args) -> int:
     opts = _Options(args, "recover")
     settings = _settings_from(opts)
-    seed = opts.get("seed", 0, int)
+    seed = _nonnegative("seed", opts.get("seed", 0, int))
     algo = opts.get("algo", None, str)
     if algo is None:
         raise UsageError("--algo is required")
@@ -308,7 +317,8 @@ def cmd_recover(args) -> int:
         if n is None or m is None or k is None:
             raise UsageError("generation needs --n, --m and --k (or --instance)")
         snr_db = opts.get("snr_db", None, float)
-        cell, trial = opts.get("cell", 0, int), opts.get("trial", 0, int)
+        cell = _nonnegative("cell", opts.get("cell", 0, int))
+        trial = _nonnegative("trial", opts.get("trial", 0, int))
         rng = trial_rng(seed, cell, trial)
         inst, sigma_w2 = make_instance(
             m, n, k, rng,

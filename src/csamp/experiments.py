@@ -1,19 +1,21 @@
 """Monte-Carlo sweep harness: phase transitions, NMSE-vs-SNR curves, contours.
 
-Every sweep runs one trial loop, `_run_cell`: the instance for trial j of
+Every sweep runs one trial loop, `_run_cells`: the instance for trial j of
 cell c is drawn once from SeedSequence((base_seed, c, j)), solved once by
 each algorithm, and each solve is scored by its NMSE and by the requested
-support detectors.  The exact-MMSE oracle check (cli) draws and solves
-through the same `_trial_chunks`.  The loop draws a cell's trials in chunks of consecutive
-trials (as many as fit CHUNK_BYTES of A, at least one), and each algorithm
-solves a chunk in one batched AMP loop (amp.py) that gives every trial the
-bits of its lone solve, so the chunk size changes no result.  Comparisons
-are paired and any worker count reproduces the same bytes.  The public
-runners reduce the loop's tallies to rows; `run_grids` takes the recovery
-and support grids from one pass.  A trial whose iterate goes non-finite
-fails alone, as a RecoveryError, while the rest of its chunk runs on: it
-counts as diverged at t_max iterations, scores NMSE 1 and is never a
-success; it never aborts a sweep.
+support detectors.  The loop's unit is a chunk (`_chunks`): consecutive
+(cell, trial) draws that share M, across the cells of that M, as many as
+fit CHUNK_BYTES of A (at least one).  Each algorithm solves a chunk in one
+batched AMP loop (amp.py) in which every trial keeps its own prior and the
+bits of its lone solve, so the chunking changes no result.  The chunks are
+solved and scored by the workers, and their scores routed back to their
+cells in trial order.  The exact-MMSE oracle check (cli) draws and solves
+through the same chunks.  Comparisons are paired and any worker count
+reproduces the same bytes.  The public runners reduce the loop's tallies
+to rows; `run_grids` takes the recovery and support grids from one pass.
+A trial whose iterate goes non-finite fails alone, as a RecoveryError,
+while the rest of its chunk runs on: it counts as diverged at t_max
+iterations, scores NMSE 1 and is never a success; it never aborts a sweep.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from ._version import __version__
-from .amp import AmpConfig, _camp_batch, _single, lambda_heuristic
+from .amp import _camp_batch, _single, lambda_heuristic
 from .bamp import _cbamp_batch
 from .bossamp import _cbossamp_batch
 from .model import (
@@ -160,21 +162,22 @@ def trial_rng(base_seed: int, cell_index: int, trial: int) -> np.random.Generato
     return np.random.default_rng(np.random.SeedSequence((base_seed, cell_index, trial)))
 
 
-def _solve_chunk(name: str, instances, k: int, settings: RecoverySettings,
+def _solve_chunk(name: str, instances, k, settings: RecoverySettings,
                  lam: float | None = None) -> list:
-    """Solve instances (sharing M, N and the prior) in one loop of the named
-    algorithm: per instance, its RecoveryOutput or the RecoveryError of its
-    non-finite iterate.  AMP's threshold multiplier is lam, or else the
-    heuristic at the true K."""
+    """Solve instances (sharing M and N, each under its own prior) in one
+    loop of the named algorithm: per instance, its RecoveryOutput or the
+    RecoveryError of its non-finite iterate.  k is the true K, one for all
+    instances or one each; AMP's threshold multiplier is lam, or else the
+    heuristic at the instance's K."""
     problems = [(inst.A, inst.y) for inst in instances]
     if name == "amp":
-        if lam is None:
-            lam = lambda_heuristic(max(k, 1))
-        return _camp_batch(problems, AmpConfig(lam=lam, settings=settings))
+        return _camp_batch(problems, [lambda_heuristic(max(int(kj), 1)) if lam is None else lam
+                                      for kj in np.broadcast_to(k, len(instances))], settings)
+    priors = [inst.prior for inst in instances]
     if name == "cbamp":
-        return _cbamp_batch(problems, instances[0].prior, settings)
+        return _cbamp_batch(problems, priors, settings)
     if name == "cbossamp":
-        return _cbossamp_batch(problems, instances[0].prior, settings)
+        return _cbossamp_batch(problems, priors, settings)
     raise ValueError(f"unknown algorithm {name!r}")
 
 
@@ -224,7 +227,7 @@ def _grid_meta(cfg: GridConfig, kind: str) -> dict:
     return meta
 
 
-def _map_cells(worker, tasks, workers: int):
+def _map_chunks(worker, tasks, workers: int):
     if workers > 1:
         with Pool(processes=workers) as pool:
             return pool.map(worker, tasks, chunksize=1)
@@ -244,56 +247,85 @@ class _Tally:
     diverged: int = 0
     exact: dict = field(default_factory=dict)
 
-
-def _trial_chunks(cfg: GridConfig, index: int, m: int, k: int, snr):
-    """The trial loop's draws and solves: per chunk of consecutive trials of
-    cell `index` (M=m, K=k, linear SNR snr, None: noiseless), the drawn
-    (instance, sigma_w2) pairs and {algorithm: the chunk's outputs}."""
-    chunk = max(1, CHUNK_BYTES // (8 * m * cfg.n))
-    for first in range(0, cfg.trials, chunk):
-        draws = [make_instance(
-            m, cfg.n, k, trial_rng(cfg.base_seed, index, j),
-            sigma_x2=cfg.sigma_x2, snr=snr, noiseless=snr is None,
-        ) for j in range(first, min(first + chunk, cfg.trials))]
-        instances = [inst for inst, _ in draws]
-        yield draws, {algo: _solve_chunk(algo, instances, k, cfg.settings)
-                      for algo in cfg.algorithms}
+    def add(self, score, iterations: int, diverged: bool, matched) -> None:
+        """Book one trial as _score reports it."""
+        self.scores.append(score)
+        self.iterations += iterations
+        self.diverged += diverged
+        for detector in matched:
+            self.exact[detector] += 1
 
 
-def _run_cell(task) -> dict:
-    """The trial loop.  task = (cfg, index, m, k, snr, pairs): cell `index`
-    of a sweep with settings cfg, M=m, K=k, linear SNR snr (None: noiseless)
-    and the (algorithm, detector) pairs to score.  Scores every solve of
-    _trial_chunks; returns {algorithm: _Tally}."""
-    cfg, index, m, k, snr, pairs = task
-    tallies = {algo: _Tally() for algo in cfg.algorithms}
-    for algo, detector in pairs:
-        tallies[algo].exact[detector] = 0
-    for draws, outs in _trial_chunks(cfg, index, m, k, snr):
-        for algo, tally in tallies.items():
-            for (inst, _), out in zip(draws, outs[algo]):
-                _score(tally, inst, out, cfg.settings)
-    return tallies
+def _chunks(cfg: GridConfig, cells):
+    """The trial loop's chunks: runs of consecutive (cell, trial) draws that
+    share M, each as many as fit CHUNK_BYTES of A, CHUNK_BYTES // (8 M N)
+    (at least one).  cells holds (index, m, k, snr) per cell in order, snr
+    the linear SNR (None: noiseless); a draw is (index, m, k, snr, trial)."""
+    chunk: list = []
+    for index, m, k, snr in cells:
+        size = max(1, CHUNK_BYTES // (8 * m * cfg.n))
+        for trial in range(cfg.trials):
+            if chunk and (len(chunk) >= size or chunk[-1][1] != m):
+                yield chunk
+                chunk = []
+            chunk.append((index, m, k, snr, trial))
+    if chunk:
+        yield chunk
 
 
-def _score(tally: _Tally, inst: ProblemInstance, out, settings: RecoverySettings) -> None:
-    """Book one trial's solve, out, in tally: a RecoveryError counts as
-    diverged at t_max iterations, with score None."""
+def _solve_draws(cfg: GridConfig, chunk):
+    """Draw a chunk's instances (trial j of cell c from trial_rng(base_seed,
+    c, j)) and solve them: the (instance, sigma_w2) pairs and {algorithm:
+    the chunk's outputs}."""
+    draws = [make_instance(m, cfg.n, k, trial_rng(cfg.base_seed, index, trial),
+                           sigma_x2=cfg.sigma_x2, snr=snr, noiseless=snr is None)
+             for index, m, k, snr, trial in chunk]
+    instances = [inst for inst, _ in draws]
+    ks = [k for _, _, k, _, _ in chunk]
+    return draws, {algo: _solve_chunk(algo, instances, ks, cfg.settings)
+                   for algo in cfg.algorithms}
+
+
+def _score_chunk(task) -> list:
+    """The trial loop's worker.  task = (cfg, chunk, detectors): the
+    settings, a chunk of _chunks and the detectors to score per algorithm.
+    Per draw, {algorithm: _score of its solve}."""
+    cfg, chunk, detectors = task
+    draws, outs = _solve_draws(cfg, chunk)
+    return [{algo: _score(inst, outs[algo][j], cfg.settings, detectors[algo])
+             for algo in cfg.algorithms} for j, (inst, _) in enumerate(draws)]
+
+
+def _score(inst: ProblemInstance, out, settings: RecoverySettings, detectors) -> tuple:
+    """One trial's solve, out, as (score, iterations, diverged, the detectors
+    that match the support exactly): a RecoveryError counts as diverged at
+    t_max iterations, with score None."""
     if isinstance(out, RecoveryError):
-        tally.scores.append(None)
-        tally.iterations += settings.t_max
-        tally.diverged += 1
-        return
+        return None, settings.t_max, True, ()
     # NMSE, or the estimate's energy where the truth is all zero
     zero = inst.x_true.norm_sq() == 0.0
-    tally.scores.append(out.x_hat.norm_sq() if zero else nmse(out.x_hat, inst.x_true))
-    tally.iterations += out.iterations
-    if out.diverged:
-        tally.diverged += 1
-    for detector in tally.exact:
-        est = detect_support(detector, out, inst.prior)
-        if support_metrics(inst.x_true, est).exact_match:
-            tally.exact[detector] += 1
+    score = out.x_hat.norm_sq() if zero else nmse(out.x_hat, inst.x_true)
+    matched = tuple(d for d in detectors if support_metrics(
+        inst.x_true, detect_support(d, out, inst.prior)).exact_match)
+    return score, out.iterations, out.diverged, matched
+
+
+def _run_cells(cfg: GridConfig, cells, pairs=()) -> list:
+    """The trial loop over cells ((index, m, k, snr) each, as _chunks takes
+    them), scoring the (algorithm, detector) pairs: per cell, {algorithm:
+    _Tally} of its trials in trial order."""
+    detectors = {algo: tuple(dict.fromkeys(d for a, d in pairs if a == algo))
+                 for algo in cfg.algorithms}
+    tallies = {index: {algo: _Tally(exact=dict.fromkeys(detectors[algo], 0))
+                       for algo in cfg.algorithms} for index, *_ in cells}
+    chunks = list(_chunks(cfg, cells))
+    scored = _map_chunks(_score_chunk, [(cfg, chunk, detectors) for chunk in chunks],
+                         cfg.workers)
+    for chunk, scores in zip(chunks, scored):
+        for (index, *_), by_algo in zip(chunk, scores):
+            for algo, score in by_algo.items():
+                tallies[index][algo].add(*score)
+    return [tallies[index] for index, *_ in cells]
 
 
 # --- recovery and support-detection phase transitions -----------------------
@@ -326,8 +358,8 @@ def _grid_pass(cfg: GridConfig, pairs=()) -> list:
     ratios = list(product(cfg.m_ratios, cfg.k_ratios))
     dims = [cfg.cell_dims(mr, kr) for mr, kr in ratios]
     snr = None if cfg.noiseless else cfg.snr
-    tasks = [(cfg, idx, m, k, snr, pairs) for idx, (m, k) in enumerate(dims)]
-    return list(zip(ratios, dims, _map_cells(_run_cell, tasks, cfg.workers)))
+    cells = [(idx, m, k, snr) for idx, (m, k) in enumerate(dims)]
+    return list(zip(ratios, dims, _run_cells(cfg, cells, pairs)))
 
 
 def _grid_result(cfg: GridConfig, kind: str, labels, passes) -> SweepResult:
@@ -417,10 +449,9 @@ def run_nmse_sweep(
                      algorithms=tuple(algorithms), sigma_x2=sigma_x2,
                      settings=settings, workers=workers)
     points = [(int(m), float(snr_db)) for m, snr_db in product(m_list, snr_db_list)]
-    tasks = [(cfg, idx, m, k, 10.0 ** (snr_db / 10.0), ())
-             for idx, (m, snr_db) in enumerate(points)]
+    cells = [(idx, m, k, 10.0 ** (snr_db / 10.0)) for idx, (m, snr_db) in enumerate(points)]
     rows = []
-    for (m, snr_db), tallies in zip(points, _map_cells(_run_cell, tasks, workers)):
+    for (m, snr_db), tallies in zip(points, _run_cells(cfg, cells)):
         for algo in cfg.algorithms:
             tally = tallies[algo]
             v = np.array([1.0 if s is None else s for s in tally.scores])

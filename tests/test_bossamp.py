@@ -3,7 +3,8 @@ import pytest
 
 from csamp.amp import _iterate, _stack
 from csamp.bamp import cbamp_recover
-from csamp.bossamp import _Exchange, cbossamp_recover, likelihood_update, prior_update
+from csamp.bossamp import (_Exchange, _exchange_rows, cbossamp_recover, likelihood_update,
+                           prior_update)
 from csamp.denoiser import DenoiserParams, _prior_log_odds, denoise_terms
 from csamp.experiments import _solve_chunk, trial_rng
 from csamp.model import (
@@ -118,10 +119,10 @@ class TestExchange:
         # g = prior_update(l), and equal to it where the clamp binds
         settings = RecoverySettings(t_max=t_max, gamma_clamp=clamp)
         instances = [make_instance(40, 80, 8, trial_rng(12, 0, j))[0] for j in range(3)]
-        prior = instances[0].prior
-        ex = _Exchange(prior.gamma0_vector(80), prior, settings)
-        _iterate([_stack(inst.A, inst.y.re, inst.y.im) for inst in instances], ex.denoise,
-                 settings, settings.beta_floor, hook=ex)
+        problems = [_stack(inst.A, inst.y.re, inst.y.im) for inst in instances]
+        _, consts = _exchange_rows(problems, [inst.prior for inst in instances], settings)
+        ex = _Exchange(settings)
+        _iterate(problems, ex.denoise, settings, settings.beta_floor, consts, hook=ex)
         round_trip = _prior_log_odds(prior_update(-ex.a, clamp), clamp)
         round_trip = round_trip.reshape(-1, 2, 80)[:, ::-1].reshape(ex.a.shape)
         lo, hi = _prior_log_odds(np.array([1.0 - clamp, clamp]), clamp)

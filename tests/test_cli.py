@@ -157,7 +157,8 @@ class TestRecover:
         inst, sigma_w2, seed = load_instance(saved)
         # trial 2 of cell 4, as the sweep's trial loop draws it
         cfg = GridConfig(n=32, trials=3, base_seed=5, algorithms=())
-        (draws, _), = experiments._trial_chunks(cfg, 4, 16, 3, None)
+        (chunk,) = experiments._chunks(cfg, [(4, 16, 3, None)])
+        draws, _ = experiments._solve_draws(cfg, chunk)
         drawn, drawn_sigma_w2 = draws[2]
         assert seed == 5 and sigma_w2 == drawn_sigma_w2
         for name in ("x_true", "w", "y"):
@@ -165,6 +166,15 @@ class TestRecover:
                 assert np.array_equal(getattr(getattr(inst, name), part),
                                       getattr(getattr(drawn, name), part))
         assert np.array_equal(inst.A, drawn.A)
+
+    @pytest.mark.parametrize("flag", ["seed", "cell", "trial"])
+    def test_negative_draw_number_names_its_flag(self, capsys, tmp_path, flag):
+        saved = tmp_path / "inst.txt"
+        code, out, err = run_cli(capsys, "recover", "--n", "16", "--m", "8", "--k", "2",
+                                 "--algo", "cbamp", f"--{flag}", "-1",
+                                 "--save-instance", str(saved))
+        assert code == 1 and out == "" and not saved.exists()
+        assert err == f"error: --{flag} must be nonnegative\n"
 
     def test_cell_and_trial_default_to_zero(self, capsys, tmp_path):
         argv = ("recover", "--n", "48", "--m", "24", "--k", "3", "--algo", "cbamp",

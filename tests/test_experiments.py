@@ -20,7 +20,8 @@ from csamp.experiments import (
     trial_rng,
     write_csv,
 )
-from csamp.model import ComplexVector, RecoveryError, RecoverySettings, make_instance
+from csamp.model import ComplexVector, RecoveryError, RecoverySettings, make_instance, nmse
+from csamp.support import support_metrics
 
 
 def forbidden(*args, **kwargs):
@@ -40,6 +41,21 @@ def solved(monkeypatch):
 
     monkeypatch.setattr(experiments, "_solve_chunk", counting)
     return names
+
+
+@pytest.fixture
+def loops(monkeypatch):
+    """The M of every instance of each batched loop a sweep runs, one list
+    per loop."""
+    calls = []
+    original = experiments._solve_chunk
+
+    def recording(name, instances, *args, **kwargs):
+        calls.append([inst.m for inst in instances])
+        return original(name, instances, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_solve_chunk", recording)
+    return calls
 
 
 def tiny_grid(**overrides) -> GridConfig:
@@ -230,6 +246,18 @@ def chunk_of_trials():
     return instances, (1, 3)
 
 
+def mixed_k_chunk():
+    """Instances of one (M, N) = (24, 64) under different priors: two
+    interior K, K=0 without data (cbossamp answers it before the loop, cbamp
+    runs its spike mask), K=N (the slab mask) and a trial whose solve must
+    fail; their K and the trial numbers of those that fail."""
+    ks = [4, 0, 64, 6, 9]
+    instances = [make_instance(24, 64, k, trial_rng(9, c, 0))[0] for c, k in enumerate(ks)]
+    instances[3] = replace(instances[3], A=1e300 * instances[3].A)  # overflows at t=1
+    assert not instances[1].y.norm_sq()
+    return instances, ks, (3,)
+
+
 class TestChunkedSolves:
     @pytest.mark.parametrize("part_variance", ["half", "full"])
     @pytest.mark.parametrize("variant", ["own-beta", "printed-cross-beta"])
@@ -243,22 +271,27 @@ class TestChunkedSolves:
         gamma0, s2 = first.prior.gamma0[0], first.prior.s2
         assert (bamp_recover(first.A, first.y.re, gamma0, s2, settings).iterations
                 != bamp_recover(first.A, first.y.im, gamma0, s2, settings).iterations)
+        # one chunk of one prior, and one whose trials each have their own
+        inputs = [(instances, [6] * len(instances), failing), mixed_k_chunk()]
         with np.errstate(over="ignore", invalid="ignore"):
-            chunk = experiments._solve_chunk(algo, instances, 6, settings)
-            for j, (inst, out) in enumerate(zip(instances, chunk)):
-                if j in failing:
-                    assert isinstance(out, RecoveryError)
-                    with pytest.raises(RecoveryError):
-                        experiments.run_algorithm(algo, inst, 6, settings)
-                    continue
-                alone = experiments.run_algorithm(algo, inst, 6, settings)
-                for part in ("re", "im"):
-                    assert np.array_equal(getattr(out.x_hat, part), getattr(alone.x_hat, part))
-                for name in ("u_r", "u_i", "gamma_r", "gamma_i"):
-                    assert np.array_equal(getattr(out, name), getattr(alone, name))
-                assert ((out.beta_r, out.beta_i, out.iterations, out.converged, out.diverged)
-                        == (alone.beta_r, alone.beta_i, alone.iterations, alone.converged,
-                            alone.diverged))
+            for instances, ks, failing in inputs:
+                chunk = experiments._solve_chunk(algo, instances, ks, settings)
+                for j, (inst, k, out) in enumerate(zip(instances, ks, chunk)):
+                    if j in failing:
+                        assert isinstance(out, RecoveryError)
+                        with pytest.raises(RecoveryError):
+                            experiments.run_algorithm(algo, inst, k, settings)
+                        continue
+                    alone = experiments.run_algorithm(algo, inst, k, settings)
+                    for part in ("re", "im"):
+                        assert np.array_equal(getattr(out.x_hat, part),
+                                              getattr(alone.x_hat, part))
+                    for name in ("u_r", "u_i", "gamma_r", "gamma_i"):
+                        assert np.array_equal(getattr(out, name), getattr(alone, name))
+                    assert ((out.beta_r, out.beta_i, out.iterations, out.converged,
+                             out.diverged)
+                            == (alone.beta_r, alone.beta_i, alone.iterations, alone.converged,
+                                alone.diverged))
 
     @pytest.mark.parametrize("algo", ["amp", "cbamp"])
     def test_one_and_two_live_rows_side_by_side_keep_lone_bits(self, monkeypatch, algo):
@@ -319,6 +352,102 @@ class TestChunkedSolves:
                 result.to_csv(path)
                 files.setdefault(result.kind, []).append(path.read_bytes())
         assert all(small == large for small, large in files.values())
+
+
+def per_cell_reference(cfg: GridConfig, cells, pairs=()) -> dict:
+    """Per (cell index, algorithm): every trial drawn from trial_rng(seed,
+    cell, j), solved alone by run_algorithm and scored in trial order, as
+    (scores, summed iterations, diverged, {detector: exact matches})."""
+    out = {}
+    for index, m, k, snr in cells:
+        draws = [make_instance(m, cfg.n, k, trial_rng(cfg.base_seed, index, j),
+                               snr=snr, noiseless=snr is None)[0] for j in range(cfg.trials)]
+        for algo in cfg.algorithms:
+            scores, iterations, diverged = [], 0, 0
+            exact = {d: 0 for a, d in pairs if a == algo}
+            for inst in draws:
+                try:
+                    res = experiments.run_algorithm(algo, inst, k, cfg.settings)
+                except RecoveryError:
+                    scores.append(None)
+                    iterations, diverged = iterations + cfg.settings.t_max, diverged + 1
+                    continue
+                scores.append(nmse(res.x_hat, inst.x_true))
+                iterations, diverged = iterations + res.iterations, diverged + res.diverged
+                for d in exact:
+                    estimate = experiments.detect_support(d, res, inst.prior)
+                    exact[d] += support_metrics(inst.x_true, estimate).exact_match
+            out[index, algo] = scores, iterations, diverged, exact
+    return out
+
+
+class TestChunksSpanCells:
+    # M = 14, 29, 43 at N = 48: 4, 2 and 1 draws per chunk
+    BUDGET = 8 * 48 * 29 * 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_rows_equal_per_cell_reference(self, monkeypatch, workers):
+        monkeypatch.setattr(experiments, "CHUNK_BYTES", self.BUDGET)
+        cfg = tiny_grid(workers=workers)
+        ratios = [(mr, kr) for mr in cfg.m_ratios for kr in cfg.k_ratios]
+        cells = [(c, *cfg.cell_dims(mr, kr), None) for c, (mr, kr) in enumerate(ratios)]
+        chunks = list(experiments._chunks(cfg, cells))
+        assert max(len({draw[0] for draw in chunk}) for chunk in chunks) == 2
+        assert [len(chunk) for chunk in chunks[:5]] == [4, 2, 2, 2, 2]
+        recovery, support = run_grids(cfg)
+        pairs = experiments.DEFAULT_DETECTOR_CONFIGS
+        reference = per_cell_reference(cfg, cells, pairs)
+        rows = iter(recovery.rows)
+        for c, _, _, _ in cells:
+            for algo in cfg.algorithms:
+                scores, iterations, diverged, _ = reference[c, algo]
+                successes = sum(s is not None and s < cfg.success_threshold for s in scores)
+                row = next(rows)
+                assert row[4] == algo
+                assert (row[6], row[8], row[9]) == (successes, iterations / cfg.trials, diverged)
+        rows = iter(support.rows)
+        for c, _, _, _ in cells:
+            for algo, detector in pairs:
+                _, iterations, diverged, exact = reference[c, algo]
+                row = next(rows)
+                assert row[4:6] == (algo, detector)
+                assert (row[7], row[9], row[10]) == (exact[detector], iterations / cfg.trials,
+                                                     diverged)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nmse_rows_equal_per_cell_reference(self, monkeypatch, workers):
+        monkeypatch.setattr(experiments, "CHUNK_BYTES", self.BUDGET)
+        m_list, snr_db_list = [14, 29, 14], [10.0, 30.0]
+        settings = RecoverySettings(t_max=40)
+        res = run_nmse_sweep(n=48, k=4, m_list=m_list, snr_db_list=snr_db_list, trials=3,
+                             base_seed=3, settings=settings, workers=workers)
+        cfg = GridConfig(n=48, trials=3, base_seed=3, settings=settings)
+        cells = [(c, m, 4, 10.0 ** (snr_db / 10.0))
+                 for c, (m, snr_db) in enumerate((m, s) for m in m_list for s in snr_db_list)]
+        reference = per_cell_reference(cfg, cells)
+        rows = iter(res.rows)
+        for c, m, _, _ in cells:
+            for algo in cfg.algorithms:
+                scores, iterations, diverged, _ = reference[c, algo]
+                v = np.array([1.0 if s is None else s for s in scores])
+                row = next(rows)
+                assert row[0] == m and row[2] == algo
+                assert row[4:8] == (float(v.mean()), float(np.median(v)),
+                                    iterations / cfg.trials, diverged)
+
+    def test_no_loop_exceeds_the_budget_or_mixes_m(self, loops):
+        # the default budget: 13 draws per loop at M=38, 6 at M=77 (N=256)
+        cfg = GridConfig(n=256, m_ratios=(0.15, 0.3), k_ratios=(0.2, 0.55), trials=4,
+                         base_seed=1, settings=RecoverySettings(t_max=10))
+        run_grids(cfg)
+        run_nmse_sweep(n=256, k=20, m_list=[77, 38], snr_db_list=[10.0, 20.0], trials=4,
+                       base_seed=1, settings=cfg.settings)
+        assert loops
+        for ms in loops:
+            assert len(set(ms)) == 1
+            assert len(ms) <= max(1, experiments.CHUNK_BYTES // (8 * ms[0] * cfg.n))
+        # the cells' 8 draws of M=38 share a loop; the budget splits M=77's
+        assert sorted({(ms[0], len(ms)) for ms in loops}) == [(38, 8), (77, 2), (77, 6)]
 
 
 class TestNmseSweep:
