@@ -11,13 +11,15 @@ pi).  They run the same kernel as the solver loop, _posterior_terms, which
 takes its per-gamma constants precomputed, so the loop validates once per
 solve, and hands u^2 and 1 - pi on to the exchange.  denoise_numeric
 re-derives the same quantity by adaptive quadrature and exists purely to
-validate them; its conditional-mean integral reuses the evidence integral's
-integrand values at the nodes the two share.  exact_mmse is the full-vector
-oracle: the exact posterior mean over all 2^N supports, feasible only for
-small N, of one real part, of parts stacked as rows, or of trials stacked
-on a leading axis.  One call enumerates the supports once; per support size
-it makes one batched slogdet and one batched solve for a group of trials,
-and every row keeps the bits of a one-part call.
+validate them.  Its two integrals depend on (u, beta, s2) only, so one pair
+serves a whole vector of gammas, and its conditional-mean integral reuses
+the evidence integral's integrand values at the nodes the two share.
+exact_mmse is the full-vector oracle: the exact posterior mean over all 2^N
+supports, feasible only for small N, of one real part, of parts stacked as
+rows, or of trials stacked on a leading axis.  One call enumerates the
+supports once; per support size it makes one batched slogdet and one
+batched solve for a group of trials, and every row keeps the bits of a
+one-part call.
 """
 
 from __future__ import annotations
@@ -132,21 +134,27 @@ def denoise_deriv(u, p: DenoiserParams):
     return out if out.ndim else float(out)
 
 
-def denoise_numeric(u: float, p: DenoiserParams, rel_tol: float = 1e-12) -> float:
-    """Posterior mean by adaptive quadrature of the continuous branch.
+def denoise_numeric(u: float, p: DenoiserParams, rel_tol: float = 1e-12):
+    """Posterior mean by adaptive quadrature of the continuous branch;
+    elementwise over a vector gamma, scalar u.
 
     Both the numerator integral of x * N(u-x; 0, beta) * N(x; 0, s2) and the
     continuous evidence integral are computed numerically (log-rescaled so
     the integrand peaks near 1); only the spike evidence gamma * N(u; 0, beta)
-    uses a density formula.  Slow; validation only.
+    uses a density formula.  The integrals depend on (u, beta, s2) only, so
+    one pair serves every gamma: gamma just weighs the spike against them.
+    Entries with gamma >= 1 are 0, and no quadrature runs if all are.
+    Slow; validation only.
     """
     u = float(u)
     if not np.isfinite(u):
         raise ValueError("non-finite pseudo-data u")
     beta, s2 = p.beta, p.s2
-    gamma = float(np.asarray(p.gamma))
-    if gamma >= 1.0:
-        return 0.0
+    gamma = np.asarray(p.gamma, dtype=float)
+    out = np.zeros(gamma.shape)
+    live = gamma < 1.0
+    if not live.any():
+        return out if out.ndim else float(out)
 
     total = beta + s2
     mu = u * s2 / total                  # continuous-branch posterior mean
@@ -200,11 +208,13 @@ def denoise_numeric(u: float, p: DenoiserParams, rel_tol: float = 1e-12) -> floa
 
     # spike evidence, rescaled by the same factor as the integrals
     log_spike = -u * u / two_beta - log_norm_beta - log_scale
-    spike = gamma * np.exp(log_spike)
+    g = gamma[live]
+    spike = g * np.exp(log_spike)
 
-    num = (1.0 - gamma) * mean_cont
-    den = spike + (1.0 - gamma) * evidence_cont
-    return float(num / den)
+    num = (1.0 - g) * mean_cont
+    den = spike + (1.0 - g) * evidence_cont
+    out[live] = num / den
+    return out if out.ndim else float(out)
 
 
 def exact_mmse(

@@ -5,16 +5,31 @@ import numpy as np
 import pytest
 
 import csamp.cli as cli
+import csamp.denoiser as denoiser
 import csamp.experiments as experiments
 from csamp.cli import (
     denoiser_validation_rows,
     main,
     oracle_validation_rows,
 )
-from csamp.denoiser import denoise, exact_mmse
+from csamp.denoiser import DenoiserParams, denoise, denoise_numeric, exact_mmse
 from csamp.experiments import GridConfig, read_csv, run_algorithm, trial_rng
 from csamp.model import (LIKELIHOOD_VARIANTS, PART_VARIANCES, RecoveryError,
                          RecoverySettings, load_instance, make_instance, save_instance)
+
+
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """The number of quad calls the quadrature oracle makes, as a one-item list."""
+    count = [0]
+    original = denoiser.quad
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(denoiser, "quad", counting)
+    return count
 
 
 def run_cli(capsys, *argv):
@@ -319,6 +334,25 @@ class TestValidate:
 
         _, max_diff = denoiser_validation_rows(denoise_fn=corrupted)
         assert max_diff > 1e-8
+
+    def test_grid_rows_equal_per_point_reference(self):
+        rows, max_diff = denoiser_validation_rows()
+        reference = []
+        for beta in cli.VALIDATION_BETAS:
+            for gamma in cli.VALIDATION_GAMMAS:
+                params = DenoiserParams(beta=beta, gamma=gamma, s2=cli.VALIDATION_S2)
+                for u in cli.VALIDATION_U_GRID:
+                    closed, numeric = denoise(u, params), denoise_numeric(u, params)
+                    reference.append((u, beta, gamma, closed, numeric, abs(closed - numeric)))
+        assert rows == reference
+        assert max_diff == max(row[5] for row in reference)
+
+    def test_grid_makes_one_quadrature_pair_per_beta_and_u(self, quad_calls):
+        denoiser_validation_rows()
+        assert quad_calls[0] == 400          # two per (beta, u): 4 betas x 50 u
+        quad_calls[0] = 0
+        out = denoise_numeric(0.5, DenoiserParams(beta=0.1, gamma=np.ones(4), s2=0.5))
+        assert quad_calls[0] == 0 and np.all(out == 0.0)
 
     def test_oracle_validation_margins_nonnegative(self):
         rows, violations = oracle_validation_rows(trials=40, seed=1)

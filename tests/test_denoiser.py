@@ -167,6 +167,12 @@ class TestNumericOracle:
         p = DenoiserParams(beta=0.2, gamma=0.4, s2=0.5)
         assert denoise_numeric(0.0, p) == pytest.approx(0.0, abs=1e-12)
 
+    def test_one_component_gamma_vector(self):
+        # the shape BernoulliGaussianPrior.gamma0 has
+        out = denoise_numeric(1.0, DenoiserParams(beta=0.1, gamma=np.array([0.5]), s2=0.5))
+        assert out.shape == (1,)
+        assert out[0] == denoise_numeric(1.0, DenoiserParams(beta=0.1, gamma=0.5, s2=0.5))
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             DenoiserParams(beta=-1.0, gamma=0.5, s2=0.5)
@@ -218,6 +224,18 @@ def test_numeric_oracle_bitwise_equals_two_pass_quadrature(beta, gamma):
     p = DenoiserParams(beta=beta, gamma=gamma, s2=VALIDATION_S2)
     for u in VALIDATION_U_GRID[::7]:
         assert denoise_numeric(u, p) == two_pass_quadrature(u, p)
+
+
+@pytest.mark.parametrize("beta", VALIDATION_BETAS)
+def test_numeric_oracle_gamma_vector_equals_scalar_calls(beta):
+    gammas = VALIDATION_GAMMAS + (0.0, 1.0)
+    every_gamma = DenoiserParams(beta=beta, gamma=np.array(gammas), s2=VALIDATION_S2)
+    for u in VALIDATION_U_GRID:
+        out = denoise_numeric(u, every_gamma)
+        assert out.shape == (len(gammas),)
+        for gamma, value in zip(gammas, out):
+            p = DenoiserParams(beta=beta, gamma=gamma, s2=VALIDATION_S2)
+            assert value == denoise_numeric(u, p) == two_pass_quadrature(u, p)
 
 
 class TestExactMmse:
