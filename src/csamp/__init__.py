@@ -24,25 +24,19 @@ from .model import (
     RecoveryError,
     RecoveryOutput,
     RecoverySettings,
-    calibrate_noise,
     combine,
     gen_matrix,
-    gen_signal_bernoulli,
     gen_signal_exact_k,
     load_instance,
     make_instance,
-    measure,
     nmse,
     save_instance,
-    split,
 )
 from .support import (
     SupportEstimate,
     SupportMetrics,
-    apply_support,
     detect_em,
     detect_prior_based,
-    em_responsibilities,
     support_metrics,
 )
 
@@ -56,9 +50,8 @@ __all__ = [
     "run_phase_transition", "run_support_phase_transition",
     "BernoulliGaussianPrior", "ComplexVector", "InstanceFormatError",
     "ProblemInstance", "RecoveryError", "RecoveryOutput", "RecoverySettings",
-    "calibrate_noise", "combine", "gen_matrix", "gen_signal_bernoulli",
-    "gen_signal_exact_k", "load_instance", "make_instance", "measure", "nmse",
-    "save_instance", "split",
-    "SupportEstimate", "SupportMetrics", "apply_support", "detect_em",
-    "detect_prior_based", "em_responsibilities", "support_metrics",
+    "combine", "gen_matrix", "gen_signal_exact_k", "load_instance", "make_instance",
+    "nmse", "save_instance",
+    "SupportEstimate", "SupportMetrics", "detect_em", "detect_prior_based",
+    "support_metrics",
 ]

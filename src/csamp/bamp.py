@@ -2,12 +2,12 @@
 
 The loop is amp._iterate; its denoiser here is the closed-form posterior
 mean of denoiser.py under the per-part prior, gamma frozen at the prior and
-its constants (s2, log-odds, endpoint masks) computed once per solve, one
-row per problem, so the problems of one loop may have different priors.
-bamp_recover runs one real part; cbamp_recover runs both parts together,
-each stopping on its own rule, and _cbamp_batch the trials of a sweep chunk
-in one loop.  bamp_step is one iteration of the same step and kernel, for
-one part or for parts stacked along a leading axis.
+its constants (s2, log-odds, endpoint masks) computed once per solve by
+_mmse_rows, one row per problem, so the problems of one loop may have
+different priors.  bamp_recover runs one real part; cbamp_recover runs both
+parts together, each stopping on its own rule, and _cbamp_batch the trials
+of a sweep chunk in one loop.  bamp_step is one iteration of the same step
+and kernel, for one part or for parts stacked along a leading axis.
 """
 
 from __future__ import annotations
@@ -15,41 +15,33 @@ from __future__ import annotations
 import numpy as np
 
 from .amp import AmpPartResult, _iterate, _rows, _single, _solve, _sq_norms, _stack
-from .denoiser import BETA_FLOOR, _endpoint_masks, _posterior_terms, _prior_log_odds, _uniform
-from .model import (GAMMA_CLAMP, BernoulliGaussianPrior, ComplexVector, RecoveryOutput,
-                    RecoverySettings)
+from .denoiser import (BETA_FLOOR, DenoiserParams, _endpoint_masks, _posterior_terms,
+                       _prior_log_odds, _uniform)
+from .model import BernoulliGaussianPrior, ComplexVector, RecoveryOutput, RecoverySettings
 
 
 def _mmse(u, beta, s2, log_odds, slab=None, spike=None):
     """The loop's denoiser: (x, summed derivative per part, pi, u^2, 1 - pi);
-    s2, log_odds and the masks are scalars or rows of _prior_rows."""
+    s2, log_odds and the masks are scalars or the rows of _mmse_rows."""
     x, deriv, *rest = _posterior_terms(u, np.maximum(beta, BETA_FLOOR)[..., None], s2,
                                        log_odds, slab, spike)
     return x, deriv.sum(axis=-1), *rest
 
 
-def _mmse_denoiser(gamma, s2: float, clamp: float = GAMMA_CLAMP):
-    """_mmse's (x, summed derivative, pi) at zero probabilities gamma (one
-    vector for every part), with the inputs validated and gamma's constants
-    (its log-odds clamped by clamp, one if gamma is uniform) computed once."""
-    if not np.all((gamma >= 0.0) & (gamma <= 1.0)):
-        raise ValueError("gamma must lie in [0, 1]")
-    if not s2 > 0.0:
-        raise ValueError("s2 must be positive")
-    log_odds, (slab, spike) = _prior_log_odds(_uniform(gamma), clamp), _endpoint_masks(gamma)
-    return lambda u, beta: _mmse(u, beta, s2, log_odds, slab, spike)[:3]
+def _mmse_rows(gammas, s2s, clamp: float):
+    """_mmse's constants, one row per problem (amp._rows): s2, the log-odds
+    of gamma clamped by clamp (one value if gamma is uniform) and the masks
+    of the endpoint priors gamma = 0 and gamma = 1, each None if no problem
+    has one."""
+    gammas = _rows([_uniform(gamma) for gamma in gammas])
+    return _rows(s2s), _prior_log_odds(gammas, clamp), *_endpoint_masks(gammas)
 
 
 def _prior_rows(problems, priors, clamp: float):
-    """Each problem's gamma0 as a vector over its A's N components, and the
-    loop's constants of its prior, one row per problem (amp._rows): s2, the
-    log-odds of gamma0 clamped by clamp (one value if gamma0 is uniform) and
-    the masks of the endpoint priors gamma0 = 0 and gamma0 = 1, each None if
-    no problem has one."""
+    """Each problem's gamma0 as a vector over its A's N components, and
+    _mmse_rows of the priors."""
     gamma0s = [prior.gamma0_vector(np.shape(A)[-1]) for (A, _), prior in zip(problems, priors)]
-    gammas = _rows([_uniform(gamma0) for gamma0 in gamma0s])
-    return gamma0s, (_rows([prior.s2 for prior in priors]), _prior_log_odds(gammas, clamp),
-                     *_endpoint_masks(gammas))
+    return gamma0s, _mmse_rows(gamma0s, [prior.s2 for prior in priors], clamp)
 
 
 def bamp_step(A, y, x, z, gamma, s2, beta_floor):
@@ -58,9 +50,11 @@ def bamp_step(A, y, x, z, gamma, s2, beta_floor):
     Returns (x_new, z_new, u, beta) with u and beta the pre-update values
     that the output contract and support detection consume.
     """
+    p = DenoiserParams(BETA_FLOOR, np.asarray(gamma), s2)
     beta = np.maximum(_sq_norms(z) / A.shape[0], beta_floor)
     u = x + z @ A
-    x_new, deriv_sum, _ = _mmse_denoiser(np.asarray(gamma), s2)(u, beta)
+    x_new, deriv_sum, *_ = _mmse(u, beta, p.s2, _prior_log_odds(_uniform(p.gamma)),
+                                 *_endpoint_masks(p.gamma))
     z_new = y - x_new @ A.T + (deriv_sum / A.shape[0])[..., None] * z
     return x_new, z_new, u, beta
 
@@ -75,8 +69,9 @@ def bamp_recover(A: np.ndarray, y_part: np.ndarray, gamma0, s2: float,
     """
     A, Y = _stack(A, y_part)
     gamma = np.broadcast_to(np.asarray(gamma0, dtype=float), (A.shape[1],))
-    denoise = _mmse_denoiser(gamma, s2, settings.gamma_clamp)
-    return _single(_iterate([(A, Y)], denoise, settings, settings.beta_floor))[0]
+    p = DenoiserParams(BETA_FLOOR, gamma, s2)
+    return _single(_iterate([(A, Y)], _mmse, settings, settings.beta_floor,
+                            _mmse_rows([p.gamma], [p.s2], settings.gamma_clamp)))[0]
 
 
 def _cbamp_batch(problems, priors, settings: RecoverySettings) -> list:

@@ -282,7 +282,7 @@ def build_parser() -> _Parser:
                        help="instances for the exact-MMSE comparison")
     p_val.add_argument("--tol", type=float, default=None,
                        help="max allowed |closed - quadrature|")
-    p_val.add_argument("--skip-oracle", action="store_true", dest="skip_oracle")
+    p_val.add_argument("--skip-oracle", action="store_true", default=None, dest="skip_oracle")
     return parser
 
 

@@ -39,6 +39,7 @@ from .model import (
     RecoveryError,
     RecoveryOutput,
     RecoverySettings,
+    _checked_sigma_x2,
     make_instance,
     nmse,
 )
@@ -89,6 +90,7 @@ class GridConfig:
             raise ValueError("success_threshold must be positive")
         if not self.noiseless and (self.snr is None or self.snr <= 0.0):
             raise ValueError("noisy grids need a positive linear snr")
+        _checked_sigma_x2(self.sigma_x2)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 

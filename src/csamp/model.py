@@ -78,11 +78,6 @@ def combine(x_r, x_i) -> ComplexVector:
     return ComplexVector(x_r.copy(), x_i.copy())
 
 
-def split(x: ComplexVector) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of combine: the two real parts."""
-    return x.re, x.im
-
-
 def _checked_gamma0(gamma0) -> np.ndarray:
     """gamma0 as a 1-D float array, its entries in [0, 1] (NaN rejected)."""
     g = np.atleast_1d(np.asarray(gamma0, dtype=float))
@@ -257,50 +252,10 @@ def gen_signal_exact_k(
     return ComplexVector(x_r, x_i)
 
 
-def gen_signal_bernoulli(
-    n: int, prior: BernoulliGaussianPrior, rng: np.random.Generator
-) -> ComplexVector:
-    """Signal with i.i.d. activity: component n zero w.p. gamma0_n."""
-    gamma0 = prior.gamma0_vector(n)
-    active = rng.random(n) >= gamma0
-    part_std = np.sqrt(prior.sigma_x2 / 2.0)
-    x_r = np.where(active, part_std * rng.standard_normal(n), 0.0)
-    x_i = np.where(active, part_std * rng.standard_normal(n), 0.0)
-    return ComplexVector(x_r, x_i)
-
-
-def measure(A: np.ndarray, x: ComplexVector, w: ComplexVector) -> ComplexVector:
-    """y = A x + w, applied to each part separately."""
-    A = np.asarray(A, dtype=float)
-    m, n = A.shape
-    if len(x) != n:
-        raise ValueError(f"x has length {len(x)}, expected {n}")
-    if len(w) != m:
-        raise ValueError(f"w has length {len(w)}, expected {m}")
-    return ComplexVector(A @ x.re + w.re, A @ x.im + w.im)
-
-
-def calibrate_noise(
-    A: np.ndarray,
-    x: ComplexVector,
-    snr: float,
-    rng: np.random.Generator,
-    noiseless: bool = False,
-) -> tuple[ComplexVector, float]:
-    """Draw complex Gaussian noise sized so that ||Ax||^2 / E||w||^2 = snr.
-
-    The noise power is calibrated from the realized ||Ax||^2, making the
-    empirical SNR exact for this instance: sigma_w2 = ||Ax||^2 / (M snr),
-    with each part N(0, sigma_w2 / 2).  noiseless=True returns exact zeros.
-    """
-    A = np.asarray(A, dtype=float)
-    if noiseless:
-        return ComplexVector.zeros(A.shape[0]), 0.0
-    return _noise_for(A @ x.re, A @ x.im, snr, rng)
-
-
 def _noise_for(ax_r, ax_i, snr: float, rng: np.random.Generator):
-    """calibrate_noise's draw, given the parts of Ax."""
+    """(w, sigma_w2): complex Gaussian noise calibrated from the realized
+    parts of Ax, so that ||Ax||^2 / E||w||^2 = snr exactly for this instance:
+    sigma_w2 = ||Ax||^2 / (M snr), each part of w N(0, sigma_w2 / 2)."""
     if not snr > 0.0:
         raise ValueError("snr must be positive")
     m = len(ax_r)
@@ -339,6 +294,7 @@ def make_instance(
 
     gamma0 defaults to 1 - K/N, the activity rate matching the exact-K draw.
     """
+    _checked_sigma_x2(sigma_x2)
     A = gen_matrix(m, n, rng)
     x = gen_signal_exact_k(n, k, sigma_x2, rng)
     ax_r, ax_i = A @ x.re, A @ x.im  # once for both the noise and y

@@ -3,8 +3,8 @@
 Two rules: a prior-based comparison of the final working zero-probabilities,
 and a single EM E-step that classifies each component's (u_r, u_i) pair as
 effective noise versus signal plus effective noise.  Both resolve ties to
-ZERO.  The EM decision and both EM responsibilities are built from each
-part's activity log-odds (denoiser._activity_log_odds, slab sigma_x2/2).
+ZERO.  The EM decision is built from each part's activity log-odds
+(denoiser._activity_log_odds, slab sigma_x2/2).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .denoiser import _activity_log_odds, _prior_log_odds
 from .model import BETA_FLOOR, ComplexVector
@@ -29,16 +28,6 @@ class SupportEstimate:
         if mask.ndim != 1:
             raise ValueError("active mask must be 1-D")
         object.__setattr__(self, "active", mask)
-
-    @property
-    def active_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.active)
-
-    @classmethod
-    def from_indices(cls, n: int, indices) -> "SupportEstimate":
-        mask = np.zeros(n, dtype=bool)
-        mask[np.asarray(indices, dtype=int)] = True
-        return cls(mask)
 
 
 @dataclass(frozen=True)
@@ -87,27 +76,6 @@ def detect_em(
     a_i = _part_log_odds(u_i, beta_i, gamma_i, sigma_x2)
     with np.errstate(invalid="ignore"):
         return SupportEstimate(a_r + a_i > 0.0)
-
-
-def em_responsibilities(
-    u_r, u_i, beta_r: float, beta_i: float, gamma_r, gamma_i, sigma_x2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Soft responsibilities (rho_zero, rho_active) over all four activity
-    combinations; diagnostic only, the hard rule never consults the mixed
-    terms.  Given (u, gamma) the parts are independent, so each is a product
-    over the parts."""
-    a_r = _part_log_odds(u_r, beta_r, gamma_r, sigma_x2)
-    a_i = _part_log_odds(u_i, beta_i, gamma_i, sigma_x2)
-    return expit(-a_r) * expit(-a_i), expit(a_r) * expit(a_i)
-
-
-def apply_support(x_hat: ComplexVector, s: SupportEstimate) -> ComplexVector:
-    """Zero both parts of every off-support component."""
-    if len(x_hat) != s.active.size:
-        raise ValueError("length mismatch")
-    return ComplexVector(
-        np.where(s.active, x_hat.re, 0.0), np.where(s.active, x_hat.im, 0.0)
-    )
 
 
 def support_metrics(true_x: ComplexVector, s: SupportEstimate) -> SupportMetrics:

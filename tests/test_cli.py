@@ -328,6 +328,18 @@ class TestValidate:
         _, rows, _ = read_csv(out)
         assert len(rows) == 50 * 4 * 4
 
+    def test_skip_oracle_from_config_file(self, capsys, tmp_path):
+        # with the oracle skipped its options are never read: trials = 0 passes
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[validate-denoiser]\nskip_oracle = true\ntrials = 0\n")
+        code, printed, _ = run_cli(capsys, "validate-denoiser", "--config", str(cfg))
+        assert code == 0
+        assert "denoiser grid ok" in printed
+        cfg.write_text("[validate-denoiser]\nskip_oracle = false\ntrials = 0\n")
+        code, _, err = run_cli(capsys, "validate-denoiser", "--config", str(cfg))
+        assert code == 1
+        assert "trials" in err
+
     def test_corrupted_closed_form_detected(self):
         def corrupted(u, params):
             return denoise(u, params) + 1e-6

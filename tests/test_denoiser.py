@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 import csamp.denoiser as denoiser
-from csamp.bamp import _mmse_denoiser
+from csamp.bamp import _mmse, _mmse_rows
 from csamp.cli import VALIDATION_BETAS, VALIDATION_GAMMAS, VALIDATION_S2, VALIDATION_U_GRID
 from csamp.denoiser import (
     DenoiserParams,
@@ -13,7 +13,7 @@ from csamp.denoiser import (
     denoise_terms,
     exact_mmse,
 )
-from csamp.model import BernoulliGaussianPrior, gen_matrix
+from csamp.model import GAMMA_CLAMP, BernoulliGaussianPrior, gen_matrix
 
 
 def params_grid():
@@ -73,8 +73,8 @@ class TestClosedForm:
 
 class TestLoopKernel:
     def test_loop_denoiser_bitwise_equals_denoise_terms(self):
-        # the solver loop's denoiser (constants precomputed once per solve)
-        # runs the same arithmetic as the validated public closed form
+        # the solver loop's denoiser, on the constants _mmse_rows precomputes
+        # once per solve, runs the same arithmetic as the validated closed form
         rng = np.random.default_rng(17)
         for _ in range(200):
             n = int(rng.integers(1, 40))
@@ -85,7 +85,8 @@ class TestLoopKernel:
             s2 = float(rng.uniform(0.1, 2.0))
             u = rng.normal(0.0, 3.0, n)
             x, deriv, pi = denoise_terms(u, DenoiserParams(beta=beta, gamma=gamma, s2=s2))
-            x_loop, deriv_sum, pi_loop = _mmse_denoiser(gamma, s2)(u[None], np.array([beta]))
+            x_loop, deriv_sum, pi_loop = _mmse(u[None], np.array([beta]),
+                                               *_mmse_rows([gamma], [s2], GAMMA_CLAMP))[:3]
             assert np.array_equal(x_loop[0], x)
             assert np.array_equal(pi_loop[0], pi)
             assert deriv_sum[0] == np.sum(deriv)
@@ -94,13 +95,14 @@ class TestLoopKernel:
     @pytest.mark.parametrize("k", [0, 3, 24])
     def test_uniform_gamma_batch_bitwise_equals_denoise_terms(self, k):
         # a uniform gamma0 = 1 - K/N (K=0: all spike, K=N: all slab) has one
-        # prior log-odds for the batch; each row keeps denoise_terms' bits
+        # prior log-odds per row; each row keeps denoise_terms' bits
         rng = np.random.default_rng(k)
         n, s2 = 24, 0.5
         gamma = np.full(n, 1.0 - k / n)
         beta = np.array([0.0, 1e-14, 0.05, 0.8, 3.0])
         u = rng.normal(0.0, 2.0, (len(beta), n))
-        x_loop, deriv_sum, pi_loop = _mmse_denoiser(gamma, s2)(u, beta)
+        consts = _mmse_rows([gamma] * len(beta), [s2] * len(beta), GAMMA_CLAMP)
+        x_loop, deriv_sum, pi_loop = _mmse(u, beta, *consts)[:3]
         for row, b in enumerate(beta):
             x, deriv, pi = denoise_terms(u[row], DenoiserParams(beta=b, gamma=gamma, s2=s2))
             assert np.array_equal(x_loop[row], x)

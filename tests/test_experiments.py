@@ -89,6 +89,12 @@ class TestGridConfig:
         with pytest.raises(ValueError):
             tiny_grid(noiseless=False)  # snr missing
 
+    @pytest.mark.parametrize("sigma_x2", [0.0, -1.0, np.nan])
+    def test_sigma_x2_checked_at_construction(self, sigma_x2):
+        # rejected here, not at the first draw inside a worker
+        with pytest.raises(ValueError, match="sigma_x2"):
+            tiny_grid(sigma_x2=sigma_x2)
+
 
 class TestPhaseTransition:
     def test_row_shape_and_rates(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,17 +9,14 @@ from csamp.model import (
     InstanceFormatError,
     ProblemInstance,
     RecoverySettings,
-    calibrate_noise,
+    _noise_for,
     combine,
     gen_matrix,
-    gen_signal_bernoulli,
     gen_signal_exact_k,
     load_instance,
     make_instance,
-    measure,
     nmse,
     save_instance,
-    split,
 )
 
 
@@ -65,88 +64,21 @@ class TestGenSignal:
         with pytest.raises(ValueError):
             gen_signal_exact_k(4, 5, 1.0, np.random.default_rng(0))
 
-    def test_bernoulli_all_zero_prior(self):
-        prior = BernoulliGaussianPrior(gamma0=1.0)
-        x = gen_signal_bernoulli(100, prior, np.random.default_rng(0))
-        assert x.norm_sq() == 0.0
-
-    def test_bernoulli_dense_prior(self):
-        prior = BernoulliGaussianPrior(gamma0=0.0)
-        x = gen_signal_bernoulli(100, prior, np.random.default_rng(0))
-        assert np.all(x.support())
-
-    def test_bernoulli_half_activity_count(self):
-        # binomial(1e4, 0.5): 4 sigma = 4 * 50 = 200
-        prior = BernoulliGaussianPrior(gamma0=0.5)
-        x = gen_signal_bernoulli(10_000, prior, np.random.default_rng(7))
-        count = int(np.count_nonzero(x.support()))
-        assert abs(count - 5000) <= 200
-
-
-class TestMeasure:
-    def test_zero_signal_zero_noise(self):
-        A = gen_matrix(5, 9, np.random.default_rng(0))
-        y = measure(A, ComplexVector.zeros(9), ComplexVector.zeros(5))
-        assert y.norm_sq() == 0.0
-
-    def test_identity_matrix_returns_signal(self):
-        x = gen_signal_exact_k(6, 3, 1.0, np.random.default_rng(1))
-        y = measure(np.eye(6), x, ComplexVector.zeros(6))
-        np.testing.assert_array_equal(y.re, x.re)
-        np.testing.assert_array_equal(y.im, x.im)
-
-    def test_matches_naive_double_loop(self):
-        rng = np.random.default_rng(2)
-        A = gen_matrix(7, 12, rng)
-        x = gen_signal_exact_k(12, 5, 1.0, rng)
-        w = ComplexVector(rng.standard_normal(7), rng.standard_normal(7))
-        y = measure(A, x, w)
-        for part, xp, wp in (("re", x.re, w.re), ("im", x.im, w.im)):
-            expected = np.array(
-                [sum(A[i, j] * xp[j] for j in range(12)) + wp[i] for i in range(7)]
-            )
-            np.testing.assert_allclose(getattr(y, part), expected, atol=1e-12)
-
-    def test_linear_in_x(self):
-        rng = np.random.default_rng(9)
-        A = gen_matrix(6, 10, rng)
-        x1 = gen_signal_exact_k(10, 4, 1.0, rng)
-        x2 = gen_signal_exact_k(10, 4, 1.0, rng)
-        a, b = 1.7, -0.3
-        lhs = measure(
-            A,
-            ComplexVector(a * x1.re + b * x2.re, a * x1.im + b * x2.im),
-            ComplexVector.zeros(6),
-        )
-        y1 = measure(A, x1, ComplexVector.zeros(6))
-        y2 = measure(A, x2, ComplexVector.zeros(6))
-        np.testing.assert_allclose(lhs.re, a * y1.re + b * y2.re, atol=1e-10)
-        np.testing.assert_allclose(lhs.im, a * y1.im + b * y2.im, atol=1e-10)
-
-    def test_dimension_mismatch(self):
-        A = gen_matrix(5, 9, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            measure(A, ComplexVector.zeros(8), ComplexVector.zeros(5))
-        with pytest.raises(ValueError):
-            measure(A, ComplexVector.zeros(9), ComplexVector.zeros(4))
-
 
 class TestCalibrateNoise:
     def test_noiseless_flag(self):
-        rng = np.random.default_rng(0)
-        A = gen_matrix(5, 9, rng)
-        x = gen_signal_exact_k(9, 3, 1.0, rng)
-        w, sw2 = calibrate_noise(A, x, 10.0, rng, noiseless=True)
-        assert w.norm_sq() == 0.0 and sw2 == 0.0
+        inst, sw2 = make_instance(5, 9, 3, np.random.default_rng(0), snr=10.0,
+                                  noiseless=True)
+        assert inst.w.norm_sq() == 0.0 and sw2 == 0.0
 
     def test_unit_snr_power(self):
-        rng = np.random.default_rng(1)
-        A = gen_matrix(8, 16, rng)
-        x = gen_signal_exact_k(16, 4, 1.0, rng)
-        _, sw2 = calibrate_noise(A, x, 1.0, rng)
-        ax = A @ x.re, A @ x.im
-        energy = float(ax[0] @ ax[0] + ax[1] @ ax[1])
-        assert sw2 == pytest.approx(energy / 8, rel=1e-12)
+        # sigma_w2 = ||Ax||^2 / (M snr), from the drawn (A, x)
+        for snr in (1.0, 5.0):
+            inst, sw2 = make_instance(8, 16, 4, np.random.default_rng(1), snr=snr,
+                                      noiseless=False)
+            ax = inst.A @ inst.x_true.re, inst.A @ inst.x_true.im
+            energy = float(ax[0] @ ax[0] + ax[1] @ ax[1])
+            assert sw2 == pytest.approx(energy / (8 * snr), rel=1e-12)
 
     def test_noise_energy_concentrates(self):
         # 1e4 draws at the sigma_w2 fixed by (A, x): mean ||w||^2 / M within 5%
@@ -156,18 +88,16 @@ class TestCalibrateNoise:
         total = 0.0
         sw2 = None
         for _ in range(10_000):
-            w, sw2 = calibrate_noise(A, x, 5.0, rng)
+            w, sw2 = _noise_for(A @ x.re, A @ x.im, 5.0, rng)
             total += w.norm_sq() / 32
         assert abs(total / 10_000 - sw2) < 0.05 * sw2
 
     def test_rejects_bad_inputs(self):
-        rng = np.random.default_rng(0)
-        A = gen_matrix(5, 9, rng)
-        x = gen_signal_exact_k(9, 3, 1.0, rng)
-        with pytest.raises(ValueError):
-            calibrate_noise(A, x, 0.0, rng)
-        with pytest.raises(ValueError):
-            calibrate_noise(A, ComplexVector.zeros(9), 1.0, rng)
+        for snr in (0.0, -1.0):
+            with pytest.raises(ValueError, match="snr"):
+                make_instance(5, 9, 3, np.random.default_rng(0), snr=snr, noiseless=False)
+        with pytest.raises(ValueError, match="Ax is zero"):
+            make_instance(5, 9, 0, np.random.default_rng(0), snr=1.0, noiseless=False)
 
 
 class TestNmse:
@@ -194,11 +124,6 @@ class TestCombineSplit:
         np.testing.assert_array_equal(x.re, v)
         assert np.all(x.im == 0)
 
-    def test_round_trip(self):
-        x = gen_signal_exact_k(15, 6, 1.0, np.random.default_rng(4))
-        again = combine(*split(x))
-        assert np.array_equal(again.re, x.re) and np.array_equal(again.im, x.im)
-
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             combine(np.zeros(3), np.zeros(4))
@@ -221,6 +146,17 @@ class TestInstances:
         assert np.array_equal(a.A, b.A)
         assert np.array_equal(a.x_true.re, b.x_true.re)
         assert np.array_equal(a.y.im, b.y.im)
+
+    @pytest.mark.parametrize("sigma_x2", [0.0, -1.0, np.nan])
+    def test_sigma_x2_checked_before_any_draw(self, sigma_x2):
+        # rejected at entry: no warning from the signal draw, no draw at all
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sigma_x2"):
+                make_instance(6, 12, 3, rng, sigma_x2=sigma_x2)
+        assert rng.bit_generator.state == state
 
     def test_dimension_validation(self):
         A = gen_matrix(4, 6, np.random.default_rng(0))

@@ -3,14 +3,7 @@ import pytest
 from scipy.stats import norm
 
 from csamp.model import ComplexVector
-from csamp.support import (
-    SupportEstimate,
-    apply_support,
-    detect_em,
-    detect_prior_based,
-    em_responsibilities,
-    support_metrics,
-)
+from csamp.support import SupportEstimate, detect_em, detect_prior_based, support_metrics
 
 
 def vec(*values):
@@ -99,34 +92,6 @@ class TestEmRule:
                * norm.pdf(u_i, scale=np.sqrt(bbar_i)))
         assert np.array_equal(~est.active, s00 >= s11)
 
-    def test_decision_matches_responsibilities(self):
-        rng = np.random.default_rng(4)
-        u_r = rng.uniform(-4, 4, 100)
-        u_i = rng.uniform(-4, 4, 100)
-        g_r = rng.uniform(0.1, 0.9, 100)
-        g_i = rng.uniform(0.1, 0.9, 100)
-        est = detect_em(u_r, u_i, 0.4, 0.7, g_r, g_i, 1.0)
-        rho0, rho1 = em_responsibilities(u_r, u_i, 0.4, 0.7, g_r, g_i, 1.0)
-        assert np.all((rho0 >= 0) & (rho1 >= 0) & (rho0 + rho1 <= 1 + 1e-12))
-        assert np.array_equal(~est.active, rho0 >= rho1)
-
-    def test_responsibilities_match_normalised_densities(self):
-        rng = np.random.default_rng(6)
-        beta_r, beta_i, sigma_x2 = 0.3, 0.8, 1.2
-        u_r = rng.uniform(-4, 4, 200)
-        u_i = rng.uniform(-4, 4, 200)
-        g_r = rng.uniform(0.05, 0.95, 200)
-        g_i = rng.uniform(0.05, 0.95, 200)
-        zero_r = g_r * norm.pdf(u_r, scale=np.sqrt(beta_r))
-        zero_i = g_i * norm.pdf(u_i, scale=np.sqrt(beta_i))
-        act_r = (1 - g_r) * norm.pdf(u_r, scale=np.sqrt(beta_r + sigma_x2 / 2))
-        act_i = (1 - g_i) * norm.pdf(u_i, scale=np.sqrt(beta_i + sigma_x2 / 2))
-        weights = np.stack([zero_r * zero_i, zero_r * act_i, act_r * zero_i, act_r * act_i])
-        weights /= weights.sum(axis=0)
-        rho0, rho1 = em_responsibilities(u_r, u_i, beta_r, beta_i, g_r, g_i, sigma_x2)
-        np.testing.assert_allclose(rho0, weights[0], rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(rho1, weights[3], rtol=1e-12, atol=0.0)
-
     @pytest.mark.parametrize("g_r, g_i, active", [
         # decisions on the (u_r, u_i) grid {0, 2.5, 40}^2, recorded from the
         # four-density rule: an exact gamma = 1 in either part keeps the
@@ -170,24 +135,6 @@ class TestDetectionOnSolverOutput:
 
 
 class TestApplyAndMetrics:
-    def test_apply_full_support_unchanged(self):
-        x = ComplexVector(vec(1.0, -2.0), vec(0.5, 0.0))
-        est = SupportEstimate(np.array([True, True]))
-        out = apply_support(x, est)
-        assert np.array_equal(out.re, x.re) and np.array_equal(out.im, x.im)
-
-    def test_apply_empty_support_zeroes(self):
-        x = ComplexVector(vec(1.0, -2.0), vec(0.5, 0.3))
-        out = apply_support(x, SupportEstimate(np.array([False, False])))
-        assert out.norm_sq() == 0.0
-
-    def test_apply_idempotent(self):
-        x = ComplexVector(vec(1.0, -2.0, 0.7), vec(0.5, 0.3, -1.0))
-        est = SupportEstimate(np.array([True, False, True]))
-        once = apply_support(x, est)
-        twice = apply_support(once, est)
-        assert np.array_equal(once.re, twice.re) and np.array_equal(once.im, twice.im)
-
     def test_metrics_exact(self):
         x = ComplexVector(vec(1.0, 0.0, 0.5), vec(0.0, 0.0, -0.2))
         est = SupportEstimate(np.array([True, False, True]))
@@ -205,7 +152,3 @@ class TestApplyAndMetrics:
         m = support_metrics(x, SupportEstimate(np.ones(3, dtype=bool)))
         assert not m.exact_match
         assert m.false_positives == 1 and m.false_negatives == 0
-
-    def test_from_indices(self):
-        est = SupportEstimate.from_indices(5, [0, 3])
-        assert np.array_equal(est.active_indices, [0, 3])
