@@ -2,8 +2,10 @@
 
 Subcommands: recover, phase-transition, support-pt, nmse-sweep,
 validate-denoiser.  Options may come from a '--config' INI file (one flat
-section per subcommand, keys named like the long flags with underscores);
-explicit flags override the file, which overrides the scale presets.
+section per subcommand, keys named like the long flags with underscores); a
+key that is not an option of its subcommand is an error.  Explicit flags
+override the file, which overrides the scale presets (--paper-scale or
+--desk-scale, which the file may set too), which override the defaults.
 
 Exit codes: 0 success, 1 usage/config error or a solve whose iterate went
 non-finite, 2 validation failure, 3 I/O error.
@@ -145,55 +147,60 @@ def oracle_validation_rows(trials=200, seed=0, n=10, m=6, k=2, snr_db=20.0,
 
 # --- option plumbing ---------------------------------------------------------
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"bad boolean value {text!r}")
+class _Options:
+    """The subcommand's options, each resolved flag > config file > preset >
+    its table default.  The config section is read and checked when the
+    options are built; the scale flags pick the preset."""
+
+    def __init__(self, args):
+        self.command = args.command
+        self.rows = {row[0]: row for row in _COMMANDS[args.command][1]}
+        self.args = vars(args)
+        self.config = _config_section(args.config, args.command, self.rows) if args.config else {}
+        self.presets = {}
+        chosen = [name for name in _PRESETS if name in self.rows and self.get(name)]
+        if len(chosen) > 1:
+            raise UsageError("--paper-scale and --desk-scale are mutually exclusive")
+        if chosen:
+            self.presets = _PRESETS[chosen[0]]
+
+    def get(self, name):
+        if self.args[name] is not None:
+            return self.args[name]
+        if name in self.config:
+            return self.config[name]
+        return self.presets.get(name, self.rows[name][2])
 
 
-def _load_config_section(path, section):
+def _config_section(path, section, rows) -> dict:
+    """The file's [section], each value converted by its row.  A key that is
+    not a row, or a value that its type or choices reject, is a UsageError
+    naming the key, the section and the file."""
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
             parser.read_file(fh)
+        items = parser.items(section) if parser.has_section(section) else []
     except configparser.Error as exc:
         raise UsageError(f"bad config file {path}: {exc}")
-    if not parser.has_section(section):
-        return {}
-    return dict(parser.items(section))
-
-
-class _Options:
-    """Flag > config file > preset > built-in default."""
-
-    def __init__(self, args, section: str, presets: dict | None = None):
-        self.args = vars(args)
-        self.config = (
-            _load_config_section(args.config, section)
-            if getattr(args, "config", None) else {}
-        )
-        self.presets = presets or {}
-
-    def get(self, name, default, convert):
-        value = self.args.get(name)
-        if value is not None:
-            return value
-        if name in self.config:
-            return (_parse_bool if convert is bool else convert)(self.config[name])
-        if name in self.presets:
-            return self.presets[name]
-        return default
+    values = {}
+    for key, text in items:
+        where = f"key {key!r} in section [{section}] of {path}"
+        if key not in rows:
+            raise UsageError(f"unknown {where}")
+        _, kind, _, choices, _ = rows[key]
+        try:
+            value = parser.BOOLEAN_STATES[text.lower()] if kind is bool else kind(text)
+        except (KeyError, ValueError):
+            raise UsageError(f"bad value {text!r} for {where}")
+        if choices and value not in choices:
+            raise UsageError(f"bad value {text!r} for {where}: choose from {', '.join(choices)}")
+        values[key] = value
+    return values
 
 
 def _settings_from(opts: _Options) -> RecoverySettings:
-    """RecoverySettings from the options that are set; the rest keep the
-    dataclass defaults."""
-    values = {f.name: opts.get(f.name, None, type(f.default))
-              for f in fields(RecoverySettings)}
-    return RecoverySettings(**{k: v for k, v in values.items() if v is not None})
+    return RecoverySettings(**{f.name: opts.get(f.name) for f in fields(RecoverySettings)})
 
 
 def _number_list(text: str, kind) -> list:
@@ -203,93 +210,8 @@ def _number_list(text: str, kind) -> list:
         raise UsageError(f"bad {kind.__name__} list {text!r}")
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="INI file with per-subcommand sections")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default=None, help="output CSV path")
-    parser.add_argument("--t-max", type=int, default=None, dest="t_max")
-    parser.add_argument("--eps-tol", type=float, default=None, dest="eps_tol")
-    parser.add_argument("--beta-floor", type=float, default=None, dest="beta_floor")
-    parser.add_argument("--gamma-clamp", type=float, default=None, dest="gamma_clamp")
-    parser.add_argument("--divergence-factor", type=float, default=None,
-                        dest="divergence_factor")
-    parser.add_argument("--likelihood-variant", default=None, choices=LIKELIHOOD_VARIANTS,
-                        dest="likelihood_variant")
-    parser.add_argument("--part-variance", default=None, choices=PART_VARIANCES,
-                        dest="part_variance")
-
-
-def _add_sweep_common(parser):
-    _add_common(parser)
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--algos", default=None,
-                        help="space/comma separated subset of " + " ".join(KNOWN_ALGORITHMS))
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="csamp", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"csamp {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_rec = sub.add_parser("recover", help="solve one instance")
-    _add_common(p_rec)
-    p_rec.add_argument("--instance", default=None, help="instance file to load")
-    p_rec.add_argument("--save-instance", default=None, dest="save_instance",
-                       help="write the generated instance to this path")
-    p_rec.add_argument("--cell", type=int, default=None,
-                       help="draw the instance of this sweep cell (default 0)")
-    p_rec.add_argument("--trial", type=int, default=None,
-                       help="draw the instance of this trial (default 0)")
-    p_rec.add_argument("--n", type=int, default=None)
-    p_rec.add_argument("--m", type=int, default=None)
-    p_rec.add_argument("--k", type=int, default=None)
-    p_rec.add_argument("--sigma-x2", type=float, default=None, dest="sigma_x2")
-    p_rec.add_argument("--gamma0", type=float, default=None)
-    p_rec.add_argument("--snr-db", type=float, default=None, dest="snr_db",
-                       help="omit for a noiseless instance")
-    p_rec.add_argument("--algo", default=None, choices=KNOWN_ALGORITHMS)
-    p_rec.add_argument("--lam", type=float, default=None,
-                       help="AMP threshold multiplier (default: heuristic from K)")
-    p_rec.add_argument("--detect", default=None, choices=(*KNOWN_DETECTORS, "none"))
-
-    for name, text in (("phase-transition", "recovery success-rate grid"),
-                       ("support-pt", "support-detection success grid")):
-        p_grid = sub.add_parser(name, help=text)
-        _add_sweep_common(p_grid)
-        p_grid.add_argument("--paper-scale", action="store_true",
-                            help="N=1000, 200 trials per cell")
-        p_grid.add_argument("--desk-scale", action="store_true",
-                            help="N=256, 50 trials per cell")
-        p_grid.add_argument("--grid-points", type=int, default=None, dest="grid_points")
-        p_grid.add_argument("--grid-min", type=float, default=None, dest="grid_min")
-        p_grid.add_argument("--grid-max", type=float, default=None, dest="grid_max")
-        p_grid.add_argument("--contour-out", default=None, dest="contour_out")
-        p_grid.add_argument("--level", type=float, default=None,
-                            help="contour success level")
-
-    p_nmse = sub.add_parser("nmse-sweep", help="NMSE over SNR points")
-    _add_sweep_common(p_nmse)
-    p_nmse.add_argument("--k", type=int, default=None)
-    p_nmse.add_argument("--m-list", default=None, dest="m_list")
-    p_nmse.add_argument("--snr-db-list", default=None, dest="snr_db_list")
-
-    p_val = sub.add_parser("validate-denoiser",
-                           help="closed form vs quadrature, solvers vs exact MMSE")
-    _add_common(p_val)
-    p_val.add_argument("--trials", type=int, default=None,
-                       help="instances for the exact-MMSE comparison")
-    p_val.add_argument("--tol", type=float, default=None,
-                       help="max allowed |closed - quadrature|")
-    p_val.add_argument("--skip-oracle", action="store_true", default=None, dest="skip_oracle")
-    return parser
-
-
-# --- subcommands -------------------------------------------------------------
-
 def _algorithms_from(opts) -> tuple[str, ...]:
-    raw = opts.get("algos", None, str)
+    raw = opts.get("algos")
     if raw is None:
         return KNOWN_ALGORITHMS
     algos = tuple(raw.replace(",", " ").split())
@@ -305,45 +227,44 @@ def _nonnegative(flag: str, value: int) -> int:
     return value
 
 
-def cmd_recover(args) -> int:
-    opts = _Options(args, "recover")
+# --- subcommands -------------------------------------------------------------
+
+def cmd_recover(opts) -> int:
     settings = _settings_from(opts)
-    seed = _nonnegative("seed", opts.get("seed", 0, int))
-    algo = opts.get("algo", None, str)
+    seed = _nonnegative("seed", opts.get("seed"))
+    algo = opts.get("algo")
     if algo is None:
         raise UsageError("--algo is required")
 
-    if opts.get("instance", None, str):
-        inst, sigma_w2, _ = load_instance(opts.get("instance", None, str))
+    if opts.get("instance"):
+        inst, sigma_w2, _ = load_instance(opts.get("instance"))
         k = int(np.count_nonzero(inst.x_true.support()))
         snr_db = cell = trial = None
     else:
-        n = opts.get("n", None, int)
-        m = opts.get("m", None, int)
-        k = opts.get("k", None, int)
+        n, m, k = opts.get("n"), opts.get("m"), opts.get("k")
         if n is None or m is None or k is None:
             raise UsageError("generation needs --n, --m and --k (or --instance)")
-        snr_db = opts.get("snr_db", None, float)
-        cell = _nonnegative("cell", opts.get("cell", 0, int))
-        trial = _nonnegative("trial", opts.get("trial", 0, int))
+        snr_db = opts.get("snr_db")
+        cell = _nonnegative("cell", opts.get("cell"))
+        trial = _nonnegative("trial", opts.get("trial"))
         rng = trial_rng(seed, cell, trial)
         inst, sigma_w2 = make_instance(
             m, n, k, rng,
-            sigma_x2=opts.get("sigma_x2", 1.0, float),
+            sigma_x2=opts.get("sigma_x2"),
             snr=None if snr_db is None else 10.0 ** (snr_db / 10.0),
             noiseless=snr_db is None,
-            gamma0=opts.get("gamma0", None, float),
+            gamma0=opts.get("gamma0"),
         )
-        save_path = opts.get("save_instance", None, str)
+        save_path = opts.get("save_instance")
         if save_path:
             save_instance(save_path, inst, sigma_w2, seed)
 
-    lam = opts.get("lam", None, float)
+    lam = opts.get("lam")
     if algo == "amp" and lam is None and k < 1:
         raise UsageError("amp needs --lam or an instance with K >= 1")
     out = run_algorithm(algo, inst, k, settings, lam)
 
-    detector = opts.get("detect", "none", str)
+    detector = opts.get("detect")
     exact = fp = fn = ""
     if detector != "none":
         metrics = support_metrics(inst.x_true, detect_support(detector, out, inst.prior))
@@ -358,48 +279,39 @@ def cmd_recover(args) -> int:
            out.iterations, out.converged, out.diverged, detector, exact, fp, fn)
     print(",".join(columns))
     print(",".join(_fmt(v) for v in row))
-    out = opts.get("out", None, str)
+    out = opts.get("out")
     if out:
         write_csv(out, columns, [row], {"kind": "recover", "version": __version__})
     return 0
 
 
-def cmd_grid(args) -> int:
+def cmd_grid(opts) -> int:
     """phase-transition and support-pt: one grid, the runner named by the
     subcommand."""
-    opts = _Options(args, args.command)
-    if args.paper_scale and args.desk_scale:
-        raise UsageError("--paper-scale and --desk-scale are mutually exclusive")
-    if args.paper_scale:
-        opts.presets = {"n": 1000, "trials": 200, "t_max": 100, "eps_tol": 1e-4}
-    elif args.desk_scale:
-        opts.presets = {"n": 256, "trials": 50}
-    points = opts.get("grid_points", 19, int)
-    lo = opts.get("grid_min", 0.05, float)
-    hi = opts.get("grid_max", 0.95, float)
+    points, lo, hi = opts.get("grid_points"), opts.get("grid_min"), opts.get("grid_max")
     if points < 1 or not 0.0 < lo <= hi <= 1.0:
         raise UsageError("bad grid specification")
     ratios = tuple(float(v) for v in np.linspace(lo, hi, points))
     settings = _settings_from(opts)
     cfg = GridConfig(
-        n=opts.get("n", 256, int),
+        n=opts.get("n"),
         m_ratios=ratios,
         k_ratios=ratios,
-        trials=opts.get("trials", 50, int),
-        base_seed=opts.get("seed", 0, int),
+        trials=opts.get("trials"),
+        base_seed=opts.get("seed"),
         algorithms=_algorithms_from(opts),
         success_threshold=settings.eps_tol,
         noiseless=True,
-        sigma_x2=opts.get("sigma_x2", 1.0, float),
+        sigma_x2=opts.get("sigma_x2"),
         settings=settings,
-        workers=opts.get("workers", 1, int),
+        workers=opts.get("workers"),
     )
-    level = opts.get("level", 0.5, float)
-    contour_out = opts.get("contour_out", None, str)
-    out = opts.get("out", None, str)
+    level = opts.get("level")
+    contour_out = opts.get("contour_out")
+    out = opts.get("out")
     if out is None:
         raise UsageError("--out is required for sweeps")
-    if args.command == "phase-transition":
+    if opts.command == "phase-transition":
         result = run_phase_transition(cfg)
     else:
         result = run_support_phase_transition(cfg)
@@ -410,41 +322,35 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def cmd_nmse_sweep(args) -> int:
-    opts = _Options(args, "nmse-sweep")
-    out = opts.get("out", None, str)
+def cmd_nmse_sweep(opts) -> int:
+    out = opts.get("out")
     if out is None:
         raise UsageError("--out is required for sweeps")
-    n = opts.get("n", 500, int)
-    k = opts.get("k", 20, int)
-    m_list = opts.get("m_list", "70 140", str)
-    snr_list = opts.get("snr_db_list", "10 20 30 40", str)
     result = run_nmse_sweep(
-        n=n, k=k,
-        m_list=_number_list(m_list, int),
-        snr_db_list=_number_list(snr_list, float),
-        trials=opts.get("trials", 200, int),
-        base_seed=opts.get("seed", 0, int),
+        n=opts.get("n"), k=opts.get("k"),
+        m_list=_number_list(opts.get("m_list"), int),
+        snr_db_list=_number_list(opts.get("snr_db_list"), float),
+        trials=opts.get("trials"),
+        base_seed=opts.get("seed"),
         algorithms=_algorithms_from(opts),
         settings=_settings_from(opts),
-        workers=opts.get("workers", 1, int),
+        workers=opts.get("workers"),
     )
     result.to_csv(out)
     print(f"wrote {len(result.rows)} rows to {out}")
     return 0
 
 
-def cmd_validate(args) -> int:
-    opts = _Options(args, "validate-denoiser")
-    tol = opts.get("tol", 1e-8, float)
+def cmd_validate(opts) -> int:
+    tol = opts.get("tol")
     # the oracle runs first, so bad oracle options fail before any grid point
-    oracle = None if opts.get("skip_oracle", False, bool) else oracle_validation_rows(
-        trials=opts.get("trials", 200, int),
-        seed=opts.get("seed", 0, int),
+    oracle = None if opts.get("skip_oracle") else oracle_validation_rows(
+        trials=opts.get("trials"),
+        seed=opts.get("seed"),
         settings=_settings_from(opts),
     )
     rows, max_diff = denoiser_validation_rows()
-    out = opts.get("out", None, str)
+    out = opts.get("out")
     if out:
         write_csv(out, ["u", "beta", "gamma", "closed_form", "quadrature", "abs_diff"],
                   rows, {"kind": "validate-denoiser", "version": __version__,
@@ -476,18 +382,100 @@ def cmd_validate(args) -> int:
     return status
 
 
+# --- the option tables -------------------------------------------------------
+#
+# Each option is declared once, as a row (name, type, default, choices, help)
+# of its subcommand's table.  The row gives the flag (--name with dashes), the
+# config key (name), the default and the converter; bool rows are switches.
+
+_COMMON = (
+    ("seed", int, 0, None, "base seed of the instance draws"),
+    ("out", str, None, None, "output CSV path"),
+    *((f.name, type(f.default), f.default,
+       {"likelihood_variant": LIKELIHOOD_VARIANTS, "part_variance": PART_VARIANCES}.get(f.name),
+       None) for f in fields(RecoverySettings)),
+)
+
+
+def _sweep_common(n: int, trials: int) -> tuple:
+    return _COMMON + (
+        ("n", int, n, None, "signal length N"),
+        ("trials", int, trials, None, "trials per cell"),
+        ("workers", int, 1, None, "worker processes; results do not depend on them"),
+        ("algos", str, None, None,
+         "space/comma separated subset of " + " ".join(KNOWN_ALGORITHMS)),
+    )
+
+
+_GRID = _sweep_common(256, 50) + (
+    ("paper_scale", bool, False, None, "N=1000, 200 trials per cell"),
+    ("desk_scale", bool, False, None, "N=256, 50 trials per cell"),
+    ("sigma_x2", float, 1.0, None, "slab variance"),
+    ("grid_points", int, 19, None, "points on each axis"),
+    ("grid_min", float, 0.05, None, "smallest M/N and K/M"),
+    ("grid_max", float, 0.95, None, "largest M/N and K/M"),
+    ("contour_out", str, None, None, "contour CSV path"),
+    ("level", float, 0.5, None, "contour success level"),
+)
+
+# what each scale switch sets; a flag or the config file overrides it
+_PRESETS = {
+    "paper_scale": {"n": 1000, "trials": 200, "t_max": 100, "eps_tol": 1e-4},
+    "desk_scale": {"n": 256, "trials": 50},
+}
+
+# subcommand -> (help, option table, handler)
+_COMMANDS = {
+    "recover": ("solve one instance", _COMMON + (
+        ("instance", str, None, None, "instance file to load"),
+        ("save_instance", str, None, None, "write the generated instance to this path"),
+        ("cell", int, 0, None, "draw the instance of this sweep cell"),
+        ("trial", int, 0, None, "draw the instance of this trial"),
+        ("n", int, None, None, "signal length N"),
+        ("m", int, None, None, "measurements M"),
+        ("k", int, None, None, "nonzeros K"),
+        ("sigma_x2", float, 1.0, None, "slab variance"),
+        ("gamma0", float, None, None, "prior zero probability (default: 1 - K/N)"),
+        ("snr_db", float, None, None, "omit for a noiseless instance"),
+        ("algo", str, None, KNOWN_ALGORITHMS, None),
+        ("lam", float, None, None, "AMP threshold multiplier (default: heuristic from K)"),
+        ("detect", str, "none", (*KNOWN_DETECTORS, "none"), None),
+    ), cmd_recover),
+    "phase-transition": ("recovery success-rate grid", _GRID, cmd_grid),
+    "support-pt": ("support-detection success grid", _GRID, cmd_grid),
+    "nmse-sweep": ("NMSE over SNR points", _sweep_common(500, 200) + (
+        ("k", int, 20, None, "nonzeros K"),
+        ("m_list", str, "70 140", None, "space/comma separated M values"),
+        ("snr_db_list", str, "10 20 30 40", None, "space/comma separated SNRs in dB"),
+    ), cmd_nmse_sweep),
+    "validate-denoiser": ("closed form vs quadrature, solvers vs exact MMSE", _COMMON + (
+        ("trials", int, 200, None, "instances for the exact-MMSE comparison"),
+        ("tol", float, 1e-8, None, "max allowed |closed - quadrature|"),
+        ("skip_oracle", bool, False, None, "skip the exact-MMSE comparison"),
+    ), cmd_validate),
+}
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="csamp", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"csamp {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (summary, rows, _) in _COMMANDS.items():
+        p_cmd = sub.add_parser(command, help=summary)
+        p_cmd.add_argument("--config", help="INI file with per-subcommand sections")
+        for name, kind, default, choices, text in rows:
+            if default is not None:
+                text = f"{text or ''} (default: {default})".lstrip()
+            kwargs = (dict(action="store_const", const=True) if kind is bool
+                      else dict(type=kind, choices=choices))
+            p_cmd.add_argument("--" + name.replace("_", "-"), dest=name, help=text, **kwargs)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        handler = {
-            "recover": cmd_recover,
-            "phase-transition": cmd_grid,
-            "support-pt": cmd_grid,
-            "nmse-sweep": cmd_nmse_sweep,
-            "validate-denoiser": cmd_validate,
-        }[args.command]
-        return handler(args)
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command][2](_Options(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -451,3 +451,104 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+class TestConfigFile:
+    def test_paper_scale_from_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[phase-transition]\npaper_scale = true\ntrials = 1\n"
+                       "grid_points = 1\nalgos = amp\n")
+        out = tmp_path / "pt.csv"
+        code, _, _ = run_cli(capsys, "phase-transition", "--config", str(cfg),
+                             "--out", str(out))
+        assert code == 0
+        _, _, meta = read_csv(out)
+        assert (meta["n"], meta["trials"], meta["t_max"]) == ("1000", "1", "100")
+
+    @pytest.mark.parametrize("lines, flags", [
+        ("paper_scale = true\ndesk_scale = true\n", ()),
+        ("desk_scale = true\n", ("--paper-scale",)),
+        ("paper_scale = yes\n", ("--desk-scale",)),
+        ("", ("--paper-scale", "--desk-scale")),
+    ])
+    def test_both_presets_are_usage_error(self, capsys, tmp_path, lines, flags):
+        cfg = tmp_path / "cfg.ini"
+        # sized so that a sweep run by mistake ends quickly
+        cfg.write_text("[support-pt]\ntrials = 1\ngrid_points = 1\nalgos = cbamp\n" + lines)
+        out = tmp_path / "spt.csv"
+        code, printed, err = run_cli(capsys, "support-pt", "--config", str(cfg), *flags,
+                                     "--out", str(out))
+        assert (code, printed) == (1, "") and not out.exists()
+        assert err == "error: --paper-scale and --desk-scale are mutually exclusive\n"
+
+    @pytest.mark.parametrize("key", ["trails", "sigma_x2", "config"])
+    def test_unknown_key_is_usage_error(self, capsys, tmp_path, key):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[nmse-sweep]\nn = 32\nk = 2\nm_list = 16\nsnr_db_list = 20\n"
+                       f"{key} = 1\n")
+        out = tmp_path / "nm.csv"
+        code, printed, err = run_cli(capsys, "nmse-sweep", "--config", str(cfg),
+                                     "--out", str(out))
+        assert (code, printed) == (1, "") and not out.exists()
+        assert err == f"error: unknown key {key!r} in section [nmse-sweep] of {cfg}\n"
+
+    @pytest.mark.parametrize("command, key, text, reason", [
+        ("phase-transition", "t_max", "1.5", ""),
+        ("phase-transition", "paper_scale", "maybe", ""),
+        ("recover", "algo", "magic", ": choose from amp, cbamp, cbossamp"),
+        ("validate-denoiser", "part_variance", "quarter", ": choose from half, full"),
+    ])
+    def test_bad_value_names_key_and_section(self, capsys, tmp_path, command, key, text,
+                                             reason):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[{command}]\n{key} = {text}\n")
+        code, printed, err = run_cli(capsys, command, "--config", str(cfg),
+                                     "--out", str(tmp_path / "x.csv"))
+        assert (code, printed) == (1, "")
+        assert err == (f"error: bad value {text!r} for key {key!r} in section [{command}] "
+                       f"of {cfg}{reason}\n")
+
+    def test_bad_interpolation_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[nmse-sweep]\nout = a%b.csv\n")
+        code, printed, err = run_cli(capsys, "nmse-sweep", "--config", str(cfg))
+        assert (code, printed) == (1, "")
+        assert err.startswith(f"error: bad config file {cfg}: '%' must be followed by")
+
+
+def _option_cases():
+    """(command, row, value): every row of every table, at one value other
+    than its default and at the value each preset gives it."""
+    cases = []
+    for command, (_, rows, _) in cli._COMMANDS.items():
+        names = {row[0] for row in rows}
+        for row in rows:
+            name, kind, default, choices, _ = row
+            other = (next(c for c in reversed(choices) if c != default) if choices
+                     else {int: 7, float: 0.375, str: "x y", bool: True}[kind])
+            values = {other} | {p[name] for scale, p in cli._PRESETS.items()
+                                if scale in names and name in p}
+            cases += [(command, row, value) for value in sorted(values)]
+    return cases
+
+
+@pytest.mark.parametrize("command, row, value", _option_cases(),
+                         ids=lambda v: v[0] if isinstance(v, tuple) else str(v))
+def test_flag_file_and_preset_resolve_alike(tmp_path, command, row, value):
+    name, kind, default, _, _ = row
+    flag = "--" + name.replace("_", "-")
+    cfg = tmp_path / "cfg.ini"
+
+    def resolved(*argv, config=""):
+        cfg.write_text(f"[{command}]\n{config}")
+        args = cli.build_parser().parse_args([command, "--config", str(cfg), *argv])
+        return cli._Options(args).get(name)
+
+    text = "true" if kind is bool else str(value)
+    assert resolved(*(flag,) if kind is bool else (flag, text)) == value
+    assert resolved(config=f"{name} = {text}\n") == value
+    assert resolved() == default
+    for scale, preset in cli._PRESETS.items():
+        if preset.get(name) == value:
+            assert resolved("--" + scale.replace("_", "-")) == value
+            assert resolved(config=f"{scale} = true\n") == value
