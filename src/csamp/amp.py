@@ -17,15 +17,17 @@ Everything else runs once over all rows:
     U = X + A^T Z,    X' = eta(U; beta),    Z' = Y - A X' + (sum eta'(U) / M) Z,
 
 with beta = |z|^2 / M per row and eta's constants those of each row's
-problem.  The denoiser returns X', the summed derivative and the terms of
-its step that an optional hook reuses to add a term to Z' (cbossamp's
-likelihood exchange, bossamp.py).  Without a hook
-each row stops on its own rule, converged when |Z' - Z|^2 <= eps_tol |Z|^2
-and diverged when |Z'|^2 exceeds divergence_factor |Y|^2.  With the hook the
-rule is joint per trial: both parts stop when their summed relative change
-drops to eps_tol or either part diverges.  A stopped row is dropped from the
-state; as every operation but the matmuls is row by row, and those keep each
-trial's bits, a batched solve gives each trial the bits of its lone solve.
+problem.  eta is the solver's step, which returns X', the summed
+derivative, a term to add to Z' (or None) and its own per-row state for
+the next step: cbossamp's likelihood exchange (bossamp.py) keeps its
+log-odds and memory there and adds its memory term.  Each row stops on its
+own rule, converged when |Z' - Z|^2 <= eps_tol |Z|^2 and diverged when
+|Z'|^2 exceeds divergence_factor |Y|^2, or, under cbossamp's joint rule,
+both parts of a trial stop when their summed relative change drops to
+eps_tol or either part diverges.  A stopped row is dropped from every
+per-row array at once, the step's state included; as every operation but
+the matmuls is row by row, and those keep each trial's bits, a batched
+solve gives each trial the bits of its lone solve.
 A non-finite iterate fails its whole trial with a RecoveryError, while the
 other trials run on; a lone solve raises it.  A non-finite X' reaches Z'
 through A, so X' and Z' are checked entry by entry only when some |Z'|^2 is
@@ -67,7 +69,7 @@ class AmpPartResult:
     iterations: int
     converged: bool
     diverged: bool
-    gamma: np.ndarray | None = None  # the hook's working gamma, if any
+    a: np.ndarray | None = None  # its row of the step state's first array, if any
 
 
 def _shrink(u, theta):
@@ -149,29 +151,32 @@ class _StackedA:
         return out
 
 
-def _take(consts, index):
-    """The rows index of each entry of consts (None stays None)."""
-    return [None if c is None else c[index] for c in consts]
+def _take(rows, index):
+    """The rows index of each per-row array of rows, through nested lists
+    and tuples (None stays None)."""
+    if isinstance(rows, (list, tuple)):
+        return [_take(v, index) for v in rows]
+    return None if rows is None else rows[index]
 
 
-def _iterate(problems, denoise, settings: RecoverySettings, beta_floor: float,
-             consts=(), hook=None) -> list:
+def _iterate(problems, step, settings: RecoverySettings, beta_floor: float,
+             consts=(), joint=False) -> list:
     """AMP on the rows of every (A, Y) of problems (module docstring); per
     problem, one AmpPartResult per row of its Y or the RecoveryError of a
     non-finite iterate.  The problems share (M, N).
 
-    denoise(U, beta, *consts) -> (X, summed derivative per row, *terms),
-    beta holding the rows' noise variances and consts the denoiser's
-    constants of the rows' problems: each entry of consts holds one row per
-    problem (or is None), and the loop repeats it for each of the problem's
-    rows and keeps it in the rows' order.  hook(U, beta, X, terms, Z)
-    returns the term added to the new residual, Z being the one that formed
-    U, and selects the joint rule over each problem's (re, im) pair of rows;
-    hook.gamma(j) is stopping row j's working gamma, and hook.keep(index)
-    takes its rows to the loop's new order, index holding the old row of
-    each new one (the joint rule stops pairs, so it keeps their order).  Without a hook the
-    denoiser must treat all rows alike, because rows are dropped and
-    reordered.
+    step(U, beta, Z, consts, state) -> (X, summed derivative per row,
+    term or None, state) is the solver's step: beta holds the rows' noise
+    variances, Z the residuals that formed U and consts the constants of the
+    rows' problems (each entry one row per problem, or None, repeated for
+    each of the problem's rows).  The term, if any, is added to the new
+    residual.  state is None at the first step and then what the last step
+    returned: None, or a sequence of per-row arrays whose first a stopping
+    row's result keeps as its a.  The loop holds every per-row array (X, Z,
+    Y, the energies and limits, consts and state) in one row order and
+    reindexes them all at one site when rows stop.  joint selects the joint
+    rule over each problem's (re, im) pair of rows; it stops pairs, so each
+    pair stays adjacent, re first, and a step may pair rows 2p and 2p + 1.
     """
     m, n = problems[0][0].shape
     if any(A.shape != (m, n) for A, _ in problems):
@@ -182,21 +187,21 @@ def _iterate(problems, denoise, settings: RecoverySettings, beta_floor: float,
     stacked = _StackedA(problems, rows)
     consts = _take(consts, [trial for trial, _ in rows])
     results: list = [[None] * len(Yt) for _, Yt in problems]
-    X, Z, energy = np.zeros((len(Y), n)), Y.copy(), _sq_norms(Y)
+    X, Z, energy, state = np.zeros((len(Y), n)), Y.copy(), _sq_norms(Y), None
     limit = settings.divergence_factor * energy
     for t in range(1, settings.t_max + 1):
         beta = np.maximum(energy / m, beta_floor)
         U = X + stacked.times(Z)
-        X, deriv_sum, *terms = denoise(U, beta, *consts)
+        X, deriv_sum, term, state = step(U, beta, Z, consts, state)
         Z_new = Y - stacked.times(X, transpose=True) + (deriv_sum / m)[:, None] * Z
-        if hook is not None:
-            Z_new += hook(U, beta, X, terms, Z)
+        if term is not None:
+            Z_new += term
         change = _sq_norms(Z_new - Z)
         prev, Z, energy = energy, Z_new, _sq_norms(Z_new)
         diverged = energy > limit
-        if hook is None:
+        if not joint:
             converged = (prev == 0.0) | (change <= settings.eps_tol * prev)
-        else:  # joint rule on each pair's summed relative change, 0/0 as 0
+        else:  # summed relative change of each pair, 0/0 as 0
             ratio = change / prev if prev.all() else np.divide(
                 change, prev, where=prev != 0.0, out=np.where(change == 0.0, 0.0, np.inf))
             converged = (ratio[0::2] + ratio[1::2] <= settings.eps_tol).repeat(2)
@@ -222,17 +227,14 @@ def _iterate(problems, denoise, settings: RecoverySettings, beta_floor: float,
             results[trial][part] = AmpPartResult(
                 x_hat=X[j].copy(), u=U[j].copy(), beta=float(beta[j]),
                 iterations=t, converged=bool(converged[j]),
-                diverged=bool(diverged[j]),
-                gamma=None if hook is None else hook.gamma(j))
+                diverged=bool(diverged[j]), a=None if state is None else state[0][j].copy())
         if stop.all():
             break
         keep = _keep(rows, ~stop)
-        X, Z, Y = X[keep], Z[keep], Y[keep]
-        energy, limit, consts = energy[keep], limit[keep], _take(consts, keep)
+        X, Z, Y, energy, limit, consts, state = _take(
+            [X, Z, Y, energy, limit, consts, state], keep)
         rows = [rows[j] for j in keep]
         stacked.update(rows)
-        if hook is not None:
-            hook.keep(keep)
     return results
 
 
@@ -245,29 +247,29 @@ def _stack(A, *parts):
     return A, Y
 
 
-def _solve(problems, denoise, settings: RecoverySettings, beta_floor: float, consts=(),
-           hook=None, gamma0s=None, answer=lambda j, Y: None) -> list:
+def _solve(problems, step, settings: RecoverySettings, beta_floor: float, consts=(),
+           joint=False, gammas=lambda j, r, i: (None, None),
+           answer=lambda j, Y: None) -> list:
     """Per (A, y) of problems, its RecoveryOutput or the RecoveryError of its
-    non-finite iterate.  consts are the denoiser's per-problem constants, one
-    row per problem each (_iterate); gamma0s, if given, holds per problem the
-    gamma echoed as both working gammas; a problem j that answer(j, Y)
-    answers (not None) skips the loop."""
+    non-finite iterate.  step, consts and joint are _iterate's, consts one
+    row per problem each; gammas(j, r, i) gives problem j's working gammas
+    from its (re, im) results; a problem j that answer(j, Y) answers (not
+    None) skips the loop."""
     stacked = [_stack(A, y.re, y.im) for A, y in problems]
     answers = [answer(j, Y) for j, (_, Y) in enumerate(stacked)]
     live = [j for j, out in enumerate(answers) if out is None]
-    solved = iter(_iterate([stacked[j] for j in live], denoise, settings, beta_floor,
-                           _take(consts, live), hook) if live else [])
+    solved = iter(_iterate([stacked[j] for j in live], step, settings, beta_floor,
+                           _take(consts, live), joint) if live else [])
     outputs = []
     for j, out in enumerate(answers):
         if out is None:
             out = next(solved)
         if isinstance(out, list):  # a solve's (re, im) results
             r, i = out
-            gammas = ((r.gamma, i.gamma) if gamma0s is None
-                      else (gamma0s[j].copy(), gamma0s[j].copy()))
+            gamma_r, gamma_i = gammas(j, r, i)
             out = RecoveryOutput(
                 x_hat=combine(r.x_hat, i.x_hat), u_r=r.u, u_i=i.u, beta_r=r.beta,
-                beta_i=i.beta, gamma_r=gammas[0], gamma_i=gammas[1],
+                beta_i=i.beta, gamma_r=gamma_r, gamma_i=gamma_i,
                 iterations=max(r.iterations, i.iterations),
                 converged=r.converged and i.converged, diverged=r.diverged or i.diverged)
         outputs.append(out)
@@ -282,10 +284,11 @@ def _single(results):
     return result
 
 
-def _soft(u, beta, lam):
-    """The loop's soft-thresholding denoiser at each row's multiplier lam."""
-    x = _shrink(u, lam * np.sqrt(beta)[..., None])
-    return x, (x != 0.0).sum(axis=-1), None
+def _soft(u, beta, z, consts, state):
+    """The loop's soft-thresholding step at each row's multiplier, consts
+    (lam,)."""
+    x = _shrink(u, consts[0] * np.sqrt(beta)[..., None])
+    return x, (x != 0.0).sum(axis=-1), None, state
 
 
 def amp_recover(A: np.ndarray, y_part: np.ndarray, cfg: AmpConfig) -> AmpPartResult:

@@ -1,13 +1,15 @@
 """Bayesian-optimal AMP: the MMSE denoiser in the shared AMP loop.
 
-The loop is amp._iterate; its denoiser here is the closed-form posterior
-mean of denoiser.py under the per-part prior, gamma frozen at the prior and
-its constants (s2, log-odds, endpoint masks) computed once per solve by
-_mmse_rows, one row per problem, so the problems of one loop may have
-different priors.  bamp_recover runs one real part; cbamp_recover runs both
-parts together, each stopping on its own rule, and _cbamp_batch the trials
-of a sweep chunk in one loop.  bamp_step is one iteration of the same step
-and kernel, for one part or for parts stacked along a leading axis.
+The loop is amp._iterate; its step here, _mmse_step, is the closed-form
+posterior mean of denoiser.py under the per-part prior (_mmse), with no
+residual term and no state: gamma is frozen at the prior and its constants
+(s2, log-odds, endpoint masks) are computed once per solve by _mmse_rows,
+one row per problem, so the problems of one loop may have different priors.
+bamp_recover runs one real part; cbamp_recover runs both parts together,
+each stopping on its own rule and echoing gamma0 as both working gammas,
+and _cbamp_batch the trials of a sweep chunk in one loop.  bamp_step is one
+iteration of the same denoiser, for one part or for parts stacked along a
+leading axis.
 """
 
 from __future__ import annotations
@@ -21,11 +23,16 @@ from .model import BernoulliGaussianPrior, ComplexVector, RecoveryOutput, Recove
 
 
 def _mmse(u, beta, s2, log_odds, slab=None, spike=None):
-    """The loop's denoiser: (x, summed derivative per part, pi, u^2, 1 - pi);
+    """The MMSE denoiser: (x, summed derivative per part, pi, u^2, 1 - pi);
     s2, log_odds and the masks are scalars or the rows of _mmse_rows."""
     x, deriv, *rest = _posterior_terms(u, np.maximum(beta, BETA_FLOOR)[..., None], s2,
                                        log_odds, slab, spike)
     return x, deriv.sum(axis=-1), *rest
+
+
+def _mmse_step(u, beta, z, consts, state):
+    """The loop's step (amp._iterate): _mmse at the consts of _mmse_rows."""
+    return *_mmse(u, beta, *consts)[:2], None, state
 
 
 def _mmse_rows(gammas, s2s, clamp: float):
@@ -70,7 +77,7 @@ def bamp_recover(A: np.ndarray, y_part: np.ndarray, gamma0, s2: float,
     A, Y = _stack(A, y_part)
     gamma = np.broadcast_to(np.asarray(gamma0, dtype=float), (A.shape[1],))
     p = DenoiserParams(BETA_FLOOR, gamma, s2)
-    return _single(_iterate([(A, Y)], _mmse, settings, settings.beta_floor,
+    return _single(_iterate([(A, Y)], _mmse_step, settings, settings.beta_floor,
                             _mmse_rows([p.gamma], [p.s2], settings.gamma_clamp)))[0]
 
 
@@ -79,7 +86,8 @@ def _cbamp_batch(problems, priors, settings: RecoverySettings) -> list:
     one loop: a RecoveryOutput per problem, or the RecoveryError of one whose
     iterate went non-finite."""
     gamma0s, consts = _prior_rows(problems, priors, settings.gamma_clamp)
-    return _solve(problems, _mmse, settings, settings.beta_floor, consts, gamma0s=gamma0s)
+    return _solve(problems, _mmse_step, settings, settings.beta_floor, consts,
+                  gammas=lambda j, r, i: (gamma0s[j].copy(), gamma0s[j].copy()))
 
 
 def cbamp_recover(A: np.ndarray, y: ComplexVector, prior: BernoulliGaussianPrior,

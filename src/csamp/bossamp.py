@@ -1,15 +1,17 @@
 """Joint recovery through a likelihood exchange between the parts.
 
 cbossamp runs the shared AMP loop (amp._iterate) on the stacked parts with
-the MMSE denoiser of bamp.py and a per-iteration hook, the exchange: each
+the MMSE denoiser of bamp.py inside its own step, the exchange: each
 component's evidence for being zero is extracted from one part
 (likelihood_update), converted into a probability (prior_update) and
 installed as the other part's working zero-probability for the next step.
 That evidence l is the negative of the denoiser's activity log-odds
-(denoiser._activity_log_odds) at the likelihood's slab variance, installed
-as the other part's log-odds clipped to those of the clamped gammas (gamma
-itself is formed only as a row stops).  This couples the two estimates
-through the shared support without ever mixing their amplitudes.
+(denoiser._activity_log_odds) at the likelihood's slab variance; the step
+keeps each row's activity log-odds a in the loop's state and installs the
+other part's, clipped to the log-odds of the clamped gammas, at the next
+step (gamma itself is formed, by prior_update, only for a stopped row).
+This couples the two estimates through the shared support without ever
+mixing their amplitudes.
 
 Because a part's working gamma is a function of the other part's previous
 pseudo-data u', its estimate depends on u' as well as on its own u, and
@@ -28,8 +30,9 @@ a period-2 oscillation of gamma on instances that cBAMP solves.
 
 The exchange stops on the loop's joint rule (summed relative residual
 change).  In a batch each trial is a pair of rows, and the exchange swaps
-the rows within each pair.  exchange=False is cbamp_recover itself, bit
-for bit.
+the rows within each pair; w and z' are the rest of its state, which the
+loop reorders with its other per-row arrays.  exchange=False is
+cbamp_recover itself, bit for bit.
 """
 
 from __future__ import annotations
@@ -70,59 +73,34 @@ def _swap(a):
     return a.reshape(-1, 2, *a.shape[1:])[:, ::-1]
 
 
-class _Exchange:
-    """The likelihood exchange: the loop's hook over the (re, im) row pairs
-    of a batch, and the denoiser at the working log-odds it installs (each
-    row's prior log-odds, with its endpoint masks, until the first step
-    installs them)."""
+def _exchange_step(settings: RecoverySettings):
+    """The likelihood exchange as the loop's step over the (re, im) row pairs
+    of a batch.  Its consts are those of _exchange_rows; its state is each
+    row's own activity log-odds a, the other part's memory weights
+    w = u' s/(beta (beta + s)) and the residual z that formed u.  The first
+    step denoises at the prior log-odds with the endpoint masks, each later
+    one at the other part's -l (its a) clipped to the log-odds of the
+    clamped gammas, no endpoint priors, and adds the memory term b z'."""
+    cross = settings.likelihood_variant == "printed-cross-beta"
+    bounds = _prior_log_odds(np.array([1.0 - settings.gamma_clamp, settings.gamma_clamp]),
+                             settings.gamma_clamp)
 
-    def __init__(self, settings: RecoverySettings):
-        self.cross = settings.likelihood_variant == "printed-cross-beta"
-        self.clamp = settings.gamma_clamp
-        self.bounds = _prior_log_odds(np.array([1.0 - self.clamp, self.clamp]), self.clamp)
-        self.log_odds = None  # the installed log-odds, once the first step sets them
-        self.a = None  # each row's own activity log-odds, once the first step sets it
-        self.memory = None  # (w, z'); the prior gamma depends on no data
-
-    def denoise(self, u, beta, s2, log_prior_odds, slab, spike, like_s2):
-        """_mmse's terms at the working log-odds, then the rows' prior
-        log-odds and likelihood slab variance (_exchange_rows) for the
-        exchange of this step."""
-        if self.log_odds is None:
-            terms = _mmse(u, beta, s2, log_prior_odds, slab, spike)
+    def step(u, beta, z, consts, state):
+        s2, log_prior_odds, slab, spike, like_s2 = consts
+        if state is None:
+            x, deriv_sum, _, uu, q = _mmse(u, beta, s2, log_prior_odds, slab, spike)
+            term = 0.0
         else:
-            terms = _mmse(u, beta, s2, self.log_odds)
-        return *terms, log_prior_odds, like_s2
-
-    def __call__(self, u, beta, x, terms, z):
-        """The memory term b z' of this step; then each part's likelihood
-        sets the other part's log-odds, and w = u s/(beta (beta + s)) and the
-        residual z that formed u are kept for the other part's next term.
-        terms = (pi, u^2, 1 - pi, prior log-odds, likelihood slab variance)
-        of the denoiser's step."""
-        _, uu, q, log_prior_odds, like_s2 = terms
-        term = 0.0
-        if self.memory is not None:
-            w, z_prev = self.memory  # x (1 - pi) w = g pi (1 - pi) u w
-            b = (x * q * w).sum(axis=1) / z.shape[1]
+            a, w, z_prev = state
+            x, deriv_sum, _, uu, q = _mmse(u, beta, s2,
+                                           np.clip(_swap(a), *bounds).reshape(u.shape))
+            b = (x * q * w).sum(axis=1) / z.shape[1]  # x (1 - pi) w = g pi (1 - pi) u w
             term = (b.reshape(-1, 2, 1) * _swap(z_prev)).reshape(z.shape)
-        beta_l = (_swap(beta).reshape(-1) if self.cross else beta)[:, None]
-        self.a, _, slope = _activity_log_odds(uu, beta_l, like_s2, log_prior_odds)
-        # the other part's -l, clamped as its gamma is: no endpoint priors
-        self.log_odds = np.clip(_swap(self.a), *self.bounds).reshape(u.shape)
-        self.memory = ((_swap(u) * _swap(slope)).reshape(u.shape), z)
-        return term
+        beta_l = (_swap(beta).reshape(-1) if cross else beta)[:, None]
+        a, _, slope = _activity_log_odds(uu, beta_l, like_s2, log_prior_odds)
+        return x, deriv_sum, term, (a, (_swap(u) * _swap(slope)).reshape(u.shape), z)
 
-    def gamma(self, j):
-        """Row j's working gamma, prior_update of the other part's l."""
-        return prior_update(-self.a[j ^ 1], self.clamp)
-
-    def keep(self, index):
-        """Keep the rows of the pairs the loop keeps, index holding the old
-        row of each."""
-        w, z_prev = self.memory
-        self.a, self.log_odds = self.a[index], self.log_odds[index]
-        self.memory = (w[index], z_prev[index])
+    return step
 
 
 def _no_data(Y, gamma0, settings: RecoverySettings) -> RecoveryOutput | None:
@@ -150,8 +128,10 @@ def _cbossamp_batch(problems, priors, settings: RecoverySettings) -> list:
     whose iterate went non-finite.  A problem without data is answered
     before the loop."""
     gamma0s, consts = _exchange_rows(problems, priors, settings)
-    ex = _Exchange(settings)
-    return _solve(problems, ex.denoise, settings, settings.beta_floor, consts, hook=ex,
+    clamp = settings.gamma_clamp
+    return _solve(problems, _exchange_step(settings), settings, settings.beta_floor, consts,
+                  joint=True,
+                  gammas=lambda j, r, i: (prior_update(-i.a, clamp), prior_update(-r.a, clamp)),
                   answer=lambda j, Y: _no_data(Y, gamma0s[j], settings))
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from csamp.amp import _iterate, _stack
 from csamp.bamp import cbamp_recover
-from csamp.bossamp import (_Exchange, _exchange_rows, cbossamp_recover, likelihood_update,
+from csamp import bossamp
+from csamp.bossamp import (_exchange_rows, _exchange_step, cbossamp_recover, likelihood_update,
                            prior_update)
 from csamp.denoiser import DenoiserParams, _prior_log_odds, denoise_terms
 from csamp.experiments import _solve_chunk, trial_rng
@@ -113,24 +114,39 @@ class TestExchange:
 
     @pytest.mark.parametrize("clamp", [GAMMA_CLAMP, 0.01])
     @pytest.mark.parametrize("t_max", [1, 3])
-    def test_installed_log_odds_match_the_gamma_round_trip(self, clamp, t_max):
+    def test_installed_log_odds_match_the_gamma_round_trip(self, clamp, t_max, monkeypatch):
         # the exchange installs the other part's -l clipped to the log-odds
         # of the clamped gammas: within 1e-9 of log((1 - g)/g) at
-        # g = prior_update(l), and equal to it where the clamp binds
-        settings = RecoverySettings(t_max=t_max, gamma_clamp=clamp)
+        # g = prior_update(l), and equal to it where the clamp binds.  The
+        # a that step t_max keeps in its state reaches the denoiser at step
+        # t_max + 1, whose log-odds argument is what the exchange installed.
+        settings = RecoverySettings(t_max=t_max + 1, gamma_clamp=clamp)
         instances = [make_instance(40, 80, 8, trial_rng(12, 0, j))[0] for j in range(3)]
         problems = [_stack(inst.A, inst.y.re, inst.y.im) for inst in instances]
         _, consts = _exchange_rows(problems, [inst.prior for inst in instances], settings)
-        ex = _Exchange(settings)
-        _iterate(problems, ex.denoise, settings, settings.beta_floor, consts, hook=ex)
-        round_trip = _prior_log_odds(prior_update(-ex.a, clamp), clamp)
-        round_trip = round_trip.reshape(-1, 2, 80)[:, ::-1].reshape(ex.a.shape)
+        step, mmse, states, installed = _exchange_step(settings), bossamp._mmse, [], []
+
+        def recorded_step(u, beta, z, consts, state):
+            out = step(u, beta, z, consts, state)
+            states.append(out[3])
+            return out
+
+        def recorded_mmse(u, beta, s2, log_odds, *masks):
+            installed.append(log_odds)
+            return mmse(u, beta, s2, log_odds, *masks)
+
+        monkeypatch.setattr(bossamp, "_mmse", recorded_mmse)
+        _iterate(problems, recorded_step, settings, settings.beta_floor, consts, joint=True)
+        a, log_odds = states[t_max - 1][0], installed[t_max]
+        assert log_odds.shape == a.shape == (6, 80)  # every row still live
+        round_trip = _prior_log_odds(prior_update(-a, clamp), clamp)
+        round_trip = round_trip.reshape(-1, 2, 80)[:, ::-1].reshape(a.shape)
         lo, hi = _prior_log_odds(np.array([1.0 - clamp, clamp]), clamp)
-        assert np.all((ex.log_odds >= lo) & (ex.log_odds <= hi))
-        assert np.max(np.abs(ex.log_odds - round_trip)) <= 1e-9
-        bound = (ex.log_odds == lo) | (ex.log_odds == hi)
+        assert np.all((log_odds >= lo) & (log_odds <= hi))
+        assert np.max(np.abs(log_odds - round_trip)) <= 1e-9
+        bound = (log_odds == lo) | (log_odds == hi)
         assert bound.any() or clamp == GAMMA_CLAMP  # the wide clamp binds
-        assert np.array_equal(ex.log_odds[bound], round_trip[bound])
+        assert np.array_equal(log_odds[bound], round_trip[bound])
 
 
 class TestCbossampRecover:
