@@ -24,7 +24,6 @@ from .model import (
     RecoveryError,
     RecoveryOutput,
     RecoverySettings,
-    combine,
     gen_matrix,
     gen_signal_exact_k,
     load_instance,
@@ -50,7 +49,7 @@ __all__ = [
     "run_phase_transition", "run_support_phase_transition",
     "BernoulliGaussianPrior", "ComplexVector", "InstanceFormatError",
     "ProblemInstance", "RecoveryError", "RecoveryOutput", "RecoverySettings",
-    "combine", "gen_matrix", "gen_signal_exact_k", "load_instance", "make_instance",
+    "gen_matrix", "gen_signal_exact_k", "load_instance", "make_instance",
     "nmse", "save_instance",
     "SupportEstimate", "SupportMetrics", "detect_em", "detect_prior_based",
     "support_metrics",

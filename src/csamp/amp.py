@@ -31,9 +31,11 @@ solve gives each trial the bits of its lone solve.
 A non-finite iterate fails its whole trial with a RecoveryError, while the
 other trials run on; a lone solve raises it.  A non-finite X' reaches Z'
 through A, so X' and Z' are checked entry by entry only when some |Z'|^2 is
-not finite.  Inputs are validated once, at entry.  _solve is every complex
-solver's way into and out of the loop: it stacks each y's (re, im) parts as
-two rows, checked against its A, and joins the two rows' results.
+not finite.  Inputs are validated once, at entry.  _solve is how every
+complex solve enters and leaves the loop: it stacks each y's (re, im) parts
+as two rows, checked against its A, runs every problem through the loop,
+with data or without, and is the one place where a problem's two rows
+become its RecoveryOutput.
 
 Soft-thresholding AMP thresholds at lambda * sqrt(beta), beta unfloored; its
 Onsager coefficient is the active-set size over M (the soft threshold's
@@ -48,7 +50,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .model import ComplexVector, RecoveryError, RecoveryOutput, RecoverySettings, combine
+from .model import ComplexVector, RecoveryError, RecoveryOutput, RecoverySettings
 
 
 @dataclass(frozen=True)
@@ -248,31 +250,23 @@ def _stack(A, *parts):
 
 
 def _solve(problems, step, settings: RecoverySettings, beta_floor: float, consts=(),
-           joint=False, gammas=lambda j, r, i: (None, None),
-           answer=lambda j, Y: None) -> list:
+           joint=False, gammas=lambda j, r, i: (None, None)) -> list:
     """Per (A, y) of problems, its RecoveryOutput or the RecoveryError of its
-    non-finite iterate.  step, consts and joint are _iterate's, consts one
+    non-finite iterate: every problem, with data or without, runs the loop
+    on its (re, im) rows.  step, consts and joint are _iterate's, consts one
     row per problem each; gammas(j, r, i) gives problem j's working gammas
-    from its (re, im) results; a problem j that answer(j, Y) answers (not
-    None) skips the loop."""
-    stacked = [_stack(A, y.re, y.im) for A, y in problems]
-    answers = [answer(j, Y) for j, (_, Y) in enumerate(stacked)]
-    live = [j for j, out in enumerate(answers) if out is None]
-    solved = iter(_iterate([stacked[j] for j in live], step, settings, beta_floor,
-                           _take(consts, live), joint) if live else [])
-    outputs = []
-    for j, out in enumerate(answers):
-        if out is None:
-            out = next(solved)
-        if isinstance(out, list):  # a solve's (re, im) results
+    from its (re, im) results."""
+    outputs = _iterate([_stack(A, y.re, y.im) for A, y in problems], step, settings,
+                       beta_floor, consts, joint)
+    for j, out in enumerate(outputs):
+        if not isinstance(out, RecoveryError):
             r, i = out
             gamma_r, gamma_i = gammas(j, r, i)
-            out = RecoveryOutput(
-                x_hat=combine(r.x_hat, i.x_hat), u_r=r.u, u_i=i.u, beta_r=r.beta,
+            outputs[j] = RecoveryOutput(
+                x_hat=ComplexVector(r.x_hat, i.x_hat), u_r=r.u, u_i=i.u, beta_r=r.beta,
                 beta_i=i.beta, gamma_r=gamma_r, gamma_i=gamma_i,
                 iterations=max(r.iterations, i.iterations),
                 converged=r.converged and i.converged, diverged=r.diverged or i.diverged)
-        outputs.append(out)
     return outputs
 
 

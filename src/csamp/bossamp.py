@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from .amp import _rows, _single, _solve, _sq_norms
+from .amp import _rows, _single, _solve
 from .bamp import _mmse, _prior_rows, cbamp_recover
 from .denoiser import DenoiserParams, _activity_log_odds, _check_finite, _prior_log_odds
 from .model import (BETA_FLOOR, GAMMA_CLAMP, BernoulliGaussianPrior, ComplexVector,
@@ -103,16 +103,6 @@ def _exchange_step(settings: RecoverySettings):
     return step
 
 
-def _no_data(Y, gamma0, settings: RecoverySettings) -> RecoveryOutput | None:
-    """The answer to a problem without data, the prior mean with gamma the
-    prior; None if Y has data."""
-    if _sq_norms(Y).any():
-        return None
-    n = gamma0.size
-    return RecoveryOutput(ComplexVector.zeros(n), np.zeros(n), np.zeros(n), settings.beta_floor,
-                          settings.beta_floor, gamma0.copy(), gamma0.copy(), 1, True)
-
-
 def _exchange_rows(problems, priors, settings: RecoverySettings):
     """bamp._prior_rows, the slab variance of the likelihood added to the
     constants."""
@@ -125,14 +115,19 @@ def _exchange_rows(problems, priors, settings: RecoverySettings):
 def _cbossamp_batch(problems, priors, settings: RecoverySettings) -> list:
     """cbossamp_recover on each (A, y) of problems under its prior priors[j],
     in one loop: a RecoveryOutput per problem, or the RecoveryError of one
-    whose iterate went non-finite.  A problem without data is answered
-    before the loop."""
+    whose iterate went non-finite.  Each working gamma is prior_update of the
+    other part's activity log-odds, except that a problem without data,
+    |y|^2 = 0, keeps its gamma0 in both parts."""
     gamma0s, consts = _exchange_rows(problems, priors, settings)
     clamp = settings.gamma_clamp
+
+    def gammas(j, r, i):
+        if not problems[j][1].norm_sq():
+            return gamma0s[j].copy(), gamma0s[j].copy()
+        return prior_update(-i.a, clamp), prior_update(-r.a, clamp)
+
     return _solve(problems, _exchange_step(settings), settings, settings.beta_floor, consts,
-                  joint=True,
-                  gammas=lambda j, r, i: (prior_update(-i.a, clamp), prior_update(-r.a, clamp)),
-                  answer=lambda j, Y: _no_data(Y, gamma0s[j], settings))
+                  joint=True, gammas=gammas)
 
 
 def cbossamp_recover(

@@ -259,10 +259,7 @@ def cmd_recover(opts) -> int:
         if save_path:
             save_instance(save_path, inst, sigma_w2, seed)
 
-    lam = opts.get("lam")
-    if algo == "amp" and lam is None and k < 1:
-        raise UsageError("amp needs --lam or an instance with K >= 1")
-    out = run_algorithm(algo, inst, k, settings, lam)
+    out = run_algorithm(algo, inst, k, settings, opts.get("lam"))
 
     detector = opts.get("detect")
     exact = fp = fn = ""

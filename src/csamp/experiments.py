@@ -170,7 +170,7 @@ def _solve_chunk(name: str, instances, k, settings: RecoverySettings,
     loop of the named algorithm: per instance, its RecoveryOutput or the
     RecoveryError of its non-finite iterate.  k is the true K, one for all
     instances or one each; AMP's threshold multiplier is lam, or else the
-    heuristic at the instance's K."""
+    heuristic at max(K, 1) of the instance's K."""
     problems = [(inst.A, inst.y) for inst in instances]
     if name == "amp":
         return _camp_batch(problems, [lambda_heuristic(max(int(kj), 1)) if lam is None else lam
@@ -191,7 +191,7 @@ def run_algorithm(
     lam: float | None = None,
 ) -> RecoveryOutput:
     """Dispatch one recovery; AMP's threshold multiplier is lam, or else the
-    heuristic at the true K.  A non-finite iterate raises RecoveryError."""
+    heuristic at max(K, 1).  A non-finite iterate raises RecoveryError."""
     return _single(_solve_chunk(name, [inst], k, settings, lam))
 
 

@@ -69,15 +69,6 @@ class ComplexVector:
         return (np.abs(self.re) > tol) | (np.abs(self.im) > tol)
 
 
-def combine(x_r, x_i) -> ComplexVector:
-    """Assemble a complex vector from its real and imaginary parts."""
-    x_r = _as_float_vector(x_r, "x_r")
-    x_i = _as_float_vector(x_i, "x_i")
-    if x_r.shape != x_i.shape:
-        raise ValueError(f"length mismatch: {x_r.size} vs {x_i.size}")
-    return ComplexVector(x_r.copy(), x_i.copy())
-
-
 def _checked_gamma0(gamma0) -> np.ndarray:
     """gamma0 as a 1-D float array, its entries in [0, 1] (NaN rejected)."""
     g = np.atleast_1d(np.asarray(gamma0, dtype=float))

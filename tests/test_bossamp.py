@@ -160,10 +160,19 @@ class TestCbossampRecover:
 
     @pytest.mark.parametrize("solve", [cbamp_recover, cbossamp_recover])
     def test_zero_data_with_wrong_y_length_rejected(self, solve):
-        # a problem without data skips cbossamp's loop, never the shape check
+        # a problem without data runs the loop like any other, shape check first
         inst, _ = make_instance(8, 16, 0, trial_rng(0, 0, 0))
         with pytest.raises(ValueError, match="y length must equal M"):
             solve(inst.A, ComplexVector.zeros(9), inst.prior)
+
+    @pytest.mark.parametrize("solve", [cbamp_recover, cbossamp_recover])
+    def test_zero_data_with_nan_in_a_raises(self, solve):
+        # without data the loop still multiplies by A, so a NaN in A surfaces
+        inst, _ = make_instance(8, 16, 2, trial_rng(0, 0, 0))
+        A = inst.A.copy()
+        A[3, 5] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(RecoveryError, match="t=1"):
+            solve(A, ComplexVector.zeros(8), inst.prior)
 
     def test_easy_regime_and_iteration_parity(self):
         # N=256, M=128, K=13 noiseless: >=90% success; iteration count at or

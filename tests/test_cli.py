@@ -63,6 +63,26 @@ class TestRecover:
         assert code == 1
         assert "needs" in err
 
+    def test_amp_replays_a_sweeps_k0_trial(self, capsys, tmp_path):
+        # the sweep solves K = 0 at the heuristic of K = 1, and so does recover
+        out = tmp_path / "pt.csv"
+        code, _, _ = run_cli(capsys, "phase-transition", "--n", "48", "--trials", "2",
+                             "--grid-points", "3", "--grid-min", "0.05", "--grid-max", "0.5",
+                             "--algos", "amp", "--seed", "4", "--out", str(out))
+        assert code == 0
+        columns, rows, _ = read_csv(out)
+        cell = dict(zip(columns, rows[0]))
+        assert (cell["m"], cell["k"], cell["mean_iterations"]) == ("2", "0", "1.0")
+        for trial in ("0", "1"):
+            code, printed, err = run_cli(capsys, "recover", "--n", "48", "--m", "2", "--k", "0",
+                                         "--algo", "amp", "--seed", "4", "--cell", "0",
+                                         "--trial", trial)
+            assert code == 0, err
+            row = parse_row(printed)
+            assert (row["iterations"], row["converged"]) == ("1", "true")
+            inst = make_instance(2, 48, 0, trial_rng(4, 0, int(trial)))[0]
+            assert run_algorithm("amp", inst, 0, RecoverySettings()).x_hat.norm_sq() == 0.0
+
     def test_same_seed_identical_rows(self, capsys):
         argv = ("recover", "--n", "96", "--m", "48", "--k", "5",
                 "--algo", "cbamp", "--seed", "11")
@@ -339,6 +359,28 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate-denoiser", "--config", str(cfg))
         assert code == 1
         assert "trials" in err
+
+    def test_grid_failure_exits_2_with_worst_points(self, capsys):
+        code, _, err = run_cli(capsys, "validate-denoiser", "--skip-oracle", "--tol", "1e-20")
+        assert code == 2
+        lines = err.splitlines()
+        assert lines[0].startswith("FAIL denoiser grid")
+        assert len(lines) == 6 and all(line.startswith("  u=") for line in lines[1:])
+
+    def test_oracle_violation_exits_2_naming_the_algorithm(self, capsys, monkeypatch):
+        # cbamp's estimate replaced by the truth beats the oracle in both parts
+        solve = experiments._solve_chunk
+
+        def cbamp_knows_the_truth(name, instances, *args, **kwargs):
+            outs = solve(name, instances, *args, **kwargs)
+            return [replace(out, x_hat=inst.x_true) if name == "cbamp" else out
+                    for inst, out in zip(instances, outs)]
+
+        monkeypatch.setattr(experiments, "_solve_chunk", cbamp_knows_the_truth)
+        code, _, err = run_cli(capsys, "validate-denoiser", "--trials", "40", "--seed", "1")
+        assert code == 2
+        violated = err.split("FAIL exact-MMSE bound violated:\n")[1].splitlines()
+        assert [line.split(":")[0] for line in violated] == ["  cbamp re", "  cbamp im"]
 
     def test_corrupted_closed_form_detected(self):
         def corrupted(u, params):

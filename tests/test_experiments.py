@@ -254,9 +254,9 @@ def chunk_of_trials():
 
 def mixed_k_chunk():
     """Instances of one (M, N) = (24, 64) under different priors: two
-    interior K, K=0 without data (cbossamp answers it before the loop, cbamp
-    runs its spike mask), K=N (the slab mask) and a trial whose solve must
-    fail; their K and the trial numbers of those that fail."""
+    interior K, K=0 without data (its loop runs the spike mask and stops at
+    t=1, and cbossamp keeps gamma0), K=N (the slab mask) and a trial whose
+    solve must fail; their K and the trial numbers of those that fail."""
     ks = [4, 0, 64, 6, 9]
     instances = [make_instance(24, 64, k, trial_rng(9, c, 0))[0] for c, k in enumerate(ks)]
     instances[3] = replace(instances[3], A=1e300 * instances[3].A)  # overflows at t=1
@@ -345,6 +345,24 @@ class TestChunkedSolves:
             assert np.array_equal(chunk[j].x_hat.re, alone[j].x_hat.re)
             assert np.array_equal(chunk[j].x_hat.im, alone[j].x_hat.im)
             assert chunk[j].iterations == alone[j].iterations
+
+    @pytest.mark.parametrize("algo", KNOWN_ALGORITHMS)
+    def test_zero_data_with_nan_in_a_fails_its_trial(self, algo):
+        # a problem without data runs the loop, so a NaN in its A fails it
+        draws = [make_instance(24, 64, 6, trial_rng(8, 0, j))[0] for j in range(3)]
+        A = draws[1].A.copy()
+        A[2, 7] = np.nan
+        broken = replace(draws[1], A=A, y=ComplexVector.zeros(24))
+        settings = RecoverySettings(t_max=40)
+        with np.errstate(invalid="ignore"):
+            chunk = experiments._solve_chunk(algo, [draws[0], broken, draws[2]], 6, settings)
+            with pytest.raises(RecoveryError):
+                experiments.run_algorithm(algo, broken, 6, settings)
+        assert [isinstance(out, RecoveryError) for out in chunk] == [False, True, False]
+        for out, inst in zip(chunk[::2], draws[::2]):
+            alone = experiments.run_algorithm(algo, inst, 6, settings)
+            assert np.array_equal(out.x_hat.re, alone.x_hat.re)
+            assert np.array_equal(out.x_hat.im, alone.x_hat.im)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_grid_bytes_do_not_depend_on_the_chunk_budget(self, monkeypatch, tmp_path,

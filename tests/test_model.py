@@ -10,7 +10,6 @@ from csamp.model import (
     ProblemInstance,
     RecoverySettings,
     _noise_for,
-    combine,
     gen_matrix,
     gen_signal_exact_k,
     load_instance,
@@ -112,21 +111,6 @@ class TestNmse:
     def test_zero_truth_rejected(self):
         with pytest.raises(ValueError):
             nmse(ComplexVector.zeros(5), ComplexVector.zeros(5))
-
-
-class TestCombineSplit:
-    def test_zeros(self):
-        assert combine(np.zeros(4), np.zeros(4)).norm_sq() == 0.0
-
-    def test_purely_real(self):
-        v = np.array([1.0, -2.0, 3.0])
-        x = combine(v, np.zeros(3))
-        np.testing.assert_array_equal(x.re, v)
-        assert np.all(x.im == 0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            combine(np.zeros(3), np.zeros(4))
 
 
 class TestInstances:
