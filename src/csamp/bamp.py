@@ -1,8 +1,9 @@
 """Bayesian-optimal AMP: the MMSE denoiser in the shared AMP loop.
 
 The loop is amp._iterate; its step here, _mmse_step, is the closed-form
-posterior mean of denoiser.py under the per-part prior (_mmse), with no
-residual term and no state: gamma is frozen at the prior and its constants
+posterior mean of denoiser.py under the per-part prior (_mmse, which also
+returns 1 - pi and the channel's terms for the exchange), with no residual
+term and no state: gamma is frozen at the prior and its constants
 (s2, log-odds, endpoint masks) are computed once per solve by _mmse_rows,
 one row per problem, so the problems of one loop may have different priors.
 bamp_recover runs one real part; cbamp_recover runs both parts together,
@@ -23,11 +24,12 @@ from .model import BernoulliGaussianPrior, ComplexVector, RecoveryOutput, Recove
 
 
 def _mmse(u, beta, s2, log_odds, slab=None, spike=None):
-    """The MMSE denoiser: (x, summed derivative per part, pi, u^2, 1 - pi);
-    s2, log_odds and the masks are scalars or the rows of _mmse_rows."""
+    """The MMSE denoiser: (x, summed derivative per part, pi, 1 - pi, the
+    channel's terms (u^2, h, t, c) of _posterior_terms); s2, log_odds and the
+    masks are scalars or the rows of _mmse_rows."""
     x, deriv, *rest = _posterior_terms(u, np.maximum(beta, BETA_FLOOR)[..., None], s2,
                                        log_odds, slab, spike)
-    return x, deriv.sum(axis=-1), *rest
+    return x, np.add.reduce(deriv, axis=-1), *rest
 
 
 def _mmse_step(u, beta, z, consts, state):

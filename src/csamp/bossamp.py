@@ -10,6 +10,10 @@ That evidence l is the negative of the denoiser's activity log-odds
 keeps each row's activity log-odds a in the loop's state and installs the
 other part's, clipped to the log-odds of the clamped gammas, at the next
 step (gamma itself is formed, by prior_update, only for a stopped row).
+At the default switches (own beta, slab variance s2, beta_floor at least
+the denoiser's floor) the likelihood's channel is the denoiser's, so a is
+formed from the denoiser's own channel terms h and t, with the same bits
+as a kernel call of its own; any other setting makes that call.
 This couples the two estimates through the shared support without ever
 mixing their amplitudes.
 
@@ -80,24 +84,34 @@ def _exchange_step(settings: RecoverySettings):
     w = u' s/(beta (beta + s)) and the residual z that formed u.  The first
     step denoises at the prior log-odds with the endpoint masks, each later
     one at the other part's -l (its a) clipped to the log-odds of the
-    clamped gammas, no endpoint priors, and adds the memory term b z'."""
+    clamped gammas, no endpoint priors, and adds the memory term b z'.
+    Where the likelihood's channel is the denoiser's (shared), a is formed
+    from the denoiser's channel terms (module docstring)."""
     cross = settings.likelihood_variant == "printed-cross-beta"
-    bounds = _prior_log_odds(np.array([1.0 - settings.gamma_clamp, settings.gamma_clamp]),
+    shared = (not cross and settings.part_variance == "half"
+              and settings.beta_floor >= BETA_FLOOR)
+    lo, hi = _prior_log_odds(np.array([1.0 - settings.gamma_clamp, settings.gamma_clamp]),
                              settings.gamma_clamp)
 
     def step(u, beta, z, consts, state):
         s2, log_prior_odds, slab, spike, like_s2 = consts
         if state is None:
-            x, deriv_sum, _, uu, q = _mmse(u, beta, s2, log_prior_odds, slab, spike)
+            x, deriv_sum, _, q, channel = _mmse(u, beta, s2, log_prior_odds, slab, spike)
             term = 0.0
         else:
             a, w, z_prev = state
-            x, deriv_sum, _, uu, q = _mmse(u, beta, s2,
-                                           np.clip(_swap(a), *bounds).reshape(u.shape))
-            b = (x * q * w).sum(axis=1) / z.shape[1]  # x (1 - pi) w = g pi (1 - pi) u w
+            # the module attribute, with the installed log-odds 4th, for tests to hook
+            x, deriv_sum, _, q, channel = _mmse(
+                u, beta, s2, np.minimum(np.maximum(_swap(a), lo), hi).reshape(u.shape))
+            # x (1 - pi) w = g pi (1 - pi) u w
+            b = np.add.reduce(x * q * w, axis=1) / z.shape[1]
             term = (b.reshape(-1, 2, 1) * _swap(z_prev)).reshape(z.shape)
-        beta_l = (_swap(beta).reshape(-1) if cross else beta)[:, None]
-        a, _, slope = _activity_log_odds(uu, beta_l, like_s2, log_prior_odds)
+        uu, h, t, slope = channel
+        if shared:
+            a = log_prior_odds + h + t
+        else:
+            beta_l = (_swap(beta).reshape(-1) if cross else beta)[:, None]
+            a, _, slope = _activity_log_odds(uu, beta_l, like_s2, log_prior_odds)
         return x, deriv_sum, term, (a, (_swap(u) * _swap(slope)).reshape(u.shape), z)
 
     return step

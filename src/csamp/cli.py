@@ -74,9 +74,10 @@ def denoiser_validation_rows(denoise_fn=denoise, u_grid=VALIDATION_U_GRID,
                              s2=VALIDATION_S2):
     """Closed form vs quadrature on the full grid; returns (rows, max_diff).
 
-    Rows come in (beta, gamma, u) order.  The closed form is called once per
-    point at scalar gamma; the quadrature once per (beta, u) over the gamma
-    vector, since its integrals do not depend on gamma.
+    Rows come in (beta, gamma, u) order.  denoise_fn is called once per
+    (beta, gamma) at scalar gamma, with the u grid as a vector; the
+    quadrature once per (beta, u) over the gamma vector, since its integrals
+    do not depend on gamma.
     """
     rows = []
     max_diff = 0.0
@@ -85,8 +86,8 @@ def denoiser_validation_rows(denoise_fn=denoise, u_grid=VALIDATION_U_GRID,
         references = [denoise_numeric(u, every_gamma) for u in u_grid]
         for j, gamma in enumerate(gammas):
             params = DenoiserParams(beta=beta, gamma=gamma, s2=s2)
-            for u, at_u in zip(u_grid, references):
-                closed = float(denoise_fn(u, params))
+            closed_forms = denoise_fn(np.array(u_grid), params).tolist()
+            for u, closed, at_u in zip(u_grid, closed_forms, references):
                 reference = float(at_u[j])
                 diff = abs(closed - reference)
                 max_diff = max(max_diff, diff)

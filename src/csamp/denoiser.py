@@ -5,25 +5,30 @@ x ~ gamma * delta(x) + (1 - gamma) * N(0, s2), the posterior mean is a
 Wiener gain s2/(s2+beta) times u, weighted by the posterior probability pi
 that x is nonzero.  Its log-odds a, the latent activity, has one kernel,
 _activity_log_odds: pi = expit(a), bossamp's exchange is -a and support's
-EM detector reads a per part.  denoise/denoise_deriv are the validated
-closed forms (denoise_terms returns both, and pi, from one evaluation of
-pi).  They run the same kernel as the solver loop, _posterior_terms, which
-takes its per-gamma constants precomputed, so the loop validates once per
-solve, and hands u^2 and 1 - pi on to the exchange.  denoise_numeric
-re-derives the same quantity by adaptive quadrature and exists purely to
-validate them.  Its two integrals depend on (u, beta, s2) only, so one pair
-serves a whole vector of gammas, and its conditional-mean integral reuses
-the evidence integral's integrand values at the nodes the two share.
-exact_mmse is the full-vector oracle: the exact posterior mean over all 2^N
-supports, feasible only for small N, of one real part, of parts stacked as
-rows, or of trials stacked on a leading axis.  One call enumerates the
-supports once; per support size it makes one batched slogdet and one
-batched solve for a group of trials, and every row keeps the bits of a
-one-part call.
+EM detector reads a per part.  a is (log-odds of gamma + h) + t, where h
+(one per row) and t = u^2 c/2 are the channel's terms (_channel_terms).
+denoise/denoise_deriv are the validated closed forms (denoise_terms returns
+both, and pi, from one evaluation of pi).  They run the same kernel as the
+solver loop, _posterior_terms, which takes its per-gamma constants
+precomputed, so the loop validates once per solve, forms x and the
+derivative in place, and hands 1 - pi and the channel's terms on to the
+exchange.  denoise_numeric re-derives the same quantity by adaptive
+quadrature and exists purely to validate them.  Its two integrals depend on
+(u, beta, s2) only, so one pair serves a whole vector of gammas, and its
+conditional-mean integral reuses the evidence integral's integrand values
+at the nodes the two share.  exact_mmse is the full-vector oracle: the
+exact posterior mean over all 2^N supports, feasible only for small N, of
+one real part, of parts stacked as rows, or of trials stacked on a leading
+axis.  The supports of each pattern of free and forced-on components are
+enumerated once and cached (_supports); a call adds the ridge to each
+trial's Gram matrix once, and per support size it gathers the evidence
+matrices and makes one batched slogdet and one batched solve for a group of
+trials.  Every row keeps the bits of a one-part call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -65,13 +70,21 @@ def _prior_log_odds(gamma, clamp=GAMMA_CLAMP):
     return np.log((1.0 - g) / g)
 
 
-def _activity_log_odds(uu, beta, s2, log_odds):
-    """(a, gain, c): a = log_odds + log(beta/(beta + s2))/2 + uu c/2, the
-    log-odds that x is active given uu = u^2, with c = s2/(beta (beta + s2))
-    and the Wiener gain s2/(beta + s2); beta floored (or one per row)."""
+def _channel_terms(uu, beta, s2):
+    """(h, t, gain, c): the channel's two terms of the activity log-odds,
+    h = log(beta/(beta + s2))/2 (one per row) and t = uu c/2, with
+    c = s2/(beta (beta + s2)) and the Wiener gain s2/(beta + s2)."""
     total = beta + s2
     c = s2 / (beta * total)
-    return log_odds + 0.5 * np.log(beta / total) + uu * (0.5 * c), s2 / total, c
+    return 0.5 * np.log(beta / total), uu * (0.5 * c), s2 / total, c
+
+
+def _activity_log_odds(uu, beta, s2, log_odds):
+    """(a, gain, c): a = (log_odds + h) + t, the log-odds that x is active
+    given uu = u^2, in the terms of _channel_terms; beta floored (or one per
+    row)."""
+    h, t, gain, c = _channel_terms(uu, beta, s2)
+    return log_odds + h + t, gain, c
 
 
 def _uniform(gamma):
@@ -88,8 +101,11 @@ def _endpoint_masks(gamma):
 
 
 def _posterior_terms(u, beta, s2, log_odds, slab=None, spike=None):
-    """(estimate, derivative, pi, u^2, 1 - pi) of the closed form, each formed
-    once, pi in the log domain; the kernel of denoise_terms and the solver loops.
+    """(estimate, derivative, pi, 1 - pi, (u^2, h, t, c)) of the closed form,
+    each formed once, pi in the log domain; the kernel of denoise_terms and
+    the solver loops.  The last item is the channel's terms
+    (_channel_terms), which the exchange reuses where its channel is the
+    denoiser's.
 
     Takes validated inputs: beta floored (it may be an array broadcasting
     against u, one value per part), log_odds = _prior_log_odds(gamma), and
@@ -97,16 +113,22 @@ def _posterior_terms(u, beta, s2, log_odds, slab=None, spike=None):
     pi = 0 for gamma = 1 whatever u is.
     """
     uu = u * u
-    a, gain, c = _activity_log_odds(uu, beta, s2, log_odds)
-    pi = expit(a)
+    h, t, gain, c = _channel_terms(uu, beta, s2)
+    a = log_odds + h + t
+    pi = expit(a, out=a) if np.ndim(a) else expit(a)   # a is a fresh array
     if slab is not None:
         pi = np.where(slab, 1.0, pi)
     if spike is not None:
         pi = np.where(spike, 0.0, pi)
     q = 1.0 - pi
-    x = gain * u * pi
-    deriv = gain * pi * (1.0 + uu * q * c)
-    return x, deriv, pi, uu, q
+    # x = (gain u) pi and deriv = (gain pi) (uu q c + 1), in place
+    x = gain * u
+    x *= pi
+    deriv = uu * q
+    deriv *= c
+    deriv += 1.0
+    deriv *= gain * pi
+    return x, deriv, pi, q, (uu, h, t, c)
 
 
 def _check_finite(u) -> np.ndarray:
@@ -118,7 +140,10 @@ def _check_finite(u) -> np.ndarray:
 
 def denoise_terms(u, p: DenoiserParams):
     """(denoise, denoise_deriv, pi) from one evaluation of pi."""
-    return _posterior_terms(_check_finite(u), p.beta, p.s2,
+    u = _check_finite(u)
+    if u.ndim:  # u as wide as a vector gamma, as the kernel's in-place x needs
+        u = np.broadcast_to(u, np.broadcast_shapes(u.shape, np.shape(p.gamma)))
+    return _posterior_terms(u, p.beta, p.s2,
                             _prior_log_odds(p.gamma), *_endpoint_masks(p.gamma))[:3]
 
 
@@ -231,15 +256,17 @@ def exact_mmse(
     Sums over all supports S: the posterior weight of S combines the prior
     activity probabilities with the Gaussian evidence of y under
     x_S ~ N(0, s2 I), and the per-support conditional mean is the ridge
-    solve (A_S^T A_S + (sigma_w2/s2) I)^{-1} A_S^T y.  The supports are
-    enumerated once per call; per support size, the trials of a group (as
+    solve (A_S^T A_S + (sigma_w2/s2) I)^{-1} A_S^T y.  The supports come
+    from a cache, one enumeration per pattern of free and forced-on
+    components; per support size, the trials of a group (as
     many as fit CHUNK_BYTES of evidence matrices) share one batched slogdet
     and one batched solve, and a trial's parts share its evidence matrices
     and their log-determinants.  Each part keeps its own right-hand side and
     every reduction runs on contiguous operands, so a row gets the bits of a
     one-part call of its trial alone.  Cost is 2^N small solves per part, so
     N is capped at 14.  A zero noise variance is floored at BETA_FLOOR to
-    keep the evidence proper.
+    keep the evidence proper; a negative or non-finite one, and a
+    non-finite A or y_part, raise ValueError.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y_part, dtype=float)
@@ -256,6 +283,12 @@ def exact_mmse(
                 or y.shape[2] != A.shape[1] or sw2.shape != (len(A),)):
             raise ValueError("stacked trials take A (T, M, N), y_part (T, P, M) "
                              "and sigma_w2_part (T,)")
+    if not np.all(np.isfinite(sw2) & (sw2 >= 0.0)):
+        raise ValueError("sigma_w2_part must be finite and nonnegative")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("non-finite entries in A")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("non-finite entries in y_part")
     m, n = A.shape[1:]
     if n > 14:
         raise ValueError(f"support enumeration infeasible for N={n} > 14")
@@ -266,25 +299,17 @@ def exact_mmse(
     # components with degenerate priors are fixed, not enumerated
     forced_on = np.flatnonzero(gamma == 0.0)
     free = np.flatnonzero((gamma > 0.0) & (gamma < 1.0))
+    supports = _supports(tuple(forced_on.tolist()), tuple(free.tolist()), n)
 
     log_g = np.log(np.where(gamma > 0.0, gamma, 1.0))       # excluded when 0
     log_1mg = np.log(np.where(gamma < 1.0, 1.0 - gamma, 1.0))
     base_prior = float(log_g[free].sum())                   # all free inactive
     prior_bonus = log_1mg - log_g                           # per activated component
-    # per support size: the supports, forced-on components first, and their
-    # prior log-weights (prior_bonus is zero for forced-on components, so
-    # including them adds nothing)
-    supports = []
-    for k_free in range(len(free) + 1):
-        combos = list(itertools.combinations(free, k_free))
-        idx = np.concatenate((
-            np.tile(forced_on, (len(combos), 1)),
-            np.array(combos, dtype=int).reshape(len(combos), k_free),
-        ), axis=1)
-        supports.append((idx, base_prior + prior_bonus[idx].sum(axis=1)))
+    # each support's prior log-weight (prior_bonus is zero for forced-on
+    # components, so including them adds nothing)
+    log_priors = [base_prior + prior_bonus[idx].sum(axis=1) for idx, _ in supports]
     ends = np.cumsum([len(idx) for idx, _ in supports])
-    group = max(1, CHUNK_BYTES // max(1, 8 * sum(idx.size * idx.shape[1]
-                                                 for idx, _ in supports)))
+    group = max(1, CHUNK_BYTES // max(1, 8 * sum(flat.size for _, flat in supports)))
 
     x_hat = np.zeros(y.shape[:-1] + (n,))
     for first in range(0, len(A), group):
@@ -295,18 +320,22 @@ def exact_mmse(
         gram = At.transpose(0, 2, 1) @ At
         aty = (At.transpose(0, 2, 1)[:, None] @ yt[..., None])[..., 0]
         yty = (yt[..., None, :] @ yt[..., :, None])[..., 0]  # (G, P, 1)
+        # the ridge, once per trial: a support's components are distinct, so
+        # each block entry gets the add it would get in its own k x k block
+        gram += (sw / s2)[..., None] * np.eye(n)
+        gram = gram.reshape(len(At), -1)
+        log_sw, log_ratio = np.log(sw), np.log(s2 / sw)
         log_weights, means = [], []
-        for idx, log_prior in supports:
+        for (idx, flat), log_prior in zip(supports, log_priors):
             k = idx.shape[1]
-            c_batch = gram[:, idx[:, :, None], idx[:, None, :]]
-            c_batch += (sw / s2)[..., None, None] * np.eye(k)
+            c_batch = np.take(gram, flat, axis=1)           # (G, C, k, k)
             sign, logdet_c = np.linalg.slogdet(c_batch)
             if np.any(sign <= 0):
                 raise np.linalg.LinAlgError("non-positive-definite evidence matrix")
             # log N(y; 0, s2 A_S A_S^T + sw2 I) via determinant lemma + Woodbury
-            logdet_sigma = m * np.log(sw) + k * np.log(s2 / sw) + logdet_c
-            # einsum reduces a strided gather in another order (k >= 3)
-            b_batch = np.ascontiguousarray(aty[:, :, idx])
+            logdet_sigma = m * log_sw + k * log_ratio + logdet_c
+            # contiguous, as einsum reduces a strided gather in another order
+            b_batch = np.take(aty, idx, axis=2)             # (G, P, C, k)
             # c_batch broadcast over the parts: one right-hand side per solve
             sol = np.ascontiguousarray(
                 np.linalg.solve(c_batch[:, None], b_batch[..., None])[..., 0])
@@ -323,3 +352,22 @@ def exact_mmse(
             np.add.at(rows, (np.arange(len(rows))[:, None], idx.ravel()),
                       (w[..., None] * mean).reshape(len(rows), -1))
     return x_hat if shape is None else x_hat.reshape(shape)
+
+
+@functools.lru_cache(maxsize=8)
+def _supports(forced_on: tuple, free: tuple, n: int) -> tuple:
+    """Per support size, the supports of exact_mmse as rows of component
+    indices, forced-on components first, and their k x k blocks' indices
+    row * n + col into a flattened n x n matrix; both read-only, as the
+    cache hands the same arrays to every call."""
+    out = []
+    for k_free in range(len(free) + 1):
+        combos = list(itertools.combinations(free, k_free))
+        idx = np.concatenate((
+            np.tile(np.array(forced_on, dtype=int), (len(combos), 1)),
+            np.array(combos, dtype=int).reshape(len(combos), k_free),
+        ), axis=1)
+        flat = idx[:, :, None] * n + idx[:, None, :]
+        idx.flags.writeable = flat.flags.writeable = False
+        out.append((idx, flat))
+    return tuple(out)

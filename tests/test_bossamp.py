@@ -6,7 +6,8 @@ from csamp.bamp import cbamp_recover
 from csamp import bossamp
 from csamp.bossamp import (_exchange_rows, _exchange_step, cbossamp_recover, likelihood_update,
                            prior_update)
-from csamp.denoiser import DenoiserParams, _prior_log_odds, denoise_terms
+from csamp.denoiser import (DenoiserParams, _activity_log_odds, _prior_log_odds,
+                             denoise_terms)
 from csamp.experiments import _solve_chunk, trial_rng
 from csamp.model import (
     GAMMA_CLAMP,
@@ -147,6 +148,37 @@ class TestExchange:
         bound = (log_odds == lo) | (log_odds == hi)
         assert bound.any() or clamp == GAMMA_CLAMP  # the wide clamp binds
         assert np.array_equal(log_odds[bound], round_trip[bound])
+
+    @pytest.mark.parametrize("switches", [
+        {},
+        {"likelihood_variant": "printed-cross-beta"},
+        {"part_variance": "full"},
+        {"likelihood_variant": "printed-cross-beta", "part_variance": "full"},
+        {"beta_floor": 1e-14},
+    ])
+    def test_state_log_odds_equal_their_own_kernel_call(self, switches):
+        # at the default switches the exchange forms a from the denoiser's
+        # channel terms; at any other setting from a call of its own.  Either
+        # way a is, bit for bit, the kernel at the setting's own beta and
+        # slab variance.
+        settings = RecoverySettings(t_max=12, **switches)
+        instances = [make_instance(40, 80, 8, trial_rng(13, 0, j))[0] for j in range(3)]
+        problems = [_stack(inst.A, inst.y.re, inst.y.im) for inst in instances]
+        _, consts = _exchange_rows(problems, [inst.prior for inst in instances], settings)
+        step, steps = _exchange_step(settings), []
+
+        def recorded_step(u, beta, z, consts, state):
+            out = step(u, beta, z, consts, state)
+            steps.append((u, beta, consts, out[3][0]))
+            return out
+
+        _iterate(problems, recorded_step, settings, settings.beta_floor, consts, joint=True)
+        assert len(steps) > 2
+        for u, beta, (_, log_prior_odds, _, _, like_s2), a in steps:
+            if settings.likelihood_variant == "printed-cross-beta":
+                beta = bossamp._swap(beta).reshape(-1)
+            expected = _activity_log_odds(u * u, beta[:, None], like_s2, log_prior_odds)[0]
+            assert np.array_equal(a, expected)
 
 
 class TestCbossampRecover:

@@ -353,3 +353,50 @@ class TestExactMmse:
         A = gen_matrix(4, 6, np.random.default_rng(0))
         with pytest.raises(ValueError):
             exact_mmse(A, np.ones(shape), BernoulliGaussianPrior(gamma0=0.5), 0.1)
+
+    @pytest.mark.parametrize("sw2", [-1.0, np.nan, np.inf])
+    def test_bad_noise_variance_rejected(self, sw2):
+        # -1 used to be floored to the noiseless posterior and NaN to fail
+        # as a non-positive-definite evidence matrix
+        rng = np.random.default_rng(3)
+        A, y = gen_matrix(4, 6, rng), rng.standard_normal(4)
+        prior = BernoulliGaussianPrior(gamma0=0.8)
+        with pytest.raises(ValueError, match="sigma_w2_part"):
+            exact_mmse(A, y, prior, sw2)
+        with pytest.raises(ValueError, match="sigma_w2_part"):
+            exact_mmse(np.stack([A, A]), np.stack([y, y])[:, None],
+                       prior, np.array([0.1, sw2]))
+        assert np.all(np.isfinite(exact_mmse(A, y, prior, 0.0)))  # noiseless is fine
+
+    @pytest.mark.parametrize("where", ["A", "y_part"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, where, value):
+        rng = np.random.default_rng(4)
+        args = {"A": gen_matrix(4, 6, rng), "y_part": rng.standard_normal(4)}
+        args[where][1] = value
+        with pytest.raises(ValueError, match=where):
+            exact_mmse(args["A"], args["y_part"], BernoulliGaussianPrior(gamma0=0.8), 0.1)
+
+    def test_cached_supports_serve_other_priors_unchanged(self):
+        # one A under two gamma0 vectors, the second calls served from the
+        # support cache, equal fresh enumerations bit for bit
+        rng = np.random.default_rng(5)
+        A, y = gen_matrix(6, 8, rng), rng.standard_normal((2, 6))
+        priors = [BernoulliGaussianPrior(gamma0=g, sigma_x2=1.5)
+                  for g in (0.7, [0.0, 0.3, 1.0, 0.6, 0.9, 0.2, 0.5, 0.5])]
+        denoiser._supports.cache_clear()
+        fresh = []
+        for prior in priors:
+            fresh.append(exact_mmse(A, y, prior, 0.05))
+            denoiser._supports.cache_clear()
+        for _ in range(2):
+            for prior, rows in zip(priors, fresh):
+                assert np.array_equal(exact_mmse(A, y, prior, 0.05), rows)
+        assert denoiser._supports.cache_info().hits >= 2
+
+    def test_cached_supports_read_only(self):
+        for idx, flat in denoiser._supports((0,), (1, 3, 4), 5):
+            assert not idx.flags.writeable and not flat.flags.writeable
+            assert flat.shape == idx.shape + idx.shape[1:]
+            with pytest.raises(ValueError):
+                idx[...] = 0

@@ -114,6 +114,26 @@ class TestEmRule:
         assert not small.active[0]
         assert loud.active[0]
 
+    @pytest.mark.parametrize("name, value", [
+        ("sigma_x2", 0.0), ("sigma_x2", np.nan), ("sigma_x2", -1.0),
+        ("beta_r", -1.0), ("beta_i", np.nan), ("beta_r", np.inf),
+        ("gamma_r", 1.5), ("gamma_i", np.nan), ("u_r", np.nan), ("u_i", np.inf),
+    ])
+    def test_bad_arguments_rejected(self, name, value):
+        # each of these used to return a support (all zero, or all active
+        # for the floored beta = -1) where the call means nothing
+        u, g = vec(0.1, 2.0, -3.0), np.full(3, 0.8)
+        args = dict(u_r=u, u_i=u, beta_r=0.5, beta_i=0.5, gamma_r=g, gamma_i=g, sigma_x2=1.0)
+        assert np.array_equal(detect_em(**args).active, [False, True, True])
+        bad = value if name.startswith("beta") or name == "sigma_x2" else vec(0.8, value, 0.8)
+        with pytest.raises(ValueError):
+            detect_em(**{**args, name: bad})
+
+    def test_endpoint_arguments_allowed(self):
+        u = vec(0.1, 2.0, -3.0)
+        est = detect_em(u, u, 0.0, 0.5, vec(0.0, 1.0, 0.5), vec(1.0, 0.0, 0.5), 1.0)
+        assert est.active.shape == (3,)
+
 
 class TestDetectionOnSolverOutput:
     def test_em_cbamp_easy_regime_match_rate(self):
