@@ -12,8 +12,10 @@ other part's, clipped to the log-odds of the clamped gammas, at the next
 step (gamma itself is formed, by prior_update, only for a stopped row).
 At the default switches (own beta, slab variance s2, beta_floor at least
 the denoiser's floor) the likelihood's channel is the denoiser's, so a is
-formed from the denoiser's own channel terms h and t, with the same bits
-as a kernel call of its own; any other setting makes that call.
+formed from the denoiser's own channel terms h, t and c, with the same
+bits as a kernel call of its own; any other setting makes that call, at
+slab variance s2 or ("full") 2 s2 = sigma_x2, so the step runs on cbamp's
+constants (bamp._prior_rows).
 This couples the two estimates through the shared support without ever
 mixing their amplitudes.
 
@@ -44,25 +46,25 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from .amp import _rows, _single, _solve
+from .amp import _single, _solve
 from .bamp import _mmse, _prior_rows, cbamp_recover
 from .denoiser import DenoiserParams, _activity_log_odds, _check_finite, _prior_log_odds
 from .model import (BETA_FLOOR, GAMMA_CLAMP, BernoulliGaussianPrior, ComplexVector,
                     RecoveryOutput, RecoverySettings)
 
 
-def likelihood_update(u, beta: float, gamma0, s2: float, beta_floor: float = BETA_FLOOR,
-                      gamma_clamp: float = GAMMA_CLAMP):
+def likelihood_update(u, beta: float, gamma0, s2: float):
     """Log-likelihood ratio for a component being zero given pseudo-data u.
 
     l = log(g/(1-g)) + (log((beta+s2)/beta) - u^2 s2 / (beta (beta+s2))) / 2,
-    the negative of the activity log-odds, with beta floored at beta_floor
-    and gamma0 in [0, 1] clamped away from {0,1} so l stays finite.
+    the negative of the activity log-odds, with beta floored at BETA_FLOOR
+    and gamma0 in [0, 1] clamped by GAMMA_CLAMP away from {0,1} so l stays
+    finite.
     """
     u = _check_finite(u)
     DenoiserParams(beta, gamma0, s2)  # the denoiser's checks of the same quantities
-    out = -_activity_log_odds(u * u, max(float(beta), beta_floor), s2,
-                              _prior_log_odds(gamma0, gamma_clamp))[0]
+    out = -_activity_log_odds(u * u, max(float(beta), BETA_FLOOR), s2,
+                              _prior_log_odds(gamma0))[0]
     return out if out.ndim else float(out)
 
 
@@ -79,22 +81,23 @@ def _swap(a):
 
 def _exchange_step(settings: RecoverySettings):
     """The likelihood exchange as the loop's step over the (re, im) row pairs
-    of a batch.  Its consts are those of _exchange_rows; its state is each
+    of a batch.  Its consts are cbamp's (bamp._prior_rows); its state is each
     row's own activity log-odds a, the other part's memory weights
     w = u' s/(beta (beta + s)) and the residual z that formed u.  The first
     step denoises at the prior log-odds with the endpoint masks, each later
     one at the other part's -l (its a) clipped to the log-odds of the
     clamped gammas, no endpoint priors, and adds the memory term b z'.
     Where the likelihood's channel is the denoiser's (shared), a is formed
-    from the denoiser's channel terms (module docstring)."""
+    from the denoiser's channel terms, elsewhere from a kernel call of its
+    own (module docstring); 2 s2 is sigma_x2 exactly, as s2 = sigma_x2/2."""
     cross = settings.likelihood_variant == "printed-cross-beta"
-    shared = (not cross and settings.part_variance == "half"
-              and settings.beta_floor >= BETA_FLOOR)
+    half = settings.part_variance == "half"
+    shared = not cross and half and settings.beta_floor >= BETA_FLOOR
     lo, hi = _prior_log_odds(np.array([1.0 - settings.gamma_clamp, settings.gamma_clamp]),
                              settings.gamma_clamp)
 
     def step(u, beta, z, consts, state):
-        s2, log_prior_odds, slab, spike, like_s2 = consts
+        s2, log_prior_odds, slab, spike = consts
         if state is None:
             x, deriv_sum, _, q, channel = _mmse(u, beta, s2, log_prior_odds, slab, spike)
             term = 0.0
@@ -111,19 +114,11 @@ def _exchange_step(settings: RecoverySettings):
             a = log_prior_odds + h + t
         else:
             beta_l = (_swap(beta).reshape(-1) if cross else beta)[:, None]
-            a, _, slope = _activity_log_odds(uu, beta_l, like_s2, log_prior_odds)
+            a, *_, slope = _activity_log_odds(uu, beta_l, s2 if half else 2.0 * s2,
+                                              log_prior_odds)
         return x, deriv_sum, term, (a, (_swap(u) * _swap(slope)).reshape(u.shape), z)
 
     return step
-
-
-def _exchange_rows(problems, priors, settings: RecoverySettings):
-    """bamp._prior_rows, the slab variance of the likelihood added to the
-    constants."""
-    gamma0s, consts = _prior_rows(problems, priors, settings.gamma_clamp)
-    like_s2 = consts[0] if settings.part_variance == "half" else _rows(
-        [prior.sigma_x2 for prior in priors])
-    return gamma0s, (*consts, like_s2)
 
 
 def _cbossamp_batch(problems, priors, settings: RecoverySettings) -> list:
@@ -132,7 +127,7 @@ def _cbossamp_batch(problems, priors, settings: RecoverySettings) -> list:
     whose iterate went non-finite.  Each working gamma is prior_update of the
     other part's activity log-odds, except that a problem without data,
     |y|^2 = 0, keeps its gamma0 in both parts."""
-    gamma0s, consts = _exchange_rows(problems, priors, settings)
+    gamma0s, consts = _prior_rows(problems, priors, settings.gamma_clamp)
     clamp = settings.gamma_clamp
 
     def gammas(j, r, i):

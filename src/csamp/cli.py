@@ -67,12 +67,12 @@ VALIDATION_U_GRID = tuple(float(u) for u in np.linspace(-7.0, 7.0, 50))
 VALIDATION_BETAS = (1e-3, 1e-1, 1.0, 10.0)
 VALIDATION_GAMMAS = (0.01, 0.5, 0.9, 0.99)
 VALIDATION_S2 = 0.5
+ORACLE_N, ORACLE_M, ORACLE_K = 10, 6, 2
 
 
-def denoiser_validation_rows(denoise_fn=denoise, u_grid=VALIDATION_U_GRID,
-                             betas=VALIDATION_BETAS, gammas=VALIDATION_GAMMAS,
-                             s2=VALIDATION_S2):
-    """Closed form vs quadrature on the full grid; returns (rows, max_diff).
+def denoiser_validation_rows(denoise_fn=denoise, u_grid=VALIDATION_U_GRID):
+    """Closed form vs quadrature over VALIDATION_BETAS x VALIDATION_GAMMAS x
+    u_grid at s2 = VALIDATION_S2; returns (rows, max_diff).
 
     Rows come in (beta, gamma, u) order.  denoise_fn is called once per
     (beta, gamma) at scalar gamma, with the u grid as a vector; the
@@ -81,11 +81,12 @@ def denoiser_validation_rows(denoise_fn=denoise, u_grid=VALIDATION_U_GRID,
     """
     rows = []
     max_diff = 0.0
-    for beta in betas:
-        every_gamma = DenoiserParams(beta=beta, gamma=np.array(gammas), s2=s2)
+    for beta in VALIDATION_BETAS:
+        every_gamma = DenoiserParams(beta=beta, gamma=np.array(VALIDATION_GAMMAS),
+                                     s2=VALIDATION_S2)
         references = [denoise_numeric(u, every_gamma) for u in u_grid]
-        for j, gamma in enumerate(gammas):
-            params = DenoiserParams(beta=beta, gamma=gamma, s2=s2)
+        for j, gamma in enumerate(VALIDATION_GAMMAS):
+            params = DenoiserParams(beta=beta, gamma=gamma, s2=VALIDATION_S2)
             closed_forms = denoise_fn(np.array(u_grid), params).tolist()
             for u, closed, at_u in zip(u_grid, closed_forms, references):
                 reference = float(at_u[j])
@@ -95,10 +96,10 @@ def denoiser_validation_rows(denoise_fn=denoise, u_grid=VALIDATION_U_GRID,
     return rows, max_diff
 
 
-def oracle_validation_rows(trials=200, seed=0, n=10, m=6, k=2, snr_db=20.0,
-                           noiseless=False, settings=RecoverySettings(),
-                           algorithms=KNOWN_ALGORITHMS):
-    """Mean per-part MSE of each algorithm against the enumeration oracle.
+def oracle_validation_rows(trials=200, seed=0, snr_db=20.0, noiseless=False,
+                           settings=RecoverySettings()):
+    """Mean per-part MSE of each algorithm against the enumeration oracle, at
+    (N, M, K) = (ORACLE_N, ORACLE_M, ORACLE_K).
 
     The trials run through the sweeps' trial loop as its one cell, cell 0
     (trial j drawn from trial_rng(seed, 0, j)), each algorithm solving a
@@ -110,14 +111,11 @@ def oracle_validation_rows(trials=200, seed=0, n=10, m=6, k=2, snr_db=20.0,
     paired-mean MSEs, and the list of rows where the algorithm beats the
     oracle by more than 1e-9.
     """
-    if n > 14:
-        raise ValueError(f"support enumeration infeasible for N={n} > 14")
-    cfg = GridConfig(n=n, trials=trials, base_seed=seed,
-                     algorithms=tuple(algorithms), settings=settings)
+    cfg = GridConfig(n=ORACLE_N, trials=trials, base_seed=seed, settings=settings)
     snr = None if noiseless else 10.0 ** (snr_db / 10.0)
-    alg_sums = {(a, p): 0.0 for a in algorithms for p in ("re", "im")}
+    alg_sums = {(a, p): 0.0 for a in KNOWN_ALGORITHMS for p in ("re", "im")}
     oracle_sums = {"re": 0.0, "im": 0.0}
-    for chunk in _chunks(cfg, [(0, m, k, snr)]):
+    for chunk in _chunks(cfg, [(0, ORACLE_M, ORACLE_K, snr)]):
         draws, outs = _solve_draws(cfg, chunk)
         x_stars = exact_mmse(np.stack([inst.A for inst, _ in draws]),
                              np.stack([(inst.y.re, inst.y.im) for inst, _ in draws]),
@@ -125,17 +123,17 @@ def oracle_validation_rows(trials=200, seed=0, n=10, m=6, k=2, snr_db=20.0,
         for (inst, _), x_star in zip(draws, x_stars):
             for part, x_part in zip(("re", "im"), x_star):
                 oracle_sums[part] += float(
-                    np.sum((x_part - getattr(inst.x_true, part)) ** 2)) / n
-        for algo in algorithms:
+                    np.sum((x_part - getattr(inst.x_true, part)) ** 2)) / ORACLE_N
+        for algo in KNOWN_ALGORITHMS:
             for (inst, _), out in zip(draws, outs[algo]):
                 if isinstance(out, RecoveryError):
                     raise out
                 for part in ("re", "im"):
                     err = getattr(out.x_hat, part) - getattr(inst.x_true, part)
-                    alg_sums[(algo, part)] += float(err @ err) / n
+                    alg_sums[(algo, part)] += float(err @ err) / ORACLE_N
     rows = []
     violations = []
-    for algo in algorithms:
+    for algo in KNOWN_ALGORITHMS:
         for part in ("re", "im"):
             alg_mse = alg_sums[(algo, part)] / trials
             oracle_mse = oracle_sums[part] / trials
@@ -289,6 +287,9 @@ def cmd_grid(opts) -> int:
     points, lo, hi = opts.get("grid_points"), opts.get("grid_min"), opts.get("grid_max")
     if points < 1 or not 0.0 < lo <= hi <= 1.0:
         raise UsageError("bad grid specification")
+    level = opts.get("level")
+    if not 0.0 < level <= 1.0:
+        raise UsageError(f"--level {level} outside (0, 1]")
     ratios = tuple(float(v) for v in np.linspace(lo, hi, points))
     settings = _settings_from(opts)
     cfg = GridConfig(
@@ -304,7 +305,6 @@ def cmd_grid(opts) -> int:
         settings=settings,
         workers=opts.get("workers"),
     )
-    level = opts.get("level")
     contour_out = opts.get("contour_out")
     out = opts.get("out")
     if out is None:

@@ -6,13 +6,14 @@ Wiener gain s2/(s2+beta) times u, weighted by the posterior probability pi
 that x is nonzero.  Its log-odds a, the latent activity, has one kernel,
 _activity_log_odds: pi = expit(a), bossamp's exchange is -a and support's
 EM detector reads a per part.  a is (log-odds of gamma + h) + t, where h
-(one per row) and t = u^2 c/2 are the channel's terms (_channel_terms).
+(one per row) and t = u^2 c/2 are the channel's terms, which the kernel
+returns with a, the Wiener gain and c.
 denoise/denoise_deriv are the validated closed forms (denoise_terms returns
 both, and pi, from one evaluation of pi).  They run the same kernel as the
 solver loop, _posterior_terms, which takes its per-gamma constants
 precomputed, so the loop validates once per solve, forms x and the
-derivative in place, and hands 1 - pi and the channel's terms on to the
-exchange.  denoise_numeric re-derives the same quantity by adaptive
+derivative in place, and hands 1 - pi, u^2 and the channel's terms on to
+the exchange.  denoise_numeric re-derives the same quantity by adaptive
 quadrature and exists purely to validate them.  Its two integrals depend on
 (u, beta, s2) only, so one pair serves a whole vector of gammas, and its
 conditional-mean integral reuses the evidence integral's integrand values
@@ -70,21 +71,15 @@ def _prior_log_odds(gamma, clamp=GAMMA_CLAMP):
     return np.log((1.0 - g) / g)
 
 
-def _channel_terms(uu, beta, s2):
-    """(h, t, gain, c): the channel's two terms of the activity log-odds,
-    h = log(beta/(beta + s2))/2 (one per row) and t = uu c/2, with
-    c = s2/(beta (beta + s2)) and the Wiener gain s2/(beta + s2)."""
+def _activity_log_odds(uu, beta, s2, log_odds):
+    """(a, h, t, gain, c): a = (log_odds + h) + t, the log-odds that x is
+    active given uu = u^2, with the channel's terms h = log(beta/(beta + s2))/2
+    (one per row) and t = uu c/2, c = s2/(beta (beta + s2)) and the Wiener
+    gain s2/(beta + s2); beta floored (or one per row)."""
     total = beta + s2
     c = s2 / (beta * total)
-    return 0.5 * np.log(beta / total), uu * (0.5 * c), s2 / total, c
-
-
-def _activity_log_odds(uu, beta, s2, log_odds):
-    """(a, gain, c): a = (log_odds + h) + t, the log-odds that x is active
-    given uu = u^2, in the terms of _channel_terms; beta floored (or one per
-    row)."""
-    h, t, gain, c = _channel_terms(uu, beta, s2)
-    return log_odds + h + t, gain, c
+    h, t = 0.5 * np.log(beta / total), uu * (0.5 * c)
+    return log_odds + h + t, h, t, s2 / total, c
 
 
 def _uniform(gamma):
@@ -102,10 +97,10 @@ def _endpoint_masks(gamma):
 
 def _posterior_terms(u, beta, s2, log_odds, slab=None, spike=None):
     """(estimate, derivative, pi, 1 - pi, (u^2, h, t, c)) of the closed form,
-    each formed once, pi in the log domain; the kernel of denoise_terms and
-    the solver loops.  The last item is the channel's terms
-    (_channel_terms), which the exchange reuses where its channel is the
-    denoiser's.
+    each formed once, pi = expit(a) of _activity_log_odds; the kernel of
+    denoise_terms and the solver loops.  The last item is u^2 and the
+    channel's terms of that call, which the exchange reuses where its channel
+    is the denoiser's.
 
     Takes validated inputs: beta floored (it may be an array broadcasting
     against u, one value per part), log_odds = _prior_log_odds(gamma), and
@@ -113,8 +108,7 @@ def _posterior_terms(u, beta, s2, log_odds, slab=None, spike=None):
     pi = 0 for gamma = 1 whatever u is.
     """
     uu = u * u
-    h, t, gain, c = _channel_terms(uu, beta, s2)
-    a = log_odds + h + t
+    a, h, t, gain, c = _activity_log_odds(uu, beta, s2, log_odds)
     pi = expit(a, out=a) if np.ndim(a) else expit(a)   # a is a fresh array
     if slab is not None:
         pi = np.where(slab, 1.0, pi)
@@ -159,9 +153,9 @@ def denoise_deriv(u, p: DenoiserParams):
     return out if out.ndim else float(out)
 
 
-def denoise_numeric(u: float, p: DenoiserParams, rel_tol: float = 1e-12):
-    """Posterior mean by adaptive quadrature of the continuous branch;
-    elementwise over a vector gamma, scalar u.
+def denoise_numeric(u: float, p: DenoiserParams):
+    """Posterior mean by adaptive quadrature of the continuous branch, to a
+    relative tolerance of 1e-12; elementwise over a vector gamma, scalar u.
 
     Both the numerator integral of x * N(u-x; 0, beta) * N(x; 0, s2) and the
     continuous evidence integral are computed numerically (log-rescaled so
@@ -218,7 +212,7 @@ def denoise_numeric(u: float, p: DenoiserParams, rel_tol: float = 1e-12):
     def integrate(f, label):
         val, abserr, info, *rest = quad(
             f, -radius, radius, points=breaks,
-            epsabs=abs_floor, epsrel=rel_tol, limit=200, full_output=1,
+            epsabs=abs_floor, epsrel=1e-12, limit=200, full_output=1,
         )
         if rest:
             raise RuntimeError(f"quadrature for {label} did not converge: {rest[0]}")

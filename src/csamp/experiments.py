@@ -12,10 +12,12 @@ solved and scored by the workers, and their scores routed back to their
 cells in trial order.  The exact-MMSE oracle check (cli) draws and solves
 through the same chunks.  Comparisons are paired and any worker count
 reproduces the same bytes.  The public runners reduce the loop's tallies
-to rows; `run_grids` takes the recovery and support grids from one pass.
-A trial whose iterate goes non-finite fails alone, as a RecoveryError,
-while the rest of its chunk runs on: it counts as diverged at t_max
-iterations, scores NMSE 1 and is never a success; it never aborts a sweep.
+to rows; `run_grids` takes the recovery and support grids from one pass,
+the support grid scoring the (algorithm, detector) pairs of
+DEFAULT_DETECTOR_CONFIGS whose algorithm the grid runs.  A trial whose
+iterate goes non-finite fails alone, as a RecoveryError, while the rest of
+its chunk runs on: it counts as diverged at t_max iterations, scores NMSE 1
+and is never a success; it never aborts a sweep.
 """
 
 from __future__ import annotations
@@ -51,12 +53,6 @@ KNOWN_DETECTORS = ("em", "prior")
 DEFAULT_DETECTOR_CONFIGS = (("cbamp", "em"), ("cbossamp", "em"), ("cbossamp", "prior"))
 
 
-def _check_names(names, known, what: str) -> None:
-    for name in names:
-        if name not in known:
-            raise ValueError(f"unknown {what} {name!r}")
-
-
 @dataclass(frozen=True)
 class GridConfig:
     """Phase-transition grid over (M/N, K/M) ratio axes; the fields besides
@@ -85,7 +81,9 @@ class GridConfig:
             raise ValueError("trials must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
-        _check_names(self.algorithms, KNOWN_ALGORITHMS, "algorithm")
+        for name in self.algorithms:
+            if name not in KNOWN_ALGORITHMS:
+                raise ValueError(f"unknown algorithm {name!r}")
         if not self.success_threshold > 0.0:
             raise ValueError("success_threshold must be positive")
         if not self.noiseless and (self.snr is None or self.snr <= 0.0):
@@ -191,7 +189,10 @@ def run_algorithm(
     lam: float | None = None,
 ) -> RecoveryOutput:
     """Dispatch one recovery; AMP's threshold multiplier is lam, or else the
-    heuristic at max(K, 1).  A non-finite iterate raises RecoveryError."""
+    heuristic at max(K, 1), and lam for any other algorithm is a ValueError.
+    A non-finite iterate raises RecoveryError."""
+    if lam is not None and name != "amp":
+        raise ValueError(f"lam is amp's threshold multiplier; {name} takes none")
     return _single(_solve_chunk(name, [inst], k, settings, lam))
 
 
@@ -343,12 +344,10 @@ SPT_COLUMNS = [
 ]
 
 
-def _support_pairs(cfg: GridConfig, detectors) -> tuple[tuple[str, str], ...]:
-    """The (algorithm, detector) pairs whose algorithm the grid runs."""
-    pairs = tuple((str(a), str(d)) for a, d in detectors)
-    _check_names((a for a, _ in pairs), KNOWN_ALGORITHMS, "algorithm")
-    _check_names((d for _, d in pairs), KNOWN_DETECTORS, "detector")
-    pairs = tuple(p for p in pairs if p[0] in cfg.algorithms)
+def _support_pairs(cfg: GridConfig) -> tuple[tuple[str, str], ...]:
+    """The (algorithm, detector) pairs of DEFAULT_DETECTOR_CONFIGS whose
+    algorithm the grid runs."""
+    pairs = tuple(p for p in DEFAULT_DETECTOR_CONFIGS if p[0] in cfg.algorithms)
     if not pairs:
         raise ValueError("need at least one (algorithm, detector) pair "
                          "with an algorithm of the grid")
@@ -395,22 +394,19 @@ def run_phase_transition(cfg: GridConfig) -> SweepResult:
     return _grid_result(cfg, "phase-transition", labels, _grid_pass(cfg))
 
 
-def run_support_phase_transition(
-    cfg: GridConfig, detectors=DEFAULT_DETECTOR_CONFIGS
-) -> SweepResult:
-    """Exact-support-match rates for the (algorithm, detector) pairs whose
-    algorithm is in cfg.algorithms; only those algorithms are solved."""
-    pairs = _support_pairs(cfg, detectors)
+def run_support_phase_transition(cfg: GridConfig) -> SweepResult:
+    """Exact-support-match rates for the (algorithm, detector) pairs of
+    DEFAULT_DETECTOR_CONFIGS whose algorithm is in cfg.algorithms; only those
+    algorithms are solved."""
+    pairs = _support_pairs(cfg)
     solved = replace(cfg, algorithms=tuple(dict.fromkeys(a for a, _ in pairs)))
     return _grid_result(cfg, "support-pt", pairs, _grid_pass(solved, pairs))
 
 
-def run_grids(
-    cfg: GridConfig, detectors=DEFAULT_DETECTOR_CONFIGS
-) -> tuple[SweepResult, SweepResult]:
-    """run_phase_transition(cfg) and run_support_phase_transition(cfg,
-    detectors) from one pass, solving each instance once per algorithm."""
-    pairs = _support_pairs(cfg, detectors)
+def run_grids(cfg: GridConfig) -> tuple[SweepResult, SweepResult]:
+    """run_phase_transition(cfg) and run_support_phase_transition(cfg) from
+    one pass, solving each instance once per algorithm."""
+    pairs = _support_pairs(cfg)
     passes = _grid_pass(cfg, pairs)
     labels = [(algo,) for algo in cfg.algorithms]
     return (_grid_result(cfg, "phase-transition", labels, passes),
@@ -433,12 +429,12 @@ def run_nmse_sweep(
     trials: int,
     base_seed: int = 0,
     algorithms=KNOWN_ALGORITHMS,
-    sigma_x2: float = 1.0,
     settings: RecoverySettings = RecoverySettings(),
     workers: int = 1,
 ) -> SweepResult:
-    """Mean/median NMSE per (M, SNR) point with paired instances; a
-    non-finite abort contributes NMSE 1 (the all-zero estimate)."""
+    """Mean/median NMSE per (M, SNR) point with paired instances at slab
+    variance 1; a non-finite abort contributes NMSE 1 (the all-zero
+    estimate)."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= K <= N")
     if not len(m_list) or not len(snr_db_list):
@@ -448,8 +444,7 @@ def run_nmse_sweep(
     if not all(np.isfinite(float(s)) for s in snr_db_list):
         raise ValueError("every SNR must be finite")
     cfg = GridConfig(n=n, trials=trials, base_seed=base_seed,
-                     algorithms=tuple(algorithms), sigma_x2=sigma_x2,
-                     settings=settings, workers=workers)
+                     algorithms=tuple(algorithms), settings=settings, workers=workers)
     points = [(int(m), float(snr_db)) for m, snr_db in product(m_list, snr_db_list)]
     cells = [(idx, m, k, 10.0 ** (snr_db / 10.0)) for idx, (m, snr_db) in enumerate(points)]
     rows = []
@@ -466,7 +461,7 @@ def run_nmse_sweep(
         "m_list": " ".join(str(int(m)) for m in m_list),
         "snr_db_list": " ".join(repr(float(s)) for s in snr_db_list),
         "trials": trials, "base_seed": base_seed,
-        "algorithms": " ".join(cfg.algorithms), "sigma_x2": sigma_x2,
+        "algorithms": " ".join(cfg.algorithms), "sigma_x2": cfg.sigma_x2,
     }
     meta.update(asdict(settings))
     return SweepResult("nmse-sweep", NMSE_COLUMNS, rows, meta)
@@ -477,7 +472,9 @@ def run_nmse_sweep(
 def extract_contour(result: SweepResult, level: float = 0.5) -> SweepResult:
     """Per identity and M/N column, the K/M where the success rate first
     crosses `level` going down, linearly interpolated; columns that never
-    cross are omitted."""
+    cross are omitted.  A level outside (0, 1] is a ValueError."""
+    if not 0.0 < level <= 1.0:
+        raise ValueError(f"contour level {level} outside (0, 1]")
     if not result.rows:
         raise ValueError("empty sweep result")
     cols = result.columns

@@ -64,9 +64,9 @@ class ComplexVector:
     def norm_sq(self) -> float:
         return float(self.re @ self.re + self.im @ self.im)
 
-    def support(self, tol: float = 0.0) -> np.ndarray:
-        """Boolean mask of components with |x_n| > tol (either part)."""
-        return (np.abs(self.re) > tol) | (np.abs(self.im) > tol)
+    def support(self) -> np.ndarray:
+        """Boolean mask of components with |x_n| > 0 (either part; NaN is not)."""
+        return (np.abs(self.re) > 0.0) | (np.abs(self.im) > 0.0)
 
 
 def _checked_gamma0(gamma0) -> np.ndarray:

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from csamp.amp import _iterate, _stack
-from csamp.bamp import cbamp_recover
+from csamp.bamp import _prior_rows, cbamp_recover
 from csamp import bossamp
-from csamp.bossamp import (_exchange_rows, _exchange_step, cbossamp_recover, likelihood_update,
-                           prior_update)
+from csamp.bossamp import _exchange_step, cbossamp_recover, likelihood_update, prior_update
 from csamp.denoiser import (DenoiserParams, _activity_log_odds, _prior_log_odds,
                              denoise_terms)
 from csamp.experiments import _solve_chunk, trial_rng
@@ -124,7 +123,7 @@ class TestExchange:
         settings = RecoverySettings(t_max=t_max + 1, gamma_clamp=clamp)
         instances = [make_instance(40, 80, 8, trial_rng(12, 0, j))[0] for j in range(3)]
         problems = [_stack(inst.A, inst.y.re, inst.y.im) for inst in instances]
-        _, consts = _exchange_rows(problems, [inst.prior for inst in instances], settings)
+        _, consts = _prior_rows(problems, [inst.prior for inst in instances], clamp)
         step, mmse, states, installed = _exchange_step(settings), bossamp._mmse, [], []
 
         def recorded_step(u, beta, z, consts, state):
@@ -160,25 +159,32 @@ class TestExchange:
         # at the default switches the exchange forms a from the denoiser's
         # channel terms; at any other setting from a call of its own.  Either
         # way a is, bit for bit, the kernel at the setting's own beta and
-        # slab variance.
+        # slab variance: the prior's sigma_x2 under "full", its s2 under
+        # "half".  sigma_x2 = 0.3 makes s2 = 0.15, so "full" is checked at a
+        # slab variance other than 2 * 0.5 = 1.
         settings = RecoverySettings(t_max=12, **switches)
-        instances = [make_instance(40, 80, 8, trial_rng(13, 0, j))[0] for j in range(3)]
-        problems = [_stack(inst.A, inst.y.re, inst.y.im) for inst in instances]
-        _, consts = _exchange_rows(problems, [inst.prior for inst in instances], settings)
-        step, steps = _exchange_step(settings), []
+        for sigma_x2 in (1.0, 0.3):
+            instances = [make_instance(40, 80, 8, trial_rng(13, 0, j), sigma_x2=sigma_x2)[0]
+                         for j in range(3)]
+            problems = [_stack(inst.A, inst.y.re, inst.y.im) for inst in instances]
+            _, consts = _prior_rows(problems, [inst.prior for inst in instances],
+                                    settings.gamma_clamp)
+            prior = instances[0].prior
+            slab = prior.sigma_x2 if settings.part_variance == "full" else prior.s2
+            step, steps = _exchange_step(settings), []
 
-        def recorded_step(u, beta, z, consts, state):
-            out = step(u, beta, z, consts, state)
-            steps.append((u, beta, consts, out[3][0]))
-            return out
+            def recorded_step(u, beta, z, consts, state):
+                out = step(u, beta, z, consts, state)
+                steps.append((u, beta, consts, out[3][0]))
+                return out
 
-        _iterate(problems, recorded_step, settings, settings.beta_floor, consts, joint=True)
-        assert len(steps) > 2
-        for u, beta, (_, log_prior_odds, _, _, like_s2), a in steps:
-            if settings.likelihood_variant == "printed-cross-beta":
-                beta = bossamp._swap(beta).reshape(-1)
-            expected = _activity_log_odds(u * u, beta[:, None], like_s2, log_prior_odds)[0]
-            assert np.array_equal(a, expected)
+            _iterate(problems, recorded_step, settings, settings.beta_floor, consts, joint=True)
+            assert len(steps) > 2
+            for u, beta, (_, log_prior_odds, _, _), a in steps:
+                if settings.likelihood_variant == "printed-cross-beta":
+                    beta = bossamp._swap(beta).reshape(-1)
+                expected = _activity_log_odds(u * u, beta[:, None], slab, log_prior_odds)[0]
+                assert np.array_equal(a, expected)
 
 
 class TestCbossampRecover:

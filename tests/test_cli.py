@@ -83,6 +83,17 @@ class TestRecover:
             inst = make_instance(2, 48, 0, trial_rng(4, 0, int(trial)))[0]
             assert run_algorithm("amp", inst, 0, RecoverySettings()).x_hat.norm_sq() == 0.0
 
+    @pytest.mark.parametrize("algo", ["cbamp", "cbossamp"])
+    def test_lam_rejected_for_bayesian_solvers(self, capsys, algo):
+        # lam is amp's threshold multiplier; the Bayesian solvers have none
+        code, out, err = run_cli(capsys, "recover", "--n", "32", "--m", "16", "--k", "3",
+                                 "--algo", algo, "--lam", "-3")
+        assert code == 1
+        assert out == "" and "lam" in err
+        inst = make_instance(16, 32, 3, trial_rng(0, 0, 0))[0]
+        with pytest.raises(ValueError, match="lam"):
+            run_algorithm(algo, inst, 3, RecoverySettings(), lam=1.5)
+
     def test_same_seed_identical_rows(self, capsys):
         argv = ("recover", "--n", "96", "--m", "48", "--k", "5",
                 "--algo", "cbamp", "--seed", "11")
@@ -262,6 +273,22 @@ class TestSweeps:
         _, _, meta = read_csv(contour)
         assert meta["kind"] == "contour"
 
+    @pytest.mark.parametrize("command", ["phase-transition", "support-pt"])
+    @pytest.mark.parametrize("level", ["1.5", "nan", "0", "-0.5"])
+    def test_level_outside_unit_interval_rejected_before_any_solve(
+            self, capsys, tmp_path, monkeypatch, command, level):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(experiments, "make_instance", no_draw)
+        out, contour = tmp_path / "pt.csv", tmp_path / "c.csv"
+        code, printed, err = run_cli(
+            capsys, command, "--n", "24", "--trials", "1", "--grid-points", "2",
+            "--out", str(out), "--contour-out", str(contour), "--level", level,
+        )
+        assert code == 1 and "--level" in err and printed == ""
+        assert not out.exists() and not contour.exists()
+
     def test_unwritable_out_is_io_error(self, capsys):
         code, _, err = run_cli(
             capsys, "phase-transition", "--n", "48", "--trials", "1",
@@ -440,8 +467,7 @@ class TestValidate:
                 alg_mse = alg_sums[(algo, part)] / trials
                 oracle_mse = oracle_sums[part] / trials
                 expected.append((algo, part, alg_mse, oracle_mse, alg_mse - oracle_mse))
-        rows, _ = oracle_validation_rows(trials=trials, seed=seed, n=n, m=m, k=k,
-                                         snr_db=20.0, noiseless=noiseless)
+        rows, _ = oracle_validation_rows(trials=trials, seed=seed, noiseless=noiseless)
         assert rows == expected
 
     def test_oracle_raises_recovery_error(self, monkeypatch):
@@ -458,7 +484,7 @@ class TestValidate:
         with pytest.raises(RecoveryError):
             oracle_validation_rows(trials=6, seed=2)
 
-    @pytest.mark.parametrize("kwargs", [dict(trials=0), dict(trials=-1), dict(n=20)])
+    @pytest.mark.parametrize("kwargs", [dict(trials=0), dict(trials=-1)])
     def test_oracle_entry_checks(self, monkeypatch, kwargs):
         def no_draw(*args, **kwargs):
             raise AssertionError("drew an instance")

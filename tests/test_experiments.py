@@ -185,22 +185,11 @@ class TestSupportPhaseTransition:
         res = run_support_phase_transition(cfg)
         assert all(r >= 0.8 for r in res.column("success_rate"))
 
-    def test_rejects_empty_detectors(self):
-        with pytest.raises(ValueError):
-            run_support_phase_transition(tiny_grid(), detectors=())
-
-    def test_rejects_unknown_names_before_drawing(self, monkeypatch):
+    def test_rejects_empty_detectors(self, monkeypatch):
+        # amp has no detector pair, so an amp-only grid has none to score
         monkeypatch.setattr(experiments, "make_instance", forbidden)
-        for detectors in ((("magic", "em"),), (("cbamp", "magic"),)):
-            with pytest.raises(ValueError, match="unknown"):
-                run_support_phase_transition(tiny_grid(), detectors=detectors)
-
-    def test_repeated_pair_counted_once(self):
-        cfg = tiny_grid(m_ratios=(0.9,), k_ratios=(0.1,))
-        single = run_support_phase_transition(cfg, detectors=(("cbamp", "em"),))
-        twice = run_support_phase_transition(
-            cfg, detectors=(("cbamp", "em"), ("cbamp", "em")))
-        assert twice.rows == single.rows * 2
+        with pytest.raises(ValueError, match="pair"):
+            run_support_phase_transition(tiny_grid(algorithms=("amp",)))
 
     def test_solves_only_paired_algorithms(self, solved):
         cfg = tiny_grid()
@@ -548,6 +537,16 @@ class TestContour:
         empty = SweepResult("phase-transition", ["m_ratio"], [], {})
         with pytest.raises(ValueError):
             extract_contour(empty, 0.5)
+
+    @pytest.mark.parametrize("level", [0.0, -0.5, 1.5, np.nan, np.inf])
+    def test_level_outside_unit_interval_rejected(self, level):
+        res = self.synthetic([(0.1, 1.0), (0.2, 1.0), (0.3, 0.0)])
+        with pytest.raises(ValueError, match="level"):
+            extract_contour(res, level)
+
+    def test_level_one_allowed(self):
+        res = self.synthetic([(0.1, 1.0), (0.2, 1.0), (0.3, 0.0)])
+        assert extract_contour(res, 1.0).rows == [("cbamp", 0.5, 0.2)]
 
 
 class TestCsv:
