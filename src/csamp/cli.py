@@ -254,11 +254,16 @@ def cmd_recover(opts) -> int:
             noiseless=snr_db is None,
             gamma0=opts.get("gamma0"),
         )
-        save_path = opts.get("save_instance")
-        if save_path:
-            save_instance(save_path, inst, sigma_w2, seed)
 
-    out = run_algorithm(algo, inst, k, settings, opts.get("lam"))
+    try:
+        out = run_algorithm(algo, inst, k, settings, opts.get("lam"))
+    except RecoveryError as exc:  # reported once the instance is saved
+        out = exc
+    # saved after the solve, so options that it rejects leave no file
+    if opts.get("save_instance") and not opts.get("instance"):
+        save_instance(opts.get("save_instance"), inst, sigma_w2, seed)
+    if isinstance(out, RecoveryError):
+        raise out
 
     detector = opts.get("detect")
     exact = fp = fn = ""

@@ -8,10 +8,11 @@ support detectors.  The loop's unit is a chunk (`_chunks`): consecutive
 fit CHUNK_BYTES of A (at least one).  Each algorithm solves a chunk in one
 batched AMP loop (amp.py) in which every trial keeps its own prior and the
 bits of its lone solve, so the chunking changes no result.  The chunks are
-solved and scored by the workers, and their scores routed back to their
-cells in trial order.  The exact-MMSE oracle check (cli) draws and solves
+solved and scored by the workers, and each solve's TrialRecord (score,
+iterations, diverged flag, {detector: SupportMetrics}) routed back to its
+cell in trial order.  The exact-MMSE oracle check (cli) draws and solves
 through the same chunks.  Comparisons are paired and any worker count
-reproduces the same bytes.  The public runners reduce the loop's tallies
+reproduces the same bytes.  The public runners reduce the loop's records
 to rows; `run_grids` takes the recovery and support grids from one pass,
 the support grid scoring the (algorithm, detector) pairs of
 DEFAULT_DETECTOR_CONFIGS whose algorithm the grid runs.  A trial whose
@@ -24,9 +25,10 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 from multiprocessing import Pool
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,6 +86,8 @@ class GridConfig:
         for name in self.algorithms:
             if name not in KNOWN_ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}")
+            if self.algorithms.count(name) > 1:
+                raise ValueError(f"algorithm {name!r} given more than once")
         if not self.success_threshold > 0.0:
             raise ValueError("success_threshold must be positive")
         if not self.noiseless and (self.snr is None or self.snr <= 0.0):
@@ -239,24 +243,15 @@ def _map_chunks(worker, tasks, workers: int):
 
 # --- the trial loop ------------------------------------------------------------
 
-@dataclass
-class _Tally:
-    """One algorithm's trials in a cell: each trial's score (None where the
-    solve raised), summed iterations, the diverged count and the exact
-    support matches of each detector."""
+class TrialRecord(NamedTuple):
+    """One algorithm's solve of one trial: its score (None where the solve
+    raised), iterations, diverged flag and {detector: SupportMetrics} (empty
+    where the solve raised)."""
 
-    scores: list = field(default_factory=list)
-    iterations: int = 0
-    diverged: int = 0
-    exact: dict = field(default_factory=dict)
-
-    def add(self, score, iterations: int, diverged: bool, matched) -> None:
-        """Book one trial as _score reports it."""
-        self.scores.append(score)
-        self.iterations += iterations
-        self.diverged += diverged
-        for detector in matched:
-            self.exact[detector] += 1
+    score: float | None
+    iterations: int
+    diverged: bool
+    support: dict
 
 
 def _chunks(cfg: GridConfig, cells):
@@ -299,36 +294,37 @@ def _score_chunk(task) -> list:
              for algo in cfg.algorithms} for j, (inst, _) in enumerate(draws)]
 
 
-def _score(inst: ProblemInstance, out, settings: RecoverySettings, detectors) -> tuple:
-    """One trial's solve, out, as (score, iterations, diverged, the detectors
-    that match the support exactly): a RecoveryError counts as diverged at
-    t_max iterations, with score None."""
+def _score(inst: ProblemInstance, out, settings: RecoverySettings, detectors) -> TrialRecord:
+    """One trial's solve, out, as its TrialRecord: a RecoveryError counts as
+    diverged at t_max iterations, with score None."""
     if isinstance(out, RecoveryError):
-        return None, settings.t_max, True, ()
+        return TrialRecord(None, settings.t_max, True, {})
     # NMSE, or the estimate's energy where the truth is all zero
     zero = inst.x_true.norm_sq() == 0.0
     score = out.x_hat.norm_sq() if zero else nmse(out.x_hat, inst.x_true)
-    matched = tuple(d for d in detectors if support_metrics(
-        inst.x_true, detect_support(d, out, inst.prior)).exact_match)
-    return score, out.iterations, out.diverged, matched
+    return TrialRecord(score, out.iterations, out.diverged, {
+        d: support_metrics(inst.x_true, detect_support(d, out, inst.prior)) for d in detectors})
 
 
 def _run_cells(cfg: GridConfig, cells, pairs=()) -> list:
     """The trial loop over cells ((index, m, k, snr) each, as _chunks takes
     them), scoring the (algorithm, detector) pairs: per cell, {algorithm:
-    _Tally} of its trials in trial order."""
-    detectors = {algo: tuple(dict.fromkeys(d for a, d in pairs if a == algo))
-                 for algo in cfg.algorithms}
-    tallies = {index: {algo: _Tally(exact=dict.fromkeys(detectors[algo], 0))
-                       for algo in cfg.algorithms} for index, *_ in cells}
+    [TrialRecord per trial, in trial order]}."""
+    detectors = {algo: tuple(d for a, d in pairs if a == algo) for algo in cfg.algorithms}
+    records = {index: {algo: [] for algo in cfg.algorithms} for index, *_ in cells}
     chunks = list(_chunks(cfg, cells))
     scored = _map_chunks(_score_chunk, [(cfg, chunk, detectors) for chunk in chunks],
                          cfg.workers)
-    for chunk, scores in zip(chunks, scored):
-        for (index, *_), by_algo in zip(chunk, scores):
-            for algo, score in by_algo.items():
-                tallies[index][algo].add(*score)
-    return [tallies[index] for index, *_ in cells]
+    for chunk, by_draw in zip(chunks, scored):
+        for (index, *_), by_algo in zip(chunk, by_draw):
+            for algo, record in by_algo.items():
+                records[index][algo].append(record)
+    return [records[index] for index, *_ in cells]
+
+
+def _effort(records) -> tuple:
+    """(mean iterations, diverged count) of one algorithm's records."""
+    return sum(r.iterations for r in records) / len(records), sum(r.diverged for r in records)
 
 
 # --- recovery and support-detection phase transitions -----------------------
@@ -355,7 +351,7 @@ def _support_pairs(cfg: GridConfig) -> tuple[tuple[str, str], ...]:
 
 
 def _grid_pass(cfg: GridConfig, pairs=()) -> list:
-    """[((m_ratio, k_ratio), (m, k), tallies)] per cell, in row order."""
+    """[((m_ratio, k_ratio), (m, k), records)] per cell, in row order."""
     ratios = list(product(cfg.m_ratios, cfg.k_ratios))
     dims = [cfg.cell_dims(mr, kr) for mr, kr in ratios]
     snr = None if cfg.noiseless else cfg.snr
@@ -367,19 +363,16 @@ def _grid_result(cfg: GridConfig, kind: str, labels, passes) -> SweepResult:
     """Per cell, one row per label: (algorithm,) counts recoveries below the
     success threshold, (algorithm, detector) exact support matches."""
     rows = []
-    for (m_ratio, k_ratio), (m, k), tallies in passes:
+    for (m_ratio, k_ratio), (m, k), records in passes:
         for label in labels:
-            tally = tallies[label[0]]
+            trials = records[label[0]]
             if len(label) == 2:
-                successes = tally.exact[label[1]]
+                successes = sum(r.support[label[1]].exact_match for r in trials if r.support)
             else:
-                successes = sum(1 for s in tally.scores
-                                if s is not None and s < cfg.success_threshold)
-            rows.append((
-                m_ratio, k_ratio, m, k, *label, cfg.trials, successes,
-                successes / cfg.trials, tally.iterations / cfg.trials,
-                tally.diverged, cfg.base_seed,
-            ))
+                successes = sum(1 for r in trials
+                                if r.score is not None and r.score < cfg.success_threshold)
+            rows.append((m_ratio, k_ratio, m, k, *label, cfg.trials, successes,
+                         successes / cfg.trials, *_effort(trials), cfg.base_seed))
     meta = _grid_meta(cfg, kind)
     if kind == "phase-transition":
         return SweepResult(kind, PT_COLUMNS, rows, meta)
@@ -448,14 +441,11 @@ def run_nmse_sweep(
     points = [(int(m), float(snr_db)) for m, snr_db in product(m_list, snr_db_list)]
     cells = [(idx, m, k, 10.0 ** (snr_db / 10.0)) for idx, (m, snr_db) in enumerate(points)]
     rows = []
-    for (m, snr_db), tallies in zip(points, _run_cells(cfg, cells)):
+    for (m, snr_db), records in zip(points, _run_cells(cfg, cells)):
         for algo in cfg.algorithms:
-            tally = tallies[algo]
-            v = np.array([1.0 if s is None else s for s in tally.scores])
-            rows.append((
-                m, snr_db, algo, trials, float(v.mean()), float(np.median(v)),
-                tally.iterations / trials, tally.diverged, base_seed,
-            ))
+            v = np.array([1.0 if r.score is None else r.score for r in records[algo]])
+            rows.append((m, snr_db, algo, trials, float(v.mean()), float(np.median(v)),
+                         *_effort(records[algo]), base_seed))
     meta = {
         "kind": "nmse-sweep", "version": __version__, "n": n, "k": k,
         "m_list": " ".join(str(int(m)) for m in m_list),

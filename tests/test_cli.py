@@ -94,6 +94,28 @@ class TestRecover:
         with pytest.raises(ValueError, match="lam"):
             run_algorithm(algo, inst, 3, RecoverySettings(), lam=1.5)
 
+    @pytest.mark.parametrize("algo", ["amp", "cbamp"])
+    def test_rejected_lam_leaves_no_instance_file(self, capsys, tmp_path, algo):
+        saved = tmp_path / "inst.txt"
+        code, out, err = run_cli(capsys, "recover", "--n", "32", "--m", "16", "--k", "3",
+                                 "--algo", algo, "--lam", "-3", "--save-instance", str(saved))
+        assert (code, out) == (1, "") and err.startswith("error:")
+        assert not saved.exists()
+
+    def test_non_finite_solve_keeps_its_saved_instance(self, capsys, tmp_path, monkeypatch):
+        def non_finite(name, instances, *args, **kwargs):
+            return [RecoveryError("AMP produced a non-finite iterate at t=1")] * len(instances)
+
+        monkeypatch.setattr(experiments, "_solve_chunk", non_finite)
+        saved = tmp_path / "inst.txt"
+        code, out, err = run_cli(capsys, "recover", "--n", "32", "--m", "16", "--k", "3",
+                                 "--algo", "cbamp", "--seed", "4", "--save-instance", str(saved))
+        assert (code, out) == (1, "")
+        assert err == "error: AMP produced a non-finite iterate at t=1\n"
+        inst, _, seed = load_instance(saved)
+        assert seed == 4
+        assert np.array_equal(inst.A, make_instance(16, 32, 3, trial_rng(4, 0, 0))[0].A)
+
     def test_same_seed_identical_rows(self, capsys):
         argv = ("recover", "--n", "96", "--m", "48", "--k", "5",
                 "--algo", "cbamp", "--seed", "11")
@@ -288,6 +310,20 @@ class TestSweeps:
         )
         assert code == 1 and "--level" in err and printed == ""
         assert not out.exists() and not contour.exists()
+
+    @pytest.mark.parametrize("command", ["phase-transition", "support-pt", "nmse-sweep"])
+    def test_repeated_algo_is_usage_error_before_any_draw(self, capsys, tmp_path,
+                                                          monkeypatch, command):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(experiments, "make_instance", no_draw)
+        out = tmp_path / "sweep.csv"
+        code, printed, err = run_cli(capsys, command, "--n", "24", "--trials", "2",
+                                     "--algos", "amp,cbamp amp", "--out", str(out))
+        assert (code, printed) == (1, "")
+        assert err == "error: algorithm 'amp' given more than once\n"
+        assert not out.exists()
 
     def test_unwritable_out_is_io_error(self, capsys):
         code, _, err = run_cli(

@@ -89,6 +89,14 @@ class TestGridConfig:
         with pytest.raises(ValueError):
             tiny_grid(noiseless=False)  # snr missing
 
+    def test_repeated_algorithm_rejected_before_any_draw(self, monkeypatch):
+        # a repeated name would solve every chunk twice and double its rows
+        monkeypatch.setattr(experiments, "make_instance", forbidden)
+        with pytest.raises(ValueError, match="'amp' given more than once"):
+            tiny_grid(algorithms=("amp", "cbamp", "amp"))
+        with pytest.raises(ValueError, match="'cbamp' given more than once"):
+            run_nmse_sweep(24, 2, [12], [20.0], 2, algorithms=("cbamp", "cbamp"))
+
     @pytest.mark.parametrize("sigma_x2", [0.0, -1.0, np.nan])
     def test_sigma_x2_checked_at_construction(self, sigma_x2):
         # rejected here, not at the first draw inside a worker
@@ -370,13 +378,15 @@ class TestChunkedSolves:
 def per_cell_reference(cfg: GridConfig, cells, pairs=()) -> dict:
     """Per (cell index, algorithm): every trial drawn from trial_rng(seed,
     cell, j), solved alone by run_algorithm and scored in trial order, as
-    (scores, summed iterations, diverged, {detector: exact matches})."""
+    (scores, summed iterations, diverged, {detector: exact matches}, trials),
+    trials holding each trial's (score, iterations, diverged, {detector:
+    SupportMetrics})."""
     out = {}
     for index, m, k, snr in cells:
         draws = [make_instance(m, cfg.n, k, trial_rng(cfg.base_seed, index, j),
                                snr=snr, noiseless=snr is None)[0] for j in range(cfg.trials)]
         for algo in cfg.algorithms:
-            scores, iterations, diverged = [], 0, 0
+            scores, iterations, diverged, trials = [], 0, 0, []
             exact = {d: 0 for a, d in pairs if a == algo}
             for inst in draws:
                 try:
@@ -384,13 +394,17 @@ def per_cell_reference(cfg: GridConfig, cells, pairs=()) -> dict:
                 except RecoveryError:
                     scores.append(None)
                     iterations, diverged = iterations + cfg.settings.t_max, diverged + 1
+                    trials.append((None, cfg.settings.t_max, True, {}))
                     continue
                 scores.append(nmse(res.x_hat, inst.x_true))
                 iterations, diverged = iterations + res.iterations, diverged + res.diverged
+                metrics = {}
                 for d in exact:
                     estimate = experiments.detect_support(d, res, inst.prior)
-                    exact[d] += support_metrics(inst.x_true, estimate).exact_match
-            out[index, algo] = scores, iterations, diverged, exact
+                    metrics[d] = support_metrics(inst.x_true, estimate)
+                    exact[d] += metrics[d].exact_match
+                trials.append((scores[-1], res.iterations, res.diverged, metrics))
+            out[index, algo] = scores, iterations, diverged, exact, trials
     return out
 
 
@@ -413,7 +427,7 @@ class TestChunksSpanCells:
         rows = iter(recovery.rows)
         for c, _, _, _ in cells:
             for algo in cfg.algorithms:
-                scores, iterations, diverged, _ = reference[c, algo]
+                scores, iterations, diverged, _, _ = reference[c, algo]
                 successes = sum(s is not None and s < cfg.success_threshold for s in scores)
                 row = next(rows)
                 assert row[4] == algo
@@ -421,11 +435,32 @@ class TestChunksSpanCells:
         rows = iter(support.rows)
         for c, _, _, _ in cells:
             for algo, detector in pairs:
-                _, iterations, diverged, exact = reference[c, algo]
+                _, iterations, diverged, exact, _ = reference[c, algo]
                 row = next(rows)
                 assert row[4:6] == (algo, detector)
                 assert (row[7], row[9], row[10]) == (exact[detector], iterations / cfg.trials,
                                                      diverged)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_records_equal_per_cell_reference(self, monkeypatch, workers):
+        # trial by trial: score, iterations, diverged and each detector's
+        # SupportMetrics (exact match, false positives and negatives)
+        monkeypatch.setattr(experiments, "CHUNK_BYTES", self.BUDGET)
+        cfg = tiny_grid(workers=workers)
+        ratios = [(mr, kr) for mr in cfg.m_ratios for kr in cfg.k_ratios]
+        cells = [(c, *cfg.cell_dims(mr, kr), None) for c, (mr, kr) in enumerate(ratios)]
+        pairs = experiments.DEFAULT_DETECTOR_CONFIGS
+        reference = per_cell_reference(cfg, cells, pairs)
+        per_cell = experiments._run_cells(cfg, cells, pairs)
+        assert len(per_cell) == len(cells)
+        for (c, *_), records in zip(cells, per_cell):
+            assert list(records) == list(cfg.algorithms)
+            for algo in cfg.algorithms:
+                assert [tuple(r) for r in records[algo]] == reference[c, algo][4]
+        # the detectors miss and false-alarm on some trials, so the counts are tested
+        metrics = [m for by_algo in per_cell for records in by_algo.values()
+                   for r in records for m in r.support.values()]
+        assert any(m.false_negatives for m in metrics) and any(m.false_positives for m in metrics)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nmse_rows_equal_per_cell_reference(self, monkeypatch, workers):
@@ -441,7 +476,7 @@ class TestChunksSpanCells:
         rows = iter(res.rows)
         for c, m, _, _ in cells:
             for algo in cfg.algorithms:
-                scores, iterations, diverged, _ = reference[c, algo]
+                scores, iterations, diverged, _, _ = reference[c, algo]
                 v = np.array([1.0 if s is None else s for s in scores])
                 row = next(rows)
                 assert row[0] == m and row[2] == algo
