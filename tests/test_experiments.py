@@ -456,7 +456,7 @@ class TestChunksSpanCells:
         for (c, *_), records in zip(cells, per_cell):
             assert list(records) == list(cfg.algorithms)
             for algo in cfg.algorithms:
-                assert [tuple(r) for r in records[algo]] == reference[c, algo][4]
+                assert records[algo] == reference[c, algo][4]
         # the detectors miss and false-alarm on some trials, so the counts are tested
         metrics = [m for by_algo in per_cell for records in by_algo.values()
                    for r in records for m in r.support.values()]
