@@ -10,8 +10,9 @@ Each iteration makes one stacked matmul per live-row count r (1 or 2): the
 Z rows of the T trials with r live rows, as a (T, r, M) view, times those
 trials' A stacked (T, M, N), and the same with X and A.T.  numpy runs each
 matrix of a stack through the kernel of the lone (r, M) @ A_t, so every
-trial's product has the shape and bits of its lone solve's.  The A stack is
-rebuilt only when the live trials change, and a lone trial's is a view.
+trial's product has the shape and bits of its lone solve's.  _StackedA
+keeps that row order (its keep) and rebuilds the A stack only when the live
+trials or their order change; a lone trial's is a view.
 Everything else runs once over all rows:
 
     U = X + A^T Z,    X' = eta(U; beta),    Z' = Y - A X' + (sum eta'(U) / M) Z,
@@ -45,8 +46,6 @@ derivative sums to |x_hat|_0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import Counter
-from itertools import groupby
 
 import numpy as np
 
@@ -105,37 +104,36 @@ def _sq_norms(v):
     return np.einsum("...i,...i->...", v, v)
 
 
-def _keep(rows, live):
-    """The indices of the live state rows in their new order: the trials with
-    more live rows first, a stable order otherwise, so each trial's rows stay
-    consecutive and the trials with r live rows are one run."""
-    live = np.flatnonzero(live)
-    counts = Counter(rows[j][0] for j in live)
-    return np.array(sorted(live, key=lambda j: -counts[rows[j][0]]))
-
-
 class _StackedA:
     """The live trials' A stacked (T, M, N) in state order, a lone trial's as
     a view, and the runs of trials with r live rows, as (r, row slice, trial
-    slice).  The stack is rebuilt only when the live trials change, the old
-    one freed first."""
+    slice).  The stack is rebuilt only when the live trials or their order
+    change, the old one freed first."""
 
-    def __init__(self, problems, rows):
+    def __init__(self, problems, trial):
         self.problems, self.trials = problems, None
-        self.update(rows)
+        self.update(trial)
 
-    def update(self, rows):
-        """Follow the live rows, the (trial, part) of each in state order."""
-        counts = Counter(trial for trial, _ in rows)
-        self.runs, row, first = [], 0, 0
-        for r, run in groupby(counts.values()):
-            size = len(list(run))
-            self.runs.append((r, slice(row, row + size * r), slice(first, first + size)))
-            row, first = row + size * r, first + size
-        if list(counts) != self.trials:
-            self.trials, self.A = list(counts), None
-            self.A = (self.problems[self.trials[0]][0][None] if len(self.trials) == 1
-                      else np.stack([self.problems[trial][0] for trial in self.trials]))
+    @staticmethod
+    def keep(trial, live):
+        """The indices of the live rows in their new order: the trials with
+        two live rows first, a stable order otherwise, so each trial's rows
+        stay consecutive and the trials with r live rows are one run."""
+        live = np.flatnonzero(live)
+        two = np.bincount(trial[live])[trial[live]] == 2
+        return np.concatenate([live[two], live[~two]])
+
+    def update(self, trial):
+        """Follow the live rows, the trial of each in state order (keep's)."""
+        trials = trial[np.r_[True, trial[1:] != trial[:-1]]]
+        pairs = len(trial) - len(trials)  # the trials with two live rows, ahead
+        self.runs = [(2, slice(0, 2 * pairs), slice(0, pairs))] if pairs else []
+        if len(trials) > pairs:
+            self.runs.append((1, slice(2 * pairs, None), slice(pairs, None)))
+        if not np.array_equal(trials, self.trials):
+            self.trials, self.A = trials, None
+            self.A = (self.problems[trials[0]][0][None] if len(trials) == 1
+                      else np.stack([self.problems[j][0] for j in trials]))
 
     def times(self, V, transpose=False):
         """Each trial's rows of V times its A (or A.T), one stacked matmul
@@ -175,19 +173,20 @@ def _iterate(problems, step, settings: RecoverySettings, beta_floor: float,
     residual.  state is None at the first step and then what the last step
     returned: None, or a sequence of per-row arrays whose first a stopping
     row's result keeps as its a.  The loop holds every per-row array (X, Z,
-    Y, the energies and limits, consts and state) in one row order and
-    reindexes them all at one site when rows stop.  joint selects the joint
-    rule over each problem's (re, im) pair of rows; it stops pairs, so each
-    pair stays adjacent, re first, and a step may pair rows 2p and 2p + 1.
+    Y, the energies and limits, consts, state, and each row's trial and
+    part) in one row order and reindexes them all at one site when rows
+    stop.  joint selects the joint rule over each problem's (re, im) pair
+    of rows; it stops pairs, so each pair stays adjacent, re first, and a
+    step may pair rows 2p and 2p + 1.
     """
     m, n = problems[0][0].shape
     if any(A.shape != (m, n) for A, _ in problems):
         raise ValueError("the problems of one solve must share (M, N)")
     Y = np.concatenate([Y for _, Y in problems])
-    rows = [(trial, part) for trial, (_, Yt) in enumerate(problems)
-            for part in range(len(Yt))]
-    stacked = _StackedA(problems, rows)
-    consts = _take(consts, [trial for trial, _ in rows])
+    trial = np.concatenate([np.full(len(Yt), j) for j, (_, Yt) in enumerate(problems)])
+    part = np.concatenate([np.arange(len(Yt)) for _, Yt in problems])
+    stacked = _StackedA(problems, trial)
+    consts = _take(consts, trial)
     results: list = [[None] * len(Yt) for _, Yt in problems]
     X, Z, energy, state = np.zeros((len(Y), n)), Y.copy(), _sq_norms(Y), None
     limit = settings.divergence_factor * energy
@@ -215,28 +214,24 @@ def _iterate(problems, step, settings: RecoverySettings, beta_floor: float,
         if not np.isfinite(energy).all():
             # the whole trial fails, a part that stopped before included
             bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(Z).all(axis=1))
-            for trial in {rows[j][0] for j in np.flatnonzero(bad)}:
-                results[trial] = RecoveryError(
-                    f"AMP produced a non-finite iterate at t={t}")
-            stop |= [isinstance(results[trial], RecoveryError) for trial, _ in rows]
+            for j in np.unique(trial[bad]):
+                results[j] = RecoveryError(f"AMP produced a non-finite iterate at t={t}")
+            stop |= np.isin(trial, trial[bad])
         if not stop.any():
             continue
         diverged &= ~converged
         for j in np.flatnonzero(stop):
-            trial, part = rows[j]
-            if isinstance(results[trial], RecoveryError):
+            if isinstance(results[trial[j]], RecoveryError):
                 continue
-            results[trial][part] = AmpPartResult(
+            results[trial[j]][part[j]] = AmpPartResult(
                 x_hat=X[j].copy(), u=U[j].copy(), beta=float(beta[j]),
                 iterations=t, converged=bool(converged[j]),
                 diverged=bool(diverged[j]), a=None if state is None else state[0][j].copy())
         if stop.all():
             break
-        keep = _keep(rows, ~stop)
-        X, Z, Y, energy, limit, consts, state = _take(
-            [X, Z, Y, energy, limit, consts, state], keep)
-        rows = [rows[j] for j in keep]
-        stacked.update(rows)
+        X, Z, Y, energy, limit, consts, state, trial, part = _take(
+            [X, Z, Y, energy, limit, consts, state, trial, part], stacked.keep(trial, ~stop))
+        stacked.update(trial)
     return results
 
 

@@ -170,6 +170,10 @@ class _Options:
             return self.config[name]
         return self.presets.get(name, self.rows[name][2])
 
+    def given(self, name) -> bool:
+        """Whether a flag or the config file sets name."""
+        return self.args[name] is not None or name in self.config
+
 
 def _config_section(path, section, rows) -> dict:
     """The file's [section], each value converted by its row.  A key that is
@@ -228,18 +232,25 @@ def _nonnegative(flag: str, value: int) -> int:
 
 # --- subcommands -------------------------------------------------------------
 
+# the options that draw (and save) an instance, which --instance replaces
+_DRAW = ("n", "m", "k", "snr_db", "cell", "trial", "gamma0", "sigma_x2", "seed", "save_instance")
+
+
 def cmd_recover(opts) -> int:
     settings = _settings_from(opts)
-    seed = _nonnegative("seed", opts.get("seed"))
     algo = opts.get("algo")
     if algo is None:
         raise UsageError("--algo is required")
 
     if opts.get("instance"):
-        inst, sigma_w2, _ = load_instance(opts.get("instance"))
+        given = ["--" + name.replace("_", "-") for name in _DRAW if opts.given(name)]
+        if given:
+            raise UsageError(f"--instance excludes {', '.join(given)}")
+        inst, sigma_w2, seed = load_instance(opts.get("instance"))
         k = int(np.count_nonzero(inst.x_true.support()))
-        snr_db = cell = trial = None
+        seed, snr_db, cell, trial = None if seed == -1 else seed, None, None, None
     else:
+        seed = _nonnegative("seed", opts.get("seed"))
         n, m, k = opts.get("n"), opts.get("m"), opts.get("k")
         if n is None or m is None or k is None:
             raise UsageError("generation needs --n, --m and --k (or --instance)")
@@ -260,7 +271,7 @@ def cmd_recover(opts) -> int:
     except RecoveryError as exc:  # reported once the instance is saved
         out = exc
     # saved after the solve, so options that it rejects leave no file
-    if opts.get("save_instance") and not opts.get("instance"):
+    if opts.get("save_instance"):
         save_instance(opts.get("save_instance"), inst, sigma_w2, seed)
     if isinstance(out, RecoveryError):
         raise out
@@ -274,8 +285,8 @@ def cmd_recover(opts) -> int:
     columns = ["algorithm", "n", "m", "k", "seed", "cell", "trial", "snr_db", "nmse",
                "iterations", "converged", "diverged", "detector", "exact_support",
                "false_positives", "false_negatives"]
-    row = (algo, inst.n, inst.m, k, seed,
-           *("" if v is None else v for v in (cell, trial, snr_db)),
+    row = (algo, inst.n, inst.m, k,
+           *("" if v is None else v for v in (seed, cell, trial, snr_db)),
            nmse(out.x_hat, inst.x_true) if inst.x_true.norm_sq() > 0 else "",
            out.iterations, out.converged, out.diverged, detector, exact, fp, fn)
     print(",".join(columns))

@@ -34,7 +34,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import expit
 
 from .model import BETA_FLOOR, CHUNK_BYTES, GAMMA_CLAMP, BernoulliGaussianPrior
@@ -165,6 +164,8 @@ def denoise_numeric(u: float, p: DenoiserParams):
     Entries with gamma >= 1 are 0, and no quadrature runs if all are.
     Slow; validation only.
     """
+    from scipy.integrate import quad  # here, so that `import csamp` does not load it
+
     u = float(u)
     if not np.isfinite(u):
         raise ValueError("non-finite pseudo-data u")

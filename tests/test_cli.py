@@ -1,11 +1,14 @@
 import argparse
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 import csamp.cli as cli
-import csamp.denoiser as denoiser
 import csamp.experiments as experiments
 from csamp.cli import (
     denoiser_validation_rows,
@@ -22,14 +25,22 @@ from csamp.model import (LIKELIHOOD_VARIANTS, PART_VARIANCES, RecoveryError,
 def quad_calls(monkeypatch):
     """The number of quad calls the quadrature oracle makes, as a one-item list."""
     count = [0]
-    original = denoiser.quad
+    original = scipy.integrate.quad
 
     def counting(*args, **kwargs):
         count[0] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(denoiser, "quad", counting)
+    monkeypatch.setattr(scipy.integrate, "quad", counting)
     return count
+
+
+def forbidden_solve(*args, **kwargs):
+    raise AssertionError("solved an instance")
+
+
+def forbidden_draw(*args, **kwargs):
+    raise AssertionError("drew an instance")
 
 
 def run_cli(capsys, *argv):
@@ -210,6 +221,48 @@ class TestRecover:
                                      "--algo", "cbamp")
         assert code == 1 and out == ""
         assert err == "error: AMP produced a non-finite iterate at t=1\n"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("n", "99"), ("m", "8"), ("k", "2"), ("snr-db", "5"), ("cell", "3"), ("trial", "1"),
+        ("gamma0", "0.5"), ("sigma-x2", "2"), ("seed", "0"), ("save-instance", "b.txt"),
+    ])
+    def test_instance_excludes_each_generation_option(self, capsys, tmp_path, monkeypatch,
+                                                      flag, value):
+        saved, cfg = tmp_path / "a.txt", tmp_path / "cfg.ini"
+        run_cli(capsys, "recover", "--n", "16", "--m", "8", "--k", "2", "--algo", "cbamp",
+                "--save-instance", str(saved))
+        monkeypatch.setattr(cli, "run_algorithm", forbidden_solve)
+        if flag == "save-instance":
+            value = str(tmp_path / value)
+        cfg.write_text(f"[recover]\n{flag.replace('-', '_')} = {value}\n")
+        for source in ([f"--{flag}", value], ["--config", str(cfg)]):
+            code, out, err = run_cli(capsys, "recover", "--instance", str(saved),
+                                     "--algo", "cbamp", *source)
+            assert (code, out, err) == (1, "", f"error: --instance excludes --{flag}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "cfg.ini"]
+
+    def test_instance_names_every_excluded_option_and_saves_nothing(self, capsys, tmp_path,
+                                                                    monkeypatch):
+        saved, other = tmp_path / "a.txt", tmp_path / "b.txt"
+        run_cli(capsys, "recover", "--n", "16", "--m", "8", "--k", "2", "--algo", "cbamp",
+                "--save-instance", str(saved))
+        monkeypatch.setattr(cli, "run_algorithm", forbidden_solve)
+        code, out, err = run_cli(capsys, "recover", "--instance", str(saved), "--algo", "cbamp",
+                                 "--n", "99", "--save-instance", str(other))
+        assert (code, out) == (1, "")
+        assert err == "error: --instance excludes --n, --save-instance\n"
+        assert not other.exists()
+
+    def test_instance_row_prints_the_files_seed(self, capsys, tmp_path):
+        saved = tmp_path / "inst.txt"
+        run_cli(capsys, "recover", "--n", "16", "--m", "8", "--k", "2", "--algo", "cbamp",
+                "--seed", "7", "--save-instance", str(saved))
+        _, printed, _ = run_cli(capsys, "recover", "--instance", str(saved), "--algo", "cbamp")
+        assert parse_row(printed)["seed"] == "7"
+        inst, sigma_w2, _ = load_instance(saved)
+        save_instance(saved, inst, sigma_w2)  # a file without a seed says -1
+        _, printed, _ = run_cli(capsys, "recover", "--instance", str(saved), "--algo", "cbamp")
+        assert parse_row(printed)["seed"] == ""
 
     def test_unknown_algo_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "recover", "--algo", "magic")
@@ -398,6 +451,44 @@ class TestSweeps:
     def test_missing_out_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "phase-transition", "--n", "48")
         assert code == 1
+
+
+class TestUsageErrors:
+    # OUT stands for the output path; nothing may be drawn or written
+    @pytest.mark.parametrize("argv, message", [
+        (("nmse-sweep", "--m-list", "70 x", "--out", "OUT"), "bad int list '70 x'"),
+        (("nmse-sweep", "--algos", ",", "--out", "OUT"), "empty --algos"),
+        (("phase-transition", "--algos", ",", "--out", "OUT"), "empty --algos"),
+        (("recover", "--n", "16", "--m", "8", "--k", "2", "--out", "OUT"),
+         "--algo is required"),
+        (("phase-transition", "--grid-points", "0", "--out", "OUT"),
+         "bad grid specification"),
+        (("phase-transition", "--grid-min", "0.9", "--grid-max", "0.1", "--out", "OUT"),
+         "bad grid specification"),
+        (("nmse-sweep", "--n", "48"), "--out is required for sweeps"),
+    ])
+    def test_exits_1_with_its_message_and_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                                         argv, message):
+        monkeypatch.setattr(experiments, "make_instance", forbidden_draw)
+        monkeypatch.setattr(cli, "make_instance", forbidden_draw)
+        argv = [str(tmp_path / "out.csv") if a == "OUT" else a for a in argv]
+        code, printed, err = run_cli(capsys, *argv)
+        assert (code, printed, err) == (1, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_import_leaves_the_quadrature_unloaded():
+    # scipy.integrate is loaded by denoise_numeric, its one user, on its first call
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, csamp.cli\n"
+            "print('scipy.integrate' in sys.modules)\n"
+            "csamp.cli.denoise_numeric(1.0, csamp.cli.DenoiserParams(0.5, 0.5, 1.0))\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == ["False", "True"]
 
 
 class TestValidate:

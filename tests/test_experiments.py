@@ -498,6 +498,77 @@ class TestChunksSpanCells:
         assert sorted({(ms[0], len(ms)) for ms in loops}) == [(38, 8), (77, 2), (77, 6)]
 
 
+def fail_on(monkeypatch, bad):
+    """Make every algorithm's solve of the draw bad a RecoveryError, as a
+    non-finite iterate makes it."""
+    original = experiments._solve_chunk
+
+    def failing(name, instances, *args, **kwargs):
+        outs = original(name, instances, *args, **kwargs)
+        return [RecoveryError("AMP produced a non-finite iterate at t=1")
+                if np.array_equal(inst.y.re, bad.y.re) else out
+                for inst, out in zip(instances, outs)]
+
+    monkeypatch.setattr(experiments, "_solve_chunk", failing)
+
+
+class TestFailedTrials:
+    # trial 1 of cell 0 fails; its lone solve says what it would have added
+    def test_grid_counts_it_diverged_at_t_max_and_never_a_success(self, monkeypatch):
+        cfg = tiny_grid(m_ratios=(0.6,))
+        m, k = cfg.cell_dims(0.6, 0.1)
+        bad = make_instance(m, cfg.n, k, trial_rng(cfg.base_seed, 0, 1))[0]
+        alone = {a: experiments.run_algorithm(a, bad, k, cfg.settings) for a in cfg.algorithms}
+        assert all(nmse(out.x_hat, bad.x_true) < cfg.success_threshold
+                   for out in alone.values())
+        base = run_grids(cfg)
+        fail_on(monkeypatch, bad)
+        failed = run_grids(cfg)
+        pairs = experiments.DEFAULT_DETECTOR_CONFIGS
+        exact = {(a, d): support_metrics(bad.x_true, experiments.detect_support(
+            d, alone[a], bad.prior)).exact_match for a, d in pairs}
+        assert any(exact.values())
+        for result, before in zip(failed, base):
+            for row, old in zip(result.rows, before.rows):
+                if row[:2] != (0.6, 0.1):
+                    assert row == old
+                    continue
+                row, old = dict(zip(result.columns, row)), dict(zip(result.columns, old))
+                out = alone[row["algorithm"]]
+                lost = exact[row["algorithm"], row["detector"]] if "detector" in row else 1
+                assert row["successes"] == old["successes"] - lost
+                assert (round(row["mean_iterations"] * cfg.trials)
+                        == round(old["mean_iterations"] * cfg.trials) - out.iterations
+                        + cfg.settings.t_max)
+                assert row["diverged"] == old["diverged"] + 1 - out.diverged
+
+    def test_nmse_sweep_counts_it_as_nmse_one(self, monkeypatch):
+        settings = RecoverySettings(t_max=40)
+        kwargs = dict(n=48, k=4, m_list=[24], snr_db_list=[30.0, 10.0], trials=3,
+                      base_seed=3, settings=settings)
+        snr = 10.0 ** (30.0 / 10.0)
+        draws = [make_instance(24, 48, 4, trial_rng(3, 0, j), snr=snr, noiseless=False)[0]
+                 for j in range(3)]
+        base = run_nmse_sweep(**kwargs)
+        fail_on(monkeypatch, draws[1])
+        failed = run_nmse_sweep(**kwargs)
+        for row, old in zip(failed.rows, base.rows):
+            if row[1] != 30.0:
+                assert row == old
+                continue
+            alone = [experiments._solve_chunk(row[2], [inst], 4, settings)[0] for inst in draws]
+            assert isinstance(alone[1], RecoveryError)
+            v = np.array([1.0 if isinstance(out, RecoveryError) else nmse(out.x_hat, inst.x_true)
+                          for inst, out in zip(draws, alone)])
+            assert row[4:6] == (float(v.mean()), float(np.median(v)))
+            assert row[4:6] != old[4:6]
+            iterations = [settings.t_max if isinstance(out, RecoveryError) else out.iterations
+                          for out in alone]
+            assert round(row[6] * 3) == sum(iterations)
+            assert row[7] == 1 + sum(not isinstance(out, RecoveryError) and out.diverged
+                                     for out in alone)
+
+
 class TestNmseSweep:
     def test_aggregates(self):
         res = run_nmse_sweep(
@@ -601,6 +672,19 @@ class TestCsv:
         write_csv(tmp_path / "ok.csv", ["a"], [(1,)], {})
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+
+    def test_failed_row_leaves_no_tmp_and_the_target_untouched(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise ValueError("cannot format")
+
+        path = tmp_path / "out.csv"
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match="cannot format"):
+            write_csv(path, ["a"], [(1,), (Unprintable(),)], {"kind": "test"})
+        assert path.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestTrialRng:
