@@ -357,6 +357,8 @@ def cmd_nmse_sweep(opts) -> int:
 
 def cmd_validate(opts) -> int:
     tol = opts.get("tol")
+    if not tol >= 0.0:
+        raise UsageError(f"--tol {tol} must be >= 0")
     # the oracle runs first, so bad oracle options fail before any grid point
     oracle = None if opts.get("skip_oracle") else oracle_validation_rows(
         trials=opts.get("trials"),

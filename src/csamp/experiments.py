@@ -90,7 +90,9 @@ class GridConfig:
                 raise ValueError(f"algorithm {name!r} given more than once")
         if not self.success_threshold > 0.0:
             raise ValueError("success_threshold must be positive")
-        if not self.noiseless and (self.snr is None or self.snr <= 0.0):
+        if self.noiseless and self.snr is not None:
+            raise ValueError("a noiseless grid takes no snr")
+        if not self.noiseless and (self.snr is None or not self.snr > 0.0):
             raise ValueError("noisy grids need a positive linear snr")
         _checked_sigma_x2(self.sigma_x2)
         if self.workers < 1:

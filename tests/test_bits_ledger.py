@@ -3,10 +3,11 @@ the digests recorded in tests/data/bits_ledger.json.
 
 A refactor that claims "same outputs" passes this unedited.  The digests
 cover the sweep CSVs (the bytes of each written file), the oracle and
-denoiser validation rows, and the bytes of every field of batched solves
-on a chunk that holds a K = 0 draw.  They hold in the environment they were
-recorded in (numpy and scipy versions, BLAS thread setting); a different
-environment fails with that said, never a skip.  After a change that moves
+denoiser validation rows, the bytes of every field of batched solves on a
+chunk that holds a K = 0 draw, and the bytes of one N=1000 instance draw.
+They hold in the environment they were recorded in (numpy and scipy
+versions, BLAS thread setting); a different environment fails with that
+said, never a skip.  After a change that moves
 results on purpose, re-record with `PYTHONPATH=src python
 tools/record_bits_ledger.py` and list each moved digest.
 """
@@ -99,6 +100,19 @@ def _chunk():
     return draws, [6, 0, 3, 9]
 
 
+def _instance_digest() -> str:
+    """Digest of the tobytes() of A, x, w, y and sigma_w2 of one paper-size
+    draw, whose sign matrix spans several of gen_matrix's row blocks."""
+    inst, sigma_w2 = make_instance(300, 1000, 60, trial_rng(5, 0, 0), snr=100.0,
+                                   noiseless=False)
+    h = hashlib.sha256(inst.A.tobytes())
+    for vec in (inst.x_true, inst.w, inst.y):
+        h.update(vec.re.tobytes())
+        h.update(vec.im.tobytes())
+    h.update(np.float64(sigma_w2).tobytes())
+    return h.hexdigest()
+
+
 def digests() -> dict:
     """{name: SHA-256 hex digest} of every output the ledger covers."""
     out = {}
@@ -125,6 +139,7 @@ def digests() -> dict:
         for name, settings in SETTINGS.items():
             out[f"_solve_chunk {algo} {name}"] = _outputs_digest(
                 _solve_chunk(algo, draws, ks, settings))
+    out["make_instance (300, 1000, 60) 20 dB"] = _instance_digest()
     return out
 
 

@@ -193,6 +193,30 @@ class TestRecover:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "gamma0" in err
 
+    @pytest.mark.parametrize("factor", ["nan", "1", "-5"])
+    def test_divergence_factor_not_above_one_is_usage_error(self, capsys, monkeypatch,
+                                                            factor):
+        # a NaN factor would switch divergence detection off and exit 0
+        monkeypatch.setattr(cli, "make_instance", forbidden_draw)
+        code, out, err = run_cli(capsys, "recover", "--n", "64", "--m", "20", "--k", "12",
+                                 "--algo", "amp", "--divergence-factor", factor)
+        assert (code, out, err) == (1, "", "error: divergence_factor must exceed 1\n")
+
+    def test_nan_in_instance_matrix_names_its_line(self, capsys, tmp_path, monkeypatch):
+        # it used to surface only as a non-finite AMP iterate at t=1
+        saved = tmp_path / "inst.txt"
+        run_cli(capsys, "recover", "--n", "8", "--m", "4", "--k", "2", "--algo", "cbamp",
+                "--save-instance", str(saved))
+        lines = saved.read_text().splitlines()
+        at = lines.index("A") + 2
+        lines[at] = " ".join(["nan"] + lines[at].split()[1:])
+        saved.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(cli, "run_algorithm", forbidden_solve)
+        code, out, err = run_cli(capsys, "recover", "--instance", str(saved), "--algo", "amp")
+        assert (code, out) == (1, "")
+        assert err == (f"error: bad instance file: line {at + 1}: "
+                       "non-finite value in matrix row 1\n")
+
     @pytest.mark.parametrize("field, value, message", [
         ("gamma0", "nan " + " ".join(["0.75"] * 7), "gamma0 entries must lie in [0, 1]"),
         ("sigma_x2", "-1", "sigma_x2 must be positive"),
@@ -513,6 +537,24 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate-denoiser", "--config", str(cfg))
         assert code == 1
         assert "trials" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-8"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_tol_is_usage_error_before_any_check(self, capsys, tmp_path, monkeypatch,
+                                                     quad_calls, tol, source):
+        # a NaN tol passed every grid, since max_diff > nan is never true
+        monkeypatch.setattr(cli, "oracle_validation_rows", forbidden_solve)
+        monkeypatch.setattr(cli, "denoiser_validation_rows", forbidden_solve)
+        out = tmp_path / "grid.csv"
+        if source == "flag":
+            argv = [f"--tol={tol}"]
+        else:
+            cfg = tmp_path / "cfg.ini"
+            cfg.write_text(f"[validate-denoiser]\ntol = {tol}\n")
+            argv = ["--config", str(cfg)]
+        code, printed, err = run_cli(capsys, "validate-denoiser", "--out", str(out), *argv)
+        assert (code, printed, err) == (1, "", f"error: --tol {float(tol)} must be >= 0\n")
+        assert quad_calls[0] == 0 and not out.exists()
 
     def test_grid_failure_exits_2_with_worst_points(self, capsys):
         code, _, err = run_cli(capsys, "validate-denoiser", "--skip-oracle", "--tol", "1e-20")

@@ -88,6 +88,12 @@ class TestGridConfig:
             tiny_grid(algorithms=("magic",))
         with pytest.raises(ValueError):
             tiny_grid(noiseless=False)  # snr missing
+        # a noiseless grid would run with the snr in its header; a NaN one would
+        # fail only at the first draw
+        with pytest.raises(ValueError, match="a noiseless grid takes no snr"):
+            tiny_grid(snr=10.0)
+        with pytest.raises(ValueError, match="noisy grids need a positive linear snr"):
+            tiny_grid(noiseless=False, snr=np.nan)
 
     def test_repeated_algorithm_rejected_before_any_draw(self, monkeypatch):
         # a repeated name would solve every chunk twice and double its rows

@@ -9,6 +9,7 @@ from csamp.model import (
     InstanceFormatError,
     ProblemInstance,
     RecoverySettings,
+    SIGN_DRAWS,
     _noise_for,
     gen_matrix,
     gen_signal_exact_k,
@@ -33,6 +34,24 @@ class TestGenMatrix:
         a = gen_matrix(16, 40, np.random.default_rng(42))
         b = gen_matrix(16, 40, np.random.default_rng(42))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("m, n", [
+        (4, 8),                                          # one block
+        (2 * (SIGN_DRAWS // 1000), 1000),                # several full blocks
+        (2 * (SIGN_DRAWS // 1000) + 11, 1000),           # a partial last block
+        (3, SIGN_DRAWS + 1),                             # one row per block
+        (7, 9),                                          # odd M*N, one block
+        (SIGN_DRAWS // 1001 + 1, 1001),                  # odd M*N, a partial block
+    ])
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_blocks_draw_the_one_call_bits(self, m, n, seed):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        A = gen_matrix(m, n, ours)
+        expected = (ref.integers(0, 2, (m, n)) * 2 - 1) / np.sqrt(m)
+        assert A.tobytes() == expected.tobytes()
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert ours.integers(0, 2, 5).tobytes() == ref.integers(0, 2, 5).tobytes()
+        assert ours.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
 
     def test_rejects_zero_dimensions(self):
         with pytest.raises(ValueError):
@@ -160,6 +179,10 @@ class TestSettingsAndPrior:
             RecoverySettings(gamma_clamp=0.6)
         with pytest.raises(ValueError):
             RecoverySettings(likelihood_variant="nope")
+        # a NaN factor would make every limit NaN and switch divergence off
+        for factor in (1.0, np.nan):
+            with pytest.raises(ValueError, match="divergence_factor must exceed 1"):
+                RecoverySettings(divergence_factor=factor)
 
     def test_prior_validation(self):
         with pytest.raises(ValueError):
@@ -246,6 +269,51 @@ class TestInstanceFiles:
         with pytest.raises(InstanceFormatError, match=message) as err:
             load_instance(path)
         assert err.value.line_no == at + 1
+
+    # (the line to replace, by its first token and an offset; its
+    # replacement; the message), in the file of a (3, 5) instance
+    @pytest.mark.parametrize("first, line, message", [
+        ("sigma_w2", "sigma_w2", "expected 'sigma_w2 <value>'"),
+        ("sigma_w2", "sigma_w2 -1", "sigma_w2 must be finite and >= 0"),
+        ("sigma_w2", "sigma_w2 nan", "sigma_w2 must be finite and >= 0"),
+        ("sigma_w2", "sigma_w2 inf", "sigma_w2 must be finite and >= 0"),
+        ("gamma0", "gamma0 0.6 0.6 0.6 0.6", "expected 'gamma0' with 5 values"),
+        ("gamma0", "gamma0 0.6 0.6 x 0.6 0.6", "bad numeric value in gamma0"),
+        ("x", "z", "expected section marker 'x'"),
+        ("A", "0.5 0.5 0.5 0.5 0.5", "expected section marker 'A'"),
+        ("A+1", "0.5 0.5 x 0.5 0.5", "bad numeric value in matrix row 0"),
+        ("A+1", "0.5 0.5 nan 0.5 0.5", "non-finite value in matrix row 0"),
+        ("A+3", "0.5 0.5 0.5 0.5 -inf", "non-finite value in matrix row 2"),
+        ("x+2", "0.0 nan", "non-finite value in x[1]"),
+        ("w+1", "inf 0.0", "non-finite value in w[0]"),
+        ("y+3", "0.0 -inf", "non-finite value in y[2]"),
+    ])
+    def test_each_malformed_line_names_its_fault_and_number(self, tmp_path, first, line,
+                                                            message):
+        inst, _ = make_instance(3, 5, 2, np.random.default_rng(0), snr=10.0,
+                                noiseless=False)
+        path = tmp_path / "inst.txt"
+        save_instance(path, inst, 0.1, seed=0)
+        lines = path.read_text().splitlines()
+        key, _, offset = first.partition("+")
+        at = next(i for i, l in enumerate(lines) if l.split()[0] == key) + int(offset or 0)
+        lines[at] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InstanceFormatError) as err:
+            load_instance(path)
+        assert str(err.value) == f"line {at + 1}: {message}"
+        assert err.value.line_no == at + 1
+
+    def test_trailing_content_names_its_line(self, tmp_path):
+        inst, _ = make_instance(3, 5, 2, np.random.default_rng(0))
+        path = tmp_path / "inst.txt"
+        save_instance(path, inst, 0.0, seed=0)
+        lines = path.read_text().splitlines() + ["", "# a comment", "0.0 0.0"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InstanceFormatError) as err:
+            load_instance(path)
+        assert str(err.value) == f"line {len(lines)}: trailing content after sections"
+        assert err.value.line_no == len(lines)
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "short.txt"
