@@ -79,6 +79,8 @@ class GridConfig:
         for r in tuple(self.m_ratios) + tuple(self.k_ratios):
             if not 0.0 < r <= 1.0:
                 raise ValueError(f"grid ratio {r} outside (0, 1]")
+        if not isinstance(self.trials, (int, np.integer)):
+            raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.base_seed < 0:

@@ -148,16 +148,22 @@ class RecoverySettings:
     part_variance: str = "half"
 
     def __post_init__(self):
+        if not isinstance(self.t_max, (int, np.integer)):
+            raise ValueError(f"t_max must be an integer, got {self.t_max!r}")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
-        if not self.eps_tol > 0.0:
-            raise ValueError("eps_tol must be positive")
-        if not self.beta_floor > 0.0:
-            raise ValueError("beta_floor must be positive")
+        for name in ("eps_tol", "beta_floor"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 < self.gamma_clamp < 0.5:
             raise ValueError("gamma_clamp must lie in (0, 0.5)")
         if not self.divergence_factor > 1.0:
             raise ValueError("divergence_factor must exceed 1")
+        # an infinite tolerance stops every solve at once; an infinite floor
+        # or factor makes every beta or divergence limit infinite
+        for name in ("eps_tol", "beta_floor", "divergence_factor"):
+            if getattr(self, name) == np.inf:
+                raise ValueError(f"{name} must be finite")
         if self.likelihood_variant not in LIKELIHOOD_VARIANTS:
             raise ValueError(f"unknown likelihood_variant {self.likelihood_variant!r}")
         if self.part_variance not in PART_VARIANCES:
@@ -326,9 +332,28 @@ def make_instance(
 
 # --- plain-text instance files -------------------------------------------
 #
-# Format: '#'-comment header, then "key value" lines (M, N, sigma_x2,
-# sigma_w2, seed, gamma0 with N values), then sections "A" (M rows of N
-# entries), and "x", "w", "y" as "re im" pairs per line.
+# The layout, which save_instance writes and load_instance reads.  After a
+# '#'-comment line come the header, one "key value" line per INSTANCE_HEADER
+# entry (key, parse, ok, message), a value that ok rejects being reported
+# with message; then "gamma0" and its N values on one line; then each
+# INSTANCE_SECTIONS entry (name, (rows, width), what a row is called), a
+# header key standing for its value: a line holding only the name, then one
+# line of values per row.  x, w and y hold "re im" pairs.  Blank and '#'
+# lines are skipped anywhere.
+INSTANCE_HEADER = (
+    ("M", int, lambda v: v >= 1, "M must be >= 1"),
+    ("N", int, lambda v: v >= 1, "N must be >= 1"),
+    ("sigma_x2", float, lambda v: v > 0.0, "sigma_x2 must be positive"),
+    ("sigma_w2", float, lambda v: 0.0 <= v < np.inf, "sigma_w2 must be finite and >= 0"),
+    ("seed", int, lambda v: True, ""),  # any integer; -1 where none was given
+)
+INSTANCE_SECTIONS = (
+    ("A", ("M", "N"), "matrix row {}"),
+    ("x", ("N", 2), "x[{}]"),
+    ("w", ("M", 2), "w[{}]"),
+    ("y", ("M", 2), "y[{}]"),
+)
+
 
 class InstanceFormatError(ValueError):
     """Malformed instance file; carries the offending 1-based line number."""
@@ -341,122 +366,84 @@ class InstanceFormatError(ValueError):
 def save_instance(
     path, inst: ProblemInstance, sigma_w2: float = 0.0, seed: int | None = None
 ) -> None:
-    m, n = inst.m, inst.n
-    lines = ["# csamp problem instance v1"]
-    lines.append(f"M {m}")
-    lines.append(f"N {n}")
-    lines.append(f"sigma_x2 {float(inst.prior.sigma_x2)!r}")
-    lines.append(f"sigma_w2 {float(sigma_w2)!r}")
-    lines.append(f"seed {seed if seed is not None else -1}")
-    gamma0 = inst.prior.gamma0_vector(n)
-    lines.append("gamma0 " + " ".join(repr(float(g)) for g in gamma0))
-    lines.append("A")
-    for row in inst.A:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    """Write inst in the layout above; a seed of None is written as -1."""
+    head = {"M": inst.m, "N": inst.n, "sigma_x2": inst.prior.sigma_x2,
+            "sigma_w2": sigma_w2, "seed": -1 if seed is None else seed}
+    blocks = {"A": inst.A}
     for name, vec in (("x", inst.x_true), ("w", inst.w), ("y", inst.y)):
+        blocks[name] = np.column_stack((vec.re, vec.im))
+    # str of the parsed value: an np.int64 seed as its digits, a float as its repr
+    lines = ["# csamp problem instance v1"]
+    lines += [f"{key} {parse(head[key])}" for key, parse, _, _ in INSTANCE_HEADER]
+    lines.append("gamma0 " + " ".join(repr(float(g)) for g in inst.prior.gamma0_vector(inst.n)))
+    for name, _, _ in INSTANCE_SECTIONS:
         lines.append(name)
-        for re, im in zip(vec.re, vec.im):
-            lines.append(f"{float(re)!r} {float(im)!r}")
+        lines += [" ".join(repr(float(v)) for v in row) for row in blocks[name]]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_instance(path) -> tuple[ProblemInstance, float, int]:
-    """Parse an instance file; returns (instance, sigma_w2, seed)."""
+    """Parse an instance file; returns (instance, sigma_w2, seed).  A fault is
+    an InstanceFormatError naming its line."""
     with open(path) as fh:
-        raw = fh.readlines()
-
-    # (line_no, tokens) with comments/blank lines dropped
-    rows = [
-        (i + 1, line.split())
-        for i, line in enumerate(raw)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    pos = 0
+        # (line_no, tokens) with comments/blank lines dropped
+        rows = [(i, line.split()) for i, line in enumerate(fh, 1)
+                if line.strip() and not line.lstrip().startswith("#")]
+    lines = iter(rows)
 
     def take() -> tuple[int, list[str]]:
-        nonlocal pos
-        if pos >= len(rows):
-            last = rows[-1][0] if rows else 0
-            raise InstanceFormatError(last, "unexpected end of file")
-        row = rows[pos]
-        pos += 1
-        return row
+        for row in lines:  # the next row, if there is one
+            return row
+        raise InstanceFormatError(rows[-1][0] if rows else 0, "unexpected end of file")
 
-    def take_scalar(key: str, kind=float):
+    head = {}
+    for key, parse, ok, message in INSTANCE_HEADER:
         ln, toks = take()
         if len(toks) != 2 or toks[0] != key:
             raise InstanceFormatError(ln, f"expected '{key} <value>'")
         try:
-            return kind(toks[1])
+            head[key] = parse(toks[1])
         except ValueError:
-            what = "integer" if kind is int else "numeric"
+            what = "integer" if parse is int else "numeric"
             raise InstanceFormatError(ln, f"bad {what} value for {key}: {toks[1]!r}")
-
-    def take_dimension(key: str) -> int:
-        value = take_scalar(key, int)
-        if value < 1:
-            raise InstanceFormatError(rows[pos - 1][0], f"{key} must be >= 1")
-        return value
-
-    def checked(check, value):
-        """check(value), a fault in it reported at the line just taken."""
-        try:
-            return check(value)
-        except ValueError as exc:
-            raise InstanceFormatError(rows[pos - 1][0], str(exc)) from None
-
-    m = take_dimension("M")
-    n = take_dimension("N")
-    sigma_x2 = checked(_checked_sigma_x2, take_scalar("sigma_x2"))
-    sigma_w2 = take_scalar("sigma_w2")
-    if not 0.0 <= sigma_w2 < np.inf:
-        raise InstanceFormatError(rows[pos - 1][0], "sigma_w2 must be finite and >= 0")
-    seed = take_scalar("seed", int)
+        if not ok(head[key]):
+            raise InstanceFormatError(ln, message)
 
     ln, toks = take()
-    if not toks or toks[0] != "gamma0" or len(toks) != n + 1:
-        raise InstanceFormatError(ln, f"expected 'gamma0' with {n} values")
+    if toks[0] != "gamma0" or len(toks) != head["N"] + 1:
+        raise InstanceFormatError(ln, f"expected 'gamma0' with {head['N']} values")
     try:
-        gamma0 = np.array([float(t) for t in toks[1:]])
+        gamma0 = [float(t) for t in toks[1:]]
     except ValueError:
         raise InstanceFormatError(ln, "bad numeric value in gamma0")
-    gamma0 = checked(_checked_gamma0, gamma0)
+    try:  # the prior's own check of the gamma0 entries
+        prior = BernoulliGaussianPrior(gamma0=gamma0, sigma_x2=head["sigma_x2"])
+    except ValueError as exc:
+        raise InstanceFormatError(ln, str(exc)) from None
 
-    def take_marker(name: str) -> None:
+    blocks = {}
+    for name, dims, row_name in INSTANCE_SECTIONS:
         ln, toks = take()
         if toks != [name]:
             raise InstanceFormatError(ln, f"expected section marker '{name}'")
+        blocks[name] = block = np.empty([head.get(d, d) for d in dims])
+        for i, row in enumerate(block):
+            ln, toks = take()
+            what = row_name.format(i)
+            if len(toks) != row.size:
+                raise InstanceFormatError(ln, f"expected {row.size} values for {what}")
+            try:
+                row[:] = [float(t) for t in toks]
+            except ValueError:
+                raise InstanceFormatError(ln, f"bad numeric value in {what}")
+            if not np.all(np.isfinite(row)):
+                raise InstanceFormatError(ln, f"non-finite value in {what}")
 
-    def take_floats(count: int, ln_hint: str) -> np.ndarray:
-        ln, toks = take()
-        if len(toks) != count:
-            raise InstanceFormatError(ln, f"expected {count} values for {ln_hint}")
-        try:
-            values = np.array([float(t) for t in toks])
-        except ValueError:
-            raise InstanceFormatError(ln, f"bad numeric value in {ln_hint}")
-        if not np.all(np.isfinite(values)):
-            raise InstanceFormatError(ln, f"non-finite value in {ln_hint}")
-        return values
+    for ln, _ in lines:  # a row left over
+        raise InstanceFormatError(ln, "trailing content after sections")
 
-    take_marker("A")
-    A = np.empty((m, n))
-    for i in range(m):
-        A[i] = take_floats(n, f"matrix row {i}")
-
-    parts = {}
-    for name, length in (("x", n), ("w", m), ("y", m)):
-        take_marker(name)
-        re = np.empty(length)
-        im = np.empty(length)
-        for i in range(length):
-            re[i], im[i] = take_floats(2, f"{name}[{i}]")
-        parts[name] = ComplexVector(re, im)
-
-    if pos != len(rows):
-        raise InstanceFormatError(rows[pos][0], "trailing content after sections")
-
-    prior = BernoulliGaussianPrior(gamma0=gamma0, sigma_x2=sigma_x2)
-    inst = ProblemInstance(A=A, x_true=parts["x"], w=parts["w"], y=parts["y"], prior=prior)
-    return inst, sigma_w2, seed
+    # each part a C-contiguous copy, not a strided column of its block
+    x, w, y = (ComplexVector(blocks[k][:, 0].copy(), blocks[k][:, 1].copy()) for k in "xwy")
+    inst = ProblemInstance(A=blocks["A"], x_true=x, w=w, y=y, prior=prior)
+    return inst, head["sigma_w2"], head["seed"]

@@ -4,7 +4,8 @@ the digests recorded in tests/data/bits_ledger.json.
 A refactor that claims "same outputs" passes this unedited.  The digests
 cover the sweep CSVs (the bytes of each written file), the oracle and
 denoiser validation rows, the bytes of every field of batched solves on a
-chunk that holds a K = 0 draw, and the bytes of one N=1000 instance draw.
+chunk that holds a K = 0 draw, the bytes of one N=1000 instance draw, and
+the instance files written and read back for two small draws.
 They hold in the environment they were recorded in (numpy and scipy
 versions, BLAS thread setting); a different environment fails with that
 said, never a skip.  After a change that moves
@@ -41,7 +42,9 @@ from csamp.model import (
     ComplexVector,
     RecoveryError,
     RecoverySettings,
+    load_instance,
     make_instance,
+    save_instance,
 )
 
 LEDGER = Path(__file__).resolve().parent / "data" / "bits_ledger.json"
@@ -113,6 +116,33 @@ def _instance_digest() -> str:
     return h.hexdigest()
 
 
+def _instance_file_digest(directory: str) -> str:
+    """Digest of the bytes save_instance writes for two draws (one at 10 dB
+    with an np.int64 seed, one noiseless with a per-component gamma0 and no
+    seed), each followed by the tobytes() of every array load_instance reads
+    back from the file, its sigma_w2 and its seed."""
+    noisy, noisy_w2 = make_instance(12, 30, 5, trial_rng(3, 1, 2), sigma_x2=0.7, snr=10.0,
+                                    noiseless=False)
+    vector, _ = make_instance(8, 20, 4, trial_rng(3, 2, 0), gamma0=np.linspace(0.6, 0.95, 20))
+    h = hashlib.sha256()
+    for j, (inst, sigma_w2, seed) in enumerate([(noisy, noisy_w2, np.int64(2**40 + 3)),
+                                                (vector, 0.0, None)]):
+        path = os.path.join(directory, f"instance{j}.txt")
+        save_instance(path, inst, sigma_w2, seed)
+        with open(path, "rb") as fh:
+            h.update(fh.read())
+        loaded, loaded_w2, loaded_seed = load_instance(path)
+        h.update(loaded.A.tobytes())
+        for vec in (loaded.x_true, loaded.w, loaded.y):
+            h.update(vec.re.tobytes())
+            h.update(vec.im.tobytes())
+        h.update(loaded.prior.gamma0.tobytes())
+        h.update(np.float64(loaded.prior.sigma_x2).tobytes())
+        h.update(np.float64(loaded_w2).tobytes())
+        h.update(str(loaded_seed).encode())
+    return h.hexdigest()
+
+
 def digests() -> dict:
     """{name: SHA-256 hex digest} of every output the ledger covers."""
     out = {}
@@ -140,6 +170,8 @@ def digests() -> dict:
             out[f"_solve_chunk {algo} {name}"] = _outputs_digest(
                 _solve_chunk(algo, draws, ks, settings))
     out["make_instance (300, 1000, 60) 20 dB"] = _instance_digest()
+    with tempfile.TemporaryDirectory() as directory:
+        out["save_instance/load_instance two draws"] = _instance_file_digest(directory)
     return out
 
 

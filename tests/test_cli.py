@@ -202,6 +202,13 @@ class TestRecover:
                                  "--algo", "amp", "--divergence-factor", factor)
         assert (code, out, err) == (1, "", "error: divergence_factor must exceed 1\n")
 
+    def test_infinite_eps_tol_is_usage_error(self, capsys, monkeypatch):
+        # it stopped every solve after one iteration and exited 0
+        monkeypatch.setattr(cli, "make_instance", forbidden_draw)
+        code, out, err = run_cli(capsys, "recover", "--n", "64", "--m", "32", "--k", "4",
+                                 "--algo", "cbamp", "--eps-tol", "inf")
+        assert (code, out, err) == (1, "", "error: eps_tol must be finite\n")
+
     def test_nan_in_instance_matrix_names_its_line(self, capsys, tmp_path, monkeypatch):
         # it used to surface only as a non-finite AMP iterate at t=1
         saved = tmp_path / "inst.txt"

@@ -169,6 +169,11 @@ class TestNumericOracle:
         p = DenoiserParams(beta=0.2, gamma=0.4, s2=0.5)
         assert denoise_numeric(0.0, p) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("u", [np.nan, np.inf, -np.inf])
+    def test_non_finite_u_rejected(self, u):
+        with pytest.raises(ValueError, match="non-finite pseudo-data u"):
+            denoise_numeric(u, DenoiserParams(beta=0.2, gamma=0.4, s2=0.5))
+
     def test_one_component_gamma_vector(self):
         # the shape BernoulliGaussianPrior.gamma0 has
         out = denoise_numeric(1.0, DenoiserParams(beta=0.1, gamma=np.array([0.5]), s2=0.5))

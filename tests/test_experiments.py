@@ -94,6 +94,16 @@ class TestGridConfig:
             tiny_grid(snr=10.0)
         with pytest.raises(ValueError, match="noisy grids need a positive linear snr"):
             tiny_grid(noiseless=False, snr=np.nan)
+        # a fractional trial count failed only at the first solve, with a TypeError
+        with pytest.raises(ValueError, match="trials must be an integer, got 1.5"):
+            tiny_grid(trials=1.5)
+        for field, value, message in [("n", 0, "n must be >= 1"),
+                                      ("base_seed", -1, "base_seed must be nonnegative"),
+                                      ("success_threshold", 0.0,
+                                       "success_threshold must be positive"),
+                                      ("workers", 0, "workers must be >= 1")]:
+            with pytest.raises(ValueError, match=message):
+                tiny_grid(**{field: value})
 
     def test_repeated_algorithm_rejected_before_any_draw(self, monkeypatch):
         # a repeated name would solve every chunk twice and double its rows
@@ -366,6 +376,22 @@ class TestChunkedSolves:
             alone = experiments.run_algorithm(algo, inst, 6, settings)
             assert np.array_equal(out.x_hat.re, alone.x_hat.re)
             assert np.array_equal(out.x_hat.im, alone.x_hat.im)
+
+    @pytest.mark.parametrize("algo", KNOWN_ALGORITHMS)
+    def test_problems_of_other_dimensions_rejected(self, algo):
+        # the loop stacks every problem's A, so a chunk shares one (M, N)
+        instances = [make_instance(24, 64, 6, trial_rng(7, 0, 0))[0],
+                     make_instance(20, 64, 6, trial_rng(7, 0, 1))[0]]
+        with pytest.raises(ValueError, match=r"the problems of one solve must share \(M, N\)"):
+            experiments._solve_chunk(algo, instances, 6, RecoverySettings())
+
+    def test_unknown_algorithm_and_detector_rejected(self):
+        inst = make_instance(24, 64, 6, trial_rng(7, 0, 0))[0]
+        with pytest.raises(ValueError, match="unknown algorithm 'magic'"):
+            experiments.run_algorithm("magic", inst, 6, RecoverySettings())
+        out = experiments.run_algorithm("cbamp", inst, 6, RecoverySettings())
+        with pytest.raises(ValueError, match="unknown detector 'magic'"):
+            experiments.detect_support("magic", out, inst.prior)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_grid_bytes_do_not_depend_on_the_chunk_budget(self, monkeypatch, tmp_path,

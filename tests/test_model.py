@@ -116,6 +116,8 @@ class TestCalibrateNoise:
                 make_instance(5, 9, 3, np.random.default_rng(0), snr=snr, noiseless=False)
         with pytest.raises(ValueError, match="Ax is zero"):
             make_instance(5, 9, 0, np.random.default_rng(0), snr=1.0, noiseless=False)
+        with pytest.raises(ValueError, match="snr required when noiseless=False"):
+            make_instance(5, 9, 3, np.random.default_rng(0), noiseless=False)
 
 
 class TestNmse:
@@ -130,6 +132,19 @@ class TestNmse:
     def test_zero_truth_rejected(self):
         with pytest.raises(ValueError):
             nmse(ComplexVector.zeros(5), ComplexVector.zeros(5))
+
+    def test_length_mismatch_rejected(self):
+        x = gen_signal_exact_k(6, 2, 1.0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="length mismatch"):
+            nmse(ComplexVector.zeros(5), x)
+
+
+class TestComplexVector:
+    def test_shape_validation(self):
+        with pytest.raises(ValueError, match=r"re must be a 1-D vector, got shape \(2, 2\)"):
+            ComplexVector(np.zeros((2, 2)), np.zeros(4))
+        with pytest.raises(ValueError, match="real/imaginary length mismatch: 3 vs 2"):
+            ComplexVector(np.zeros(3), np.zeros(2))
 
 
 class TestInstances:
@@ -167,6 +182,14 @@ class TestInstances:
             ProblemInstance(A=A, x_true=ComplexVector.zeros(5),
                             w=ComplexVector.zeros(4), y=ComplexVector.zeros(4),
                             prior=BernoulliGaussianPrior(gamma0=0.5))
+        with pytest.raises(ValueError, match="A must be a 2-D matrix"):
+            ProblemInstance(A=A[0], x_true=ComplexVector.zeros(6),
+                            w=ComplexVector.zeros(4), y=ComplexVector.zeros(4),
+                            prior=BernoulliGaussianPrior(gamma0=0.5))
+        with pytest.raises(ValueError, match="w and y must have length M"):
+            ProblemInstance(A=A, x_true=ComplexVector.zeros(6),
+                            w=ComplexVector.zeros(4), y=ComplexVector.zeros(3),
+                            prior=BernoulliGaussianPrior(gamma0=0.5))
 
 
 class TestSettingsAndPrior:
@@ -179,10 +202,22 @@ class TestSettingsAndPrior:
             RecoverySettings(gamma_clamp=0.6)
         with pytest.raises(ValueError):
             RecoverySettings(likelihood_variant="nope")
+        with pytest.raises(ValueError, match="beta_floor must be positive"):
+            RecoverySettings(beta_floor=0.0)
+        with pytest.raises(ValueError, match="unknown part_variance 'quarter'"):
+            RecoverySettings(part_variance="quarter")
         # a NaN factor would make every limit NaN and switch divergence off
         for factor in (1.0, np.nan):
             with pytest.raises(ValueError, match="divergence_factor must exceed 1"):
                 RecoverySettings(divergence_factor=factor)
+        # an infinite tolerance stops every solve after one iteration, an
+        # infinite factor switches divergence detection off
+        for name in ("eps_tol", "beta_floor", "divergence_factor"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                RecoverySettings(**{name: np.inf})
+        # a fractional t_max failed only at the first solve, with a TypeError
+        with pytest.raises(ValueError, match="t_max must be an integer, got 2.5"):
+            RecoverySettings(t_max=2.5)
 
     def test_prior_validation(self):
         with pytest.raises(ValueError):
@@ -192,6 +227,8 @@ class TestSettingsAndPrior:
                 BernoulliGaussianPrior(gamma0=gamma0)
         with pytest.raises(ValueError):
             BernoulliGaussianPrior(gamma0=0.5, sigma_x2=0.0)
+        with pytest.raises(ValueError, match="gamma0 must be scalar or 1-D"):
+            BernoulliGaussianPrior(gamma0=[[0.5, 0.5]])
 
     def test_prior_broadcast(self):
         prior = BernoulliGaussianPrior(gamma0=0.25)
@@ -215,6 +252,19 @@ class TestInstanceFiles:
         assert np.array_equal(loaded.w.im, inst.w.im)
         assert np.array_equal(loaded.y.re, inst.y.re)
         np.testing.assert_array_equal(loaded.prior.gamma0, inst.prior.gamma0_vector(10))
+
+    def test_loaded_parts_are_contiguous_copies(self, tmp_path):
+        # a strided column of the file's (n, 2) block can change BLAS bits
+        inst, sw2 = make_instance(6, 10, 3, np.random.default_rng(5), snr=20.0,
+                                  noiseless=False)
+        path = tmp_path / "inst.txt"
+        save_instance(path, inst, sw2, seed=np.int64(5))
+        assert path.read_text().splitlines()[5] == "seed 5"
+        loaded, _, seed = load_instance(path)
+        assert seed == 5 and type(seed) is int
+        for vec in (loaded.x_true, loaded.w, loaded.y):
+            for part in (vec.re, vec.im):
+                assert part.flags.c_contiguous and part.base is None
 
     def test_malformed_reports_line(self, tmp_path):
         inst, _ = make_instance(3, 5, 2, np.random.default_rng(0))

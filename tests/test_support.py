@@ -129,6 +129,13 @@ class TestEmRule:
         with pytest.raises(ValueError):
             detect_em(**{**args, name: bad})
 
+    @pytest.mark.parametrize("u_r, u_i", [(vec(0.1, 2.0), vec(0.1)),
+                                          (np.zeros((2, 2)), np.zeros((2, 2)))])
+    def test_u_shapes_rejected(self, u_r, u_i):
+        g = np.full(2, 0.8)
+        with pytest.raises(ValueError, match="u vectors must be 1-D with equal length"):
+            detect_em(u_r, u_i, 0.5, 0.5, g, g, 1.0)
+
     def test_endpoint_arguments_allowed(self):
         u = vec(0.1, 2.0, -3.0)
         est = detect_em(u, u, 0.0, 0.5, vec(0.0, 1.0, 0.5), vec(1.0, 0.0, 0.5), 1.0)
@@ -172,3 +179,10 @@ class TestApplyAndMetrics:
         m = support_metrics(x, SupportEstimate(np.ones(3, dtype=bool)))
         assert not m.exact_match
         assert m.false_positives == 1 and m.false_negatives == 0
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="active mask must be 1-D"):
+            SupportEstimate(np.ones((2, 3), dtype=bool))
+        x = ComplexVector(vec(1.0, 0.0, 0.5), vec(0.0, 0.0, -0.2))
+        with pytest.raises(ValueError, match="length mismatch"):
+            support_metrics(x, SupportEstimate(np.ones(4, dtype=bool)))
