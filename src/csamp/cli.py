@@ -297,60 +297,50 @@ def cmd_recover(opts) -> int:
     return 0
 
 
-def cmd_grid(opts) -> int:
-    """phase-transition and support-pt: one grid, the runner named by the
-    subcommand."""
-    points, lo, hi = opts.get("grid_points"), opts.get("grid_min"), opts.get("grid_max")
-    if points < 1 or not 0.0 < lo <= hi <= 1.0:
-        raise UsageError("bad grid specification")
-    level = opts.get("level")
-    if not 0.0 < level <= 1.0:
-        raise UsageError(f"--level {level} outside (0, 1]")
-    ratios = tuple(float(v) for v in np.linspace(lo, hi, points))
+def cmd_sweep(opts) -> int:
+    """phase-transition, support-pt and nmse-sweep: the subcommand picks the
+    runner and its own inputs; every sweep takes the same shared keywords and
+    writes its CSV (and a grid its contour) the same way."""
+    out = opts.get("out")
+    if out is None:
+        raise UsageError("--out is required for sweeps")
     settings = _settings_from(opts)
-    cfg = GridConfig(
+    shared = dict(
         n=opts.get("n"),
-        m_ratios=ratios,
-        k_ratios=ratios,
         trials=opts.get("trials"),
         base_seed=opts.get("seed"),
         algorithms=_algorithms_from(opts),
-        success_threshold=settings.eps_tol,
-        noiseless=True,
-        sigma_x2=opts.get("sigma_x2"),
         settings=settings,
         workers=opts.get("workers"),
     )
-    contour_out = opts.get("contour_out")
-    out = opts.get("out")
-    if out is None:
-        raise UsageError("--out is required for sweeps")
-    if opts.command == "phase-transition":
-        result = run_phase_transition(cfg)
+    if opts.command == "nmse-sweep":
+        result = run_nmse_sweep(
+            k=opts.get("k"),
+            m_list=_number_list(opts.get("m_list"), int),
+            snr_db_list=_number_list(opts.get("snr_db_list"), float),
+            **shared,
+        )
     else:
-        result = run_support_phase_transition(cfg)
+        points, lo, hi = opts.get("grid_points"), opts.get("grid_min"), opts.get("grid_max")
+        if points < 1 or not 0.0 < lo <= hi <= 1.0:
+            raise UsageError("bad grid specification")
+        level = opts.get("level")
+        if not 0.0 < level <= 1.0:
+            raise UsageError(f"--level {level} outside (0, 1]")
+        ratios = tuple(float(v) for v in np.linspace(lo, hi, points))
+        cfg = GridConfig(
+            m_ratios=ratios,
+            k_ratios=ratios,
+            success_threshold=settings.eps_tol,
+            noiseless=True,
+            sigma_x2=opts.get("sigma_x2"),
+            **shared,
+        )
+        result = (run_phase_transition if opts.command == "phase-transition"
+                  else run_support_phase_transition)(cfg)
     result.to_csv(out)
-    if contour_out:
-        extract_contour(result, level).to_csv(contour_out)
-    print(f"wrote {len(result.rows)} rows to {out}")
-    return 0
-
-
-def cmd_nmse_sweep(opts) -> int:
-    out = opts.get("out")
-    if out is None:
-        raise UsageError("--out is required for sweeps")
-    result = run_nmse_sweep(
-        n=opts.get("n"), k=opts.get("k"),
-        m_list=_number_list(opts.get("m_list"), int),
-        snr_db_list=_number_list(opts.get("snr_db_list"), float),
-        trials=opts.get("trials"),
-        base_seed=opts.get("seed"),
-        algorithms=_algorithms_from(opts),
-        settings=_settings_from(opts),
-        workers=opts.get("workers"),
-    )
-    result.to_csv(out)
+    if opts.command != "nmse-sweep" and opts.get("contour_out"):
+        extract_contour(result, level).to_csv(opts.get("contour_out"))
     print(f"wrote {len(result.rows)} rows to {out}")
     return 0
 
@@ -457,13 +447,13 @@ _COMMANDS = {
         ("lam", float, None, None, "AMP threshold multiplier (default: heuristic from K)"),
         ("detect", str, "none", (*KNOWN_DETECTORS, "none"), None),
     ), cmd_recover),
-    "phase-transition": ("recovery success-rate grid", _GRID, cmd_grid),
-    "support-pt": ("support-detection success grid", _GRID, cmd_grid),
+    "phase-transition": ("recovery success-rate grid", _GRID, cmd_sweep),
+    "support-pt": ("support-detection success grid", _GRID, cmd_sweep),
     "nmse-sweep": ("NMSE over SNR points", _sweep_common(500, 200) + (
         ("k", int, 20, None, "nonzeros K"),
         ("m_list", str, "70 140", None, "space/comma separated M values"),
         ("snr_db_list", str, "10 20 30 40", None, "space/comma separated SNRs in dB"),
-    ), cmd_nmse_sweep),
+    ), cmd_sweep),
     "validate-denoiser": ("closed form vs quadrature, solvers vs exact MMSE", _COMMON + (
         ("trials", int, 200, None, "instances for the exact-MMSE comparison"),
         ("tol", float, 1e-8, None, "max allowed |closed - quadrature|"),
@@ -492,13 +482,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command][2](_Options(args))
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InstanceFormatError as exc:
         print(f"error: bad instance file: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, RecoveryError) as exc:
+    except (UsageError, ValueError, RecoveryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

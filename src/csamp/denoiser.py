@@ -60,6 +60,8 @@ class DenoiserParams:
             raise ValueError("gamma must lie in [0, 1]")
         if not self.s2 > 0.0:
             raise ValueError("s2 must be positive")
+        if self.s2 == np.inf:
+            raise ValueError("s2 must be finite")
         object.__setattr__(self, "s2", float(self.s2))
 
 

@@ -44,6 +44,7 @@ from .model import (
     RecoveryOutput,
     RecoverySettings,
     _checked_sigma_x2,
+    _require_integers,
     make_instance,
     nmse,
 )
@@ -74,13 +75,13 @@ class GridConfig:
     workers: int = 1
 
     def __post_init__(self):
+        _require_integers(n=self.n, trials=self.trials, base_seed=self.base_seed,
+                          workers=self.workers)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         for r in tuple(self.m_ratios) + tuple(self.k_ratios):
             if not 0.0 < r <= 1.0:
                 raise ValueError(f"grid ratio {r} outside (0, 1]")
-        if not isinstance(self.trials, (int, np.integer)):
-            raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.base_seed < 0:
@@ -432,11 +433,12 @@ def run_nmse_sweep(
     """Mean/median NMSE per (M, SNR) point with paired instances at slab
     variance 1; a non-finite abort contributes NMSE 1 (the all-zero
     estimate)."""
+    _require_integers(k=k, **{f"m_list[{j}]": m for j, m in enumerate(m_list)})
     if not 1 <= k <= n:
         raise ValueError("need 1 <= K <= N")
     if not len(m_list) or not len(snr_db_list):
         raise ValueError("m_list and snr_db_list must be non-empty")
-    if any(int(m) < 1 for m in m_list):
+    if any(m < 1 for m in m_list):
         raise ValueError("every M must be >= 1")
     if not all(np.isfinite(float(s)) for s in snr_db_list):
         raise ValueError("every SNR must be finite")

@@ -90,7 +90,17 @@ def _checked_gamma0(gamma0) -> np.ndarray:
 def _checked_sigma_x2(sigma_x2) -> float:
     if not sigma_x2 > 0.0:
         raise ValueError("sigma_x2 must be positive")
+    if sigma_x2 == np.inf:
+        raise ValueError("sigma_x2 must be finite")
     return float(sigma_x2)
+
+
+def _require_integers(**values) -> None:
+    """A ValueError naming the first value that is neither an int nor a numpy
+    integer."""
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -148,8 +158,7 @@ class RecoverySettings:
     part_variance: str = "half"
 
     def __post_init__(self):
-        if not isinstance(self.t_max, (int, np.integer)):
-            raise ValueError(f"t_max must be an integer, got {self.t_max!r}")
+        _require_integers(t_max=self.t_max)
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
         for name in ("eps_tol", "beta_floor"):
@@ -335,11 +344,11 @@ def make_instance(
 # The layout, which save_instance writes and load_instance reads.  After a
 # '#'-comment line come the header, one "key value" line per INSTANCE_HEADER
 # entry (key, parse, ok, message), a value that ok rejects being reported
-# with message; then "gamma0" and its N values on one line; then each
-# INSTANCE_SECTIONS entry (name, (rows, width), what a row is called), a
-# header key standing for its value: a line holding only the name, then one
-# line of values per row.  x, w and y hold "re im" pairs.  Blank and '#'
-# lines are skipped anywhere.
+# with message and an infinite float as not finite; then "gamma0" and its N
+# values on one line; then each INSTANCE_SECTIONS entry (name, (rows,
+# width), what a row is called), a header key standing for its value: a line
+# holding only the name, then one line of values per row.  x, w and y hold
+# "re im" pairs.  Blank and '#' lines are skipped anywhere.
 INSTANCE_HEADER = (
     ("M", int, lambda v: v >= 1, "M must be >= 1"),
     ("N", int, lambda v: v >= 1, "N must be >= 1"),
@@ -409,6 +418,8 @@ def load_instance(path) -> tuple[ProblemInstance, float, int]:
             raise InstanceFormatError(ln, f"bad {what} value for {key}: {toks[1]!r}")
         if not ok(head[key]):
             raise InstanceFormatError(ln, message)
+        if parse is float and head[key] == np.inf:  # after ok, which words NaN's fault
+            raise InstanceFormatError(ln, f"{key} must be finite")
 
     ln, toks = take()
     if toks[0] != "gamma0" or len(toks) != head["N"] + 1:

@@ -4,8 +4,9 @@ the digests recorded in tests/data/bits_ledger.json.
 A refactor that claims "same outputs" passes this unedited.  The digests
 cover the sweep CSVs (the bytes of each written file), the oracle and
 denoiser validation rows, the bytes of every field of batched solves on a
-chunk that holds a K = 0 draw, the bytes of one N=1000 instance draw, and
-the instance files written and read back for two small draws.
+chunk that holds a K = 0 draw, the bytes of one N=1000 instance draw, the
+instance files written and read back for two small draws, and what each CLI
+subcommand writes (its files and its stdout) on a small config.
 They hold in the environment they were recorded in (numpy and scipy
 versions, BLAS thread setting); a different environment fails with that
 said, never a skip.  After a change that moves
@@ -15,7 +16,9 @@ tools/record_bits_ledger.py` and list each moved digest.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -26,6 +29,7 @@ import numpy as np
 import pytest
 import scipy
 
+from csamp import cli
 from csamp.cli import denoiser_validation_rows, oracle_validation_rows
 from csamp.experiments import (
     KNOWN_ALGORITHMS,
@@ -143,6 +147,40 @@ def _instance_file_digest(directory: str) -> str:
     return h.hexdigest()
 
 
+# subcommand -> (its arguments on a small config, the files it writes), the
+# file names taken in the ledger's scratch directory
+CLI_RUNS = {
+    "phase-transition": (["--n", "24", "--trials", "2", "--grid-points", "3", "--seed", "5",
+                          "--out", "pt.csv", "--contour-out", "contour.csv"],
+                         ("pt.csv", "contour.csv")),
+    "support-pt": (["--n", "24", "--trials", "2", "--grid-points", "3", "--seed", "5",
+                    "--out", "spt.csv"], ("spt.csv",)),
+    "nmse-sweep": (["--n", "64", "--k", "4", "--m-list", "20 32", "--snr-db-list", "10 30",
+                    "--trials", "3", "--seed", "5", "--out", "nmse.csv"], ("nmse.csv",)),
+    "recover": (["--n", "64", "--m", "24", "--k", "4", "--snr-db", "20", "--seed", "5",
+                 "--algo", "cbamp", "--detect", "em", "--out", "recover.csv"],
+                ("recover.csv",)),
+    "validate-denoiser": (["--trials", "4", "--out", "validate.csv"], ("validate.csv",)),
+}
+
+
+def _cli_digest(directory: str, command: str) -> str:
+    """Digest of the exit status and stdout of cli.main on CLI_RUNS[command],
+    its scratch directory written as '.', then of the bytes of each file it
+    writes, in order."""
+    args, files = CLI_RUNS[command]
+    args = [os.path.join(directory, a) if a in files else a for a in args]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        status = cli.main([command, *args])
+    h = hashlib.sha256(f"exit {status}\n".encode())
+    h.update(stdout.getvalue().replace(directory, ".").encode())
+    for name in files:
+        with open(os.path.join(directory, name), "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
 def digests() -> dict:
     """{name: SHA-256 hex digest} of every output the ledger covers."""
     out = {}
@@ -172,6 +210,8 @@ def digests() -> dict:
     out["make_instance (300, 1000, 60) 20 dB"] = _instance_digest()
     with tempfile.TemporaryDirectory() as directory:
         out["save_instance/load_instance two draws"] = _instance_file_digest(directory)
+        for command in CLI_RUNS:
+            out[f"cli {command}"] = _cli_digest(directory, command)
     return out
 
 

@@ -1,5 +1,6 @@
 import argparse
 import os
+import runpy
 import subprocess
 import sys
 from dataclasses import replace
@@ -209,6 +210,13 @@ class TestRecover:
                                  "--algo", "cbamp", "--eps-tol", "inf")
         assert (code, out, err) == (1, "", "error: eps_tol must be finite\n")
 
+    def test_infinite_sigma_x2_is_usage_error(self, capsys, monkeypatch):
+        # it failed as a non-finite AMP iterate at t=1
+        monkeypatch.setattr(cli, "run_algorithm", forbidden_solve)
+        code, out, err = run_cli(capsys, "recover", "--n", "32", "--m", "16", "--k", "2",
+                                 "--algo", "cbamp", "--sigma-x2", "inf")
+        assert (code, out, err) == (1, "", "error: sigma_x2 must be finite\n")
+
     def test_nan_in_instance_matrix_names_its_line(self, capsys, tmp_path, monkeypatch):
         # it used to surface only as a non-finite AMP iterate at t=1
         saved = tmp_path / "inst.txt"
@@ -227,6 +235,7 @@ class TestRecover:
     @pytest.mark.parametrize("field, value, message", [
         ("gamma0", "nan " + " ".join(["0.75"] * 7), "gamma0 entries must lie in [0, 1]"),
         ("sigma_x2", "-1", "sigma_x2 must be positive"),
+        ("sigma_x2", "inf", "sigma_x2 must be finite"),
     ])
     def test_bad_prior_field_in_instance_file_names_its_line(self, capsys, tmp_path, field,
                                                              value, message):
@@ -497,6 +506,11 @@ class TestUsageErrors:
         (("phase-transition", "--grid-min", "0.9", "--grid-max", "0.1", "--out", "OUT"),
          "bad grid specification"),
         (("nmse-sweep", "--n", "48"), "--out is required for sweeps"),
+        # --out is checked first, by the one sweep handler
+        (("phase-transition", "--grid-points", "0"), "--out is required for sweeps"),
+        # it ran with every trial diverged and exited 0
+        (("phase-transition", "--n", "24", "--trials", "1", "--grid-points", "2",
+          "--sigma-x2", "inf", "--out", "OUT"), "sigma_x2 must be finite"),
     ])
     def test_exits_1_with_its_message_and_writes_nothing(self, capsys, tmp_path, monkeypatch,
                                                          argv, message):
@@ -506,6 +520,16 @@ class TestUsageErrors:
         code, printed, err = run_cli(capsys, *argv)
         assert (code, printed, err) == (1, "", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
+
+
+def test_run_as_a_module_exits_with_mains_status(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["csamp", "nmse-sweep", "--n", "48"])
+    # runpy warns that this process has imported csamp.cli already
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("csamp.cli", run_name="__main__")
+    assert done.value.code == 1
+    assert capsys.readouterr() == ("", "error: --out is required for sweeps\n")
 
 
 def test_import_leaves_the_quadrature_unloaded():

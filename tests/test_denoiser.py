@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import dblquad, quad
 
 import csamp.denoiser as denoiser
@@ -189,6 +190,20 @@ class TestNumericOracle:
             DenoiserParams(beta=0.1, gamma=np.array([0.5, np.nan]), s2=0.5)
         with pytest.raises(ValueError):
             DenoiserParams(beta=0.1, gamma=0.5, s2=0.0)
+        # an infinite slab variance made the closed form warn and return NaN
+        with pytest.raises(ValueError, match="^s2 must be finite$"):
+            DenoiserParams(beta=0.5, gamma=0.5, s2=np.inf)
+
+    @pytest.mark.parametrize("result, message", [
+        ((0.5, 1e-20, {}, "the maximum number of subdivisions has been achieved"),
+         "quadrature for evidence did not converge: the maximum number of subdivisions"),
+        ((0.5, 1e-3, {}), r"quadrature for evidence too inaccurate \(abserr=1.000e-03\)"),
+    ])
+    def test_quadrature_failure_is_an_error(self, monkeypatch, result, message):
+        # quad's warning message, or an error estimate above the bound
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: result)
+        with pytest.raises(RuntimeError, match=message):
+            denoise_numeric(1.0, DenoiserParams(beta=0.2, gamma=0.4, s2=0.5))
 
 
 def two_pass_quadrature(u, p, rel_tol=1e-12):
@@ -252,6 +267,14 @@ class TestExactMmse:
         y = rng.standard_normal(4)
         prior = BernoulliGaussianPrior(gamma0=1.0)
         assert np.all(exact_mmse(A, y, prior, 0.1) == 0.0)
+
+    def test_non_positive_definite_evidence_matrix_raises(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        A, y = gen_matrix(4, 6, rng), rng.standard_normal(4)
+        monkeypatch.setattr(np.linalg, "slogdet", lambda c: (np.full(c.shape[:-2], -1.0),
+                                                             np.zeros(c.shape[:-2])))
+        with pytest.raises(np.linalg.LinAlgError, match="non-positive-definite evidence"):
+            exact_mmse(A, y, BernoulliGaussianPrior(gamma0=0.5), 0.1)
 
     def test_dense_prior_is_ridge(self):
         rng = np.random.default_rng(1)

@@ -104,6 +104,15 @@ class TestGridConfig:
                                       ("workers", 0, "workers must be >= 1")]:
             with pytest.raises(ValueError, match=message):
                 tiny_grid(**{field: value})
+        # each failed only later, with a bare TypeError: at the first draw or in Pool
+        for field, value in [("n", 24.5), ("base_seed", 1.5), ("workers", 2.5)]:
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+                tiny_grid(**{field: value})
+        with pytest.raises(ValueError, match="^sigma_x2 must be finite$"):
+            tiny_grid(sigma_x2=np.inf)
+        cfg = tiny_grid(n=np.int64(24), trials=np.int64(2), base_seed=np.int64(1),
+                        workers=np.int64(1))
+        assert (cfg.n, cfg.trials, cfg.base_seed, cfg.workers) == (24, 2, 1, 1)
 
     def test_repeated_algorithm_rejected_before_any_draw(self, monkeypatch):
         # a repeated name would solve every chunk twice and double its rows
@@ -636,6 +645,17 @@ class TestNmseSweep:
             with pytest.raises(ValueError):
                 run_nmse_sweep(n=10, k=2, m_list=m_list, snr_db_list=snr_db_list,
                                trials=2)
+        # M = 20.5 ran as M = 20; K = 2.5 failed at the first draw with a TypeError
+        with pytest.raises(ValueError, match=r"^m_list\[1\] must be an integer, got 20.5$"):
+            run_nmse_sweep(64, 4, [16, 20.5], [10.0], 1)
+        with pytest.raises(ValueError, match="^k must be an integer, got 2.5$"):
+            run_nmse_sweep(64, 2.5, [20], [10.0], 1)
+
+    def test_numpy_integers_accepted(self):
+        kwargs = dict(snr_db_list=[20.0], trials=2, base_seed=3, algorithms=("cbamp",),
+                      settings=RecoverySettings(t_max=10))
+        assert (run_nmse_sweep(np.int64(24), np.int64(2), [np.int64(12)], **kwargs).rows
+                == run_nmse_sweep(24, 2, [12], **kwargs).rows)
 
 
 class TestContour:

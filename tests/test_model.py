@@ -165,7 +165,7 @@ class TestInstances:
         assert np.array_equal(a.x_true.re, b.x_true.re)
         assert np.array_equal(a.y.im, b.y.im)
 
-    @pytest.mark.parametrize("sigma_x2", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("sigma_x2", [0.0, -1.0, np.nan, np.inf])
     def test_sigma_x2_checked_before_any_draw(self, sigma_x2):
         # rejected at entry: no warning from the signal draw, no draw at all
         rng = np.random.default_rng(3)
@@ -229,6 +229,13 @@ class TestSettingsAndPrior:
             BernoulliGaussianPrior(gamma0=0.5, sigma_x2=0.0)
         with pytest.raises(ValueError, match="gamma0 must be scalar or 1-D"):
             BernoulliGaussianPrior(gamma0=[[0.5, 0.5]])
+        # an infinite slab variance made every solve and detection meaningless
+        for sigma_x2, message in ((-1.0, "sigma_x2 must be positive"),
+                                  (np.nan, "sigma_x2 must be positive"),
+                                  (-np.inf, "sigma_x2 must be positive"),
+                                  (np.inf, "sigma_x2 must be finite")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                BernoulliGaussianPrior(gamma0=0.5, sigma_x2=sigma_x2)
 
     def test_prior_broadcast(self):
         prior = BernoulliGaussianPrior(gamma0=0.25)
@@ -327,6 +334,8 @@ class TestInstanceFiles:
         ("sigma_w2", "sigma_w2 -1", "sigma_w2 must be finite and >= 0"),
         ("sigma_w2", "sigma_w2 nan", "sigma_w2 must be finite and >= 0"),
         ("sigma_w2", "sigma_w2 inf", "sigma_w2 must be finite and >= 0"),
+        ("sigma_x2", "sigma_x2 inf", "sigma_x2 must be finite"),
+        ("sigma_x2", "sigma_x2 -inf", "sigma_x2 must be positive"),
         ("gamma0", "gamma0 0.6 0.6 0.6 0.6", "expected 'gamma0' with 5 values"),
         ("gamma0", "gamma0 0.6 0.6 x 0.6 0.6", "bad numeric value in gamma0"),
         ("x", "z", "expected section marker 'x'"),

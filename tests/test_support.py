@@ -115,7 +115,7 @@ class TestEmRule:
         assert loud.active[0]
 
     @pytest.mark.parametrize("name, value", [
-        ("sigma_x2", 0.0), ("sigma_x2", np.nan), ("sigma_x2", -1.0),
+        ("sigma_x2", 0.0), ("sigma_x2", np.nan), ("sigma_x2", -1.0), ("sigma_x2", np.inf),
         ("beta_r", -1.0), ("beta_i", np.nan), ("beta_r", np.inf),
         ("gamma_r", 1.5), ("gamma_i", np.nan), ("u_r", np.nan), ("u_i", np.inf),
     ])
