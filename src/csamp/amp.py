@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ComplexVector, RecoveryError, RecoveryOutput, RecoverySettings
+from .model import ComplexVector, RecoveryError, RecoveryOutput, RecoverySettings, _checked
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ class AmpConfig:
     settings: RecoverySettings = RecoverySettings()
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError("lambda must be positive")
+        _checked(lam=self.lam)
 
 
 @dataclass(frozen=True)
@@ -290,10 +289,7 @@ def _camp_batch(problems, lams, settings: RecoverySettings) -> list:
     """camp_recover on each (A, y) of problems at its threshold multiplier
     lams[j], in one loop: a RecoveryOutput per problem, or the RecoveryError
     of one whose iterate went non-finite."""
-    lams = _rows(lams)
-    if not (lams > 0.0).all():
-        raise ValueError("lambda must be positive")
-    return _solve(problems, _soft, settings, 0.0, (lams,))
+    return _solve(problems, _soft, settings, 0.0, (_rows(lams),))
 
 
 def camp_recover(A: np.ndarray, y: ComplexVector, cfg: AmpConfig) -> RecoveryOutput:

@@ -48,9 +48,9 @@ from scipy.special import expit
 
 from .amp import _single, _solve
 from .bamp import _mmse, _prior_rows, cbamp_recover
-from .denoiser import DenoiserParams, _activity_log_odds, _check_finite, _prior_log_odds
+from .denoiser import _activity_log_odds, _check_finite, _prior_log_odds
 from .model import (BETA_FLOOR, GAMMA_CLAMP, BernoulliGaussianPrior, ComplexVector,
-                    RecoveryOutput, RecoverySettings)
+                    RecoveryOutput, RecoverySettings, _checked)
 
 
 def likelihood_update(u, beta: float, gamma0, s2: float):
@@ -62,7 +62,7 @@ def likelihood_update(u, beta: float, gamma0, s2: float):
     finite.
     """
     u = _check_finite(u)
-    DenoiserParams(beta, gamma0, s2)  # the denoiser's checks of the same quantities
+    _checked(beta=beta, gamma0=gamma0, s2=s2)
     out = -_activity_log_odds(u * u, max(float(beta), BETA_FLOOR), s2,
                               _prior_log_odds(gamma0))[0]
     return out if out.ndim else float(out)

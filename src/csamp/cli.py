@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
 from dataclasses import fields
 
@@ -44,6 +45,7 @@ from .model import (
     InstanceFormatError,
     RecoveryError,
     RecoverySettings,
+    _checked,
     load_instance,
     make_instance,
     nmse,
@@ -223,11 +225,14 @@ def _algorithms_from(opts) -> tuple[str, ...]:
     return algos
 
 
-def _nonnegative(flag: str, value: int) -> int:
-    """value, checked as --flag's (a seed, cell or trial number)."""
-    if value < 0:
-        raise UsageError(f"--{flag} must be nonnegative")
-    return value
+def _check_outputs(opts: _Options) -> None:
+    """An OSError naming the first output option whose directory does not
+    exist, as given; raised before any work, where write_csv would fail only
+    at the end, naming its temporary file."""
+    for name in ("out", "contour_out", "save_instance"):
+        path = name in opts.rows and opts.get(name)
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(f"--{name.replace('_', '-')} {path}: no such directory")
 
 
 # --- subcommands -------------------------------------------------------------
@@ -250,13 +255,12 @@ def cmd_recover(opts) -> int:
         k = int(np.count_nonzero(inst.x_true.support()))
         seed, snr_db, cell, trial = None if seed == -1 else seed, None, None, None
     else:
-        seed = _nonnegative("seed", opts.get("seed"))
+        seed, cell, trial = opts.get("seed"), opts.get("cell"), opts.get("trial")
+        _checked(**{"--seed": seed, "--cell": cell, "--trial": trial})
         n, m, k = opts.get("n"), opts.get("m"), opts.get("k")
         if n is None or m is None or k is None:
             raise UsageError("generation needs --n, --m and --k (or --instance)")
         snr_db = opts.get("snr_db")
-        cell = _nonnegative("cell", opts.get("cell"))
-        trial = _nonnegative("trial", opts.get("trial"))
         rng = trial_rng(seed, cell, trial)
         inst, sigma_w2 = make_instance(
             m, n, k, rng,
@@ -325,13 +329,11 @@ def cmd_sweep(opts) -> int:
         if points < 1 or not 0.0 < lo <= hi <= 1.0:
             raise UsageError("bad grid specification")
         level = opts.get("level")
-        if not 0.0 < level <= 1.0:
-            raise UsageError(f"--level {level} outside (0, 1]")
+        _checked(**{"--level": level})
         ratios = tuple(float(v) for v in np.linspace(lo, hi, points))
         cfg = GridConfig(
             m_ratios=ratios,
             k_ratios=ratios,
-            success_threshold=settings.eps_tol,
             noiseless=True,
             sigma_x2=opts.get("sigma_x2"),
             **shared,
@@ -347,8 +349,7 @@ def cmd_sweep(opts) -> int:
 
 def cmd_validate(opts) -> int:
     tol = opts.get("tol")
-    if not tol >= 0.0:
-        raise UsageError(f"--tol {tol} must be >= 0")
+    _checked(**{"--tol": tol})
     # the oracle runs first, so bad oracle options fail before any grid point
     oracle = None if opts.get("skip_oracle") else oracle_validation_rows(
         trials=opts.get("trials"),
@@ -481,7 +482,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command][2](_Options(args))
+        opts = _Options(args)
+        _check_outputs(opts)
+        return _COMMANDS[args.command][2](opts)
     except InstanceFormatError as exc:
         print(f"error: bad instance file: {exc}", file=sys.stderr)
         return 1

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .model import BETA_FLOOR, CHUNK_BYTES, GAMMA_CLAMP, BernoulliGaussianPrior
+from .model import BETA_FLOOR, CHUNK_BYTES, GAMMA_CLAMP, BernoulliGaussianPrior, _checked
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,8 @@ class DenoiserParams:
     s2: float
 
     def __post_init__(self):
-        if not np.isfinite(self.beta) or self.beta < 0.0:
-            raise ValueError("beta must be finite and nonnegative")
+        _checked(**vars(self))
         object.__setattr__(self, "beta", max(float(self.beta), BETA_FLOOR))
-        g = np.asarray(self.gamma, dtype=float)
-        if not np.all((g >= 0.0) & (g <= 1.0)):
-            raise ValueError("gamma must lie in [0, 1]")
-        if not self.s2 > 0.0:
-            raise ValueError("s2 must be positive")
-        if self.s2 == np.inf:
-            raise ValueError("s2 must be finite")
         object.__setattr__(self, "s2", float(self.s2))
 
 
@@ -128,8 +120,7 @@ def _posterior_terms(u, beta, s2, log_odds, slab=None, spike=None):
 
 def _check_finite(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("non-finite pseudo-data u")
+    _checked(u=u)
     return u
 
 
@@ -169,8 +160,7 @@ def denoise_numeric(u: float, p: DenoiserParams):
     from scipy.integrate import quad  # here, so that `import csamp` does not load it
 
     u = float(u)
-    if not np.isfinite(u):
-        raise ValueError("non-finite pseudo-data u")
+    _checked(u=u)
     beta, s2 = p.beta, p.s2
     gamma = np.asarray(p.gamma, dtype=float)
     out = np.zeros(gamma.shape)
@@ -280,8 +270,7 @@ def exact_mmse(
                 or y.shape[2] != A.shape[1] or sw2.shape != (len(A),)):
             raise ValueError("stacked trials take A (T, M, N), y_part (T, P, M) "
                              "and sigma_w2_part (T,)")
-    if not np.all(np.isfinite(sw2) & (sw2 >= 0.0)):
-        raise ValueError("sigma_w2_part must be finite and nonnegative")
+    _checked(sigma_w2_part=sw2)
     if not np.all(np.isfinite(A)):
         raise ValueError("non-finite entries in A")
     if not np.all(np.isfinite(y)):

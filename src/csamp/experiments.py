@@ -38,21 +38,20 @@ from .bamp import _cbamp_batch
 from .bossamp import _cbossamp_batch
 from .model import (
     CHUNK_BYTES,
+    KNOWN_ALGORITHMS,
+    KNOWN_DETECTORS,
     BernoulliGaussianPrior,
     ProblemInstance,
     RecoveryError,
     RecoveryOutput,
     RecoverySettings,
-    _checked_sigma_x2,
-    _require_integers,
+    _checked,
     make_instance,
     nmse,
 )
 from .support import SupportEstimate, detect_em, detect_prior_based, support_metrics
 
 DEFAULT_RATIOS = tuple(float(v) for v in np.linspace(0.05, 0.95, 19))
-KNOWN_ALGORITHMS = ("amp", "cbamp", "cbossamp")
-KNOWN_DETECTORS = ("em", "prior")
 DEFAULT_DETECTOR_CONFIGS = (("cbamp", "em"), ("cbossamp", "em"), ("cbossamp", "prior"))
 
 
@@ -75,31 +74,18 @@ class GridConfig:
     workers: int = 1
 
     def __post_init__(self):
-        _require_integers(n=self.n, trials=self.trials, base_seed=self.base_seed,
-                          workers=self.workers)
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        for r in tuple(self.m_ratios) + tuple(self.k_ratios):
-            if not 0.0 < r <= 1.0:
-                raise ValueError(f"grid ratio {r} outside (0, 1]")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be nonnegative")
+        _checked(n=self.n, m_ratios=tuple(self.m_ratios), k_ratios=tuple(self.k_ratios),
+                 trials=self.trials, base_seed=self.base_seed,
+                 success_threshold=self.success_threshold, sigma_x2=self.sigma_x2,
+                 workers=self.workers)
         for name in self.algorithms:
-            if name not in KNOWN_ALGORITHMS:
-                raise ValueError(f"unknown algorithm {name!r}")
+            _checked(algorithm=name)
             if self.algorithms.count(name) > 1:
                 raise ValueError(f"algorithm {name!r} given more than once")
-        if not self.success_threshold > 0.0:
-            raise ValueError("success_threshold must be positive")
         if self.noiseless and self.snr is not None:
             raise ValueError("a noiseless grid takes no snr")
-        if not self.noiseless and (self.snr is None or not self.snr > 0.0):
-            raise ValueError("noisy grids need a positive linear snr")
-        _checked_sigma_x2(self.sigma_x2)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not self.noiseless:  # a missing snr fails as snr 0
+            _checked(snr=0.0 if self.snr is None else self.snr)
 
     def cell_dims(self, m_ratio: float, k_ratio: float) -> tuple[int, int]:
         m = max(1, int(round(m_ratio * self.n)))
@@ -178,6 +164,7 @@ def _solve_chunk(name: str, instances, k, settings: RecoverySettings,
     RecoveryError of its non-finite iterate.  k is the true K, one for all
     instances or one each; AMP's threshold multiplier is lam, or else the
     heuristic at max(K, 1) of the instance's K."""
+    _checked(algorithm=name, lam=lam)
     problems = [(inst.A, inst.y) for inst in instances]
     if name == "amp":
         return _camp_batch(problems, [lambda_heuristic(max(int(kj), 1)) if lam is None else lam
@@ -185,9 +172,7 @@ def _solve_chunk(name: str, instances, k, settings: RecoverySettings,
     priors = [inst.prior for inst in instances]
     if name == "cbamp":
         return _cbamp_batch(problems, priors, settings)
-    if name == "cbossamp":
-        return _cbossamp_batch(problems, priors, settings)
-    raise ValueError(f"unknown algorithm {name!r}")
+    return _cbossamp_batch(problems, priors, settings)
 
 
 def run_algorithm(
@@ -209,15 +194,14 @@ def detect_support(detector: str, out: RecoveryOutput,
                    prior: BernoulliGaussianPrior) -> SupportEstimate:
     """Support estimate of one recovery by the named detector ("em" or
     "prior"); solvers without working gammas (amp) fall back to the prior."""
+    _checked(detector=detector)
     gamma0 = prior.gamma0_vector(out.u_r.size)
     g_r = out.gamma_r if out.gamma_r is not None else gamma0
     g_i = out.gamma_i if out.gamma_i is not None else gamma0
     if detector == "em":
         return detect_em(out.u_r, out.u_i, out.beta_r, out.beta_i, g_r, g_i,
                          prior.sigma_x2)
-    if detector == "prior":
-        return detect_prior_based(g_r, g_i)
-    raise ValueError(f"unknown detector {detector!r}")
+    return detect_prior_based(g_r, g_i)
 
 
 def _grid_meta(cfg: GridConfig, kind: str) -> dict:
@@ -433,15 +417,11 @@ def run_nmse_sweep(
     """Mean/median NMSE per (M, SNR) point with paired instances at slab
     variance 1; a non-finite abort contributes NMSE 1 (the all-zero
     estimate)."""
-    _require_integers(k=k, **{f"m_list[{j}]": m for j, m in enumerate(m_list)})
-    if not 1 <= k <= n:
+    _checked(k=k, m_list=list(m_list), snr_db_list=list(snr_db_list))
+    if not 1 <= k <= n:  # a noisy draw needs a nonzero signal
         raise ValueError("need 1 <= K <= N")
     if not len(m_list) or not len(snr_db_list):
         raise ValueError("m_list and snr_db_list must be non-empty")
-    if any(m < 1 for m in m_list):
-        raise ValueError("every M must be >= 1")
-    if not all(np.isfinite(float(s)) for s in snr_db_list):
-        raise ValueError("every SNR must be finite")
     cfg = GridConfig(n=n, trials=trials, base_seed=base_seed,
                      algorithms=tuple(algorithms), settings=settings, workers=workers)
     points = [(int(m), float(snr_db)) for m, snr_db in product(m_list, snr_db_list)]
@@ -469,8 +449,7 @@ def extract_contour(result: SweepResult, level: float = 0.5) -> SweepResult:
     """Per identity and M/N column, the K/M where the success rate first
     crosses `level` going down, linearly interpolated; columns that never
     cross are omitted.  A level outside (0, 1] is a ValueError."""
-    if not 0.0 < level <= 1.0:
-        raise ValueError(f"contour level {level} outside (0, 1]")
+    _checked(level=level)
     if not result.rows:
         raise ValueError("empty sweep result")
     cols = result.columns

@@ -36,6 +36,83 @@ CHUNK_BYTES = 1 << 20
 SIGN_DRAWS = 1 << 15
 
 
+# the values of RecoverySettings' two likelihood switches, the solvers and the
+# support detectors; the CLI's choices too
+LIKELIHOOD_VARIANTS = ("own-beta", "printed-cross-beta")
+PART_VARIANCES = ("half", "full")
+KNOWN_ALGORITHMS = ("amp", "cbamp", "cbossamp")
+KNOWN_DETECTORS = ("em", "prior")
+
+
+# --- input rules ---------------------------------------------------------------
+#
+# Each input quantity is declared once, in INPUT_RULES, under the name it
+# enters by: its tests in order, each with the message of its failure ({name}
+# and {value} filled in).  Every entry point checks its inputs through
+# _checked, so a quantity reads the same rule and message wherever it enters.
+# An infinite tolerance would stop every solve at once, an infinite floor,
+# factor or slab variance make every beta, divergence limit or estimate
+# meaningless, an infinite snr run noiseless under a noisy label, an infinite
+# threshold count every trial a success and an infinite lam (or tol) zero
+# every estimate (or pass every grid): each must be finite.
+
+def _every(test):
+    """test, an elementwise test, of every entry of a scalar, list or array."""
+    return lambda v: bool(test(np.asarray(v, dtype=float)).all())
+
+
+_FINITE = (lambda v: abs(v) < np.inf, "{name} must be finite")
+_INTEGER = (lambda v: isinstance(v, (int, np.integer)), "{name} must be an integer, got {value!r}")
+_COUNT = (_INTEGER, (lambda v: v >= 1, "{name} must be >= 1"))
+_INDEX = (_INTEGER, (lambda v: v >= 0, "{name} must be nonnegative"))
+_POSITIVE = ((lambda v: v > 0.0, "{name} must be positive"), _FINITE)
+_NONNEGATIVE = ((_every(lambda a: (a >= 0.0) & (a < np.inf)), "{name} must be finite and >= 0"),)
+_PROBABILITY = ((_every(lambda a: (a >= 0.0) & (a <= 1.0)), "{name} entries must lie in [0, 1]"),)
+_DATA = ((_every(np.isfinite), "non-finite pseudo-data {name}"),)
+_VECTORS = (_NONNEGATIVE, _PROBABILITY, _DATA)  # the kinds that test a list whole
+_FRACTION = ((lambda v: 0.0 < v <= 1.0, "{name} {value} outside (0, 1]"),)
+
+
+def _one_of(choices) -> tuple:
+    return ((lambda v: v in choices, "unknown {name} {value!r}"),)
+
+
+INPUT_RULES = {
+    **dict.fromkeys(("n", "m", "M", "N", "t_max", "trials", "workers", "m_list"), _COUNT),
+    **dict.fromkeys(("k", "base_seed", "seed", "cell", "trial"), _INDEX),
+    **dict.fromkeys(("sigma_x2", "s2", "eps_tol", "beta_floor", "success_threshold", "lam"),
+                    _POSITIVE),
+    **dict.fromkeys(("sigma_w2", "sigma_w2_part", "beta", "beta_r", "beta_i"), _NONNEGATIVE),
+    **dict.fromkeys(("gamma0", "gamma", "gamma_r", "gamma_i"), _PROBABILITY),
+    **dict.fromkeys(("level", "m_ratios", "k_ratios"), _FRACTION),
+    **dict.fromkeys(("u", "u_r", "u_i"), _DATA),
+    "snr": ((lambda v: v > 0.0, "noisy grids need a positive linear {name}"), _FINITE),
+    "snr_db_list": (_FINITE,),
+    "gamma_clamp": ((lambda v: 0.0 < v < 0.5, "{name} must lie in (0, 0.5)"),),
+    "divergence_factor": ((lambda v: v > 1.0, "{name} must exceed 1"), _FINITE),
+    "tol": ((lambda v: v >= 0.0, "{name} {value} must be >= 0"), _FINITE),
+    "likelihood_variant": _one_of(LIKELIHOOD_VARIANTS),
+    "part_variance": _one_of(PART_VARIANCES),
+    "algorithm": _one_of(KNOWN_ALGORITHMS),
+    "detector": _one_of(KNOWN_DETECTORS),
+}
+
+
+def _checked(**values) -> None:
+    """Check each value by its quantity's INPUT_RULES entry: a ValueError
+    with the message of the first test that fails.  None stands for a value
+    not given; a list or tuple of a scalar kind has each entry checked, as
+    name[j], by its list's rule; a flag --name takes name's rule."""
+    for name, value in values.items():
+        rules = INPUT_RULES[name.lstrip("-").split("[")[0]]
+        if isinstance(value, (list, tuple)) and rules not in _VECTORS:
+            _checked(**{f"{name}[{j}]": v for j, v in enumerate(value)})
+        elif value is not None:
+            for test, message in rules:
+                if not test(value):
+                    raise ValueError(message.format(name=name, value=value))
+
+
 class RecoveryError(RuntimeError):
     """Raised when an iterative recovery produces non-finite iterates."""
 
@@ -77,32 +154,6 @@ class ComplexVector:
         return (np.abs(self.re) > 0.0) | (np.abs(self.im) > 0.0)
 
 
-def _checked_gamma0(gamma0) -> np.ndarray:
-    """gamma0 as a 1-D float array, its entries in [0, 1] (NaN rejected)."""
-    g = np.atleast_1d(np.asarray(gamma0, dtype=float))
-    if g.ndim != 1:
-        raise ValueError("gamma0 must be scalar or 1-D")
-    if not np.all((g >= 0.0) & (g <= 1.0)):
-        raise ValueError("gamma0 entries must lie in [0, 1]")
-    return g
-
-
-def _checked_sigma_x2(sigma_x2) -> float:
-    if not sigma_x2 > 0.0:
-        raise ValueError("sigma_x2 must be positive")
-    if sigma_x2 == np.inf:
-        raise ValueError("sigma_x2 must be finite")
-    return float(sigma_x2)
-
-
-def _require_integers(**values) -> None:
-    """A ValueError naming the first value that is neither an int nor a numpy
-    integer."""
-    for name, value in values.items():
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class BernoulliGaussianPrior:
     """Spike-and-slab prior: zero w.p. gamma0, else CN(0, sigma_x2).
@@ -116,8 +167,12 @@ class BernoulliGaussianPrior:
     sigma_x2: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma0", _checked_gamma0(self.gamma0))
-        object.__setattr__(self, "sigma_x2", _checked_sigma_x2(self.sigma_x2))
+        gamma0 = np.atleast_1d(np.asarray(self.gamma0, dtype=float))
+        if gamma0.ndim != 1:
+            raise ValueError("gamma0 must be scalar or 1-D")
+        _checked(gamma0=gamma0, sigma_x2=self.sigma_x2)
+        object.__setattr__(self, "gamma0", gamma0)
+        object.__setattr__(self, "sigma_x2", float(self.sigma_x2))
 
     @property
     def s2(self) -> float:
@@ -131,11 +186,6 @@ class BernoulliGaussianPrior:
         if self.gamma0.size != n:
             raise ValueError(f"gamma0 has length {self.gamma0.size}, expected {n}")
         return self.gamma0.copy()
-
-
-# the values of RecoverySettings' two likelihood switches, and the CLI's choices
-LIKELIHOOD_VARIANTS = ("own-beta", "printed-cross-beta")
-PART_VARIANCES = ("half", "full")
 
 
 @dataclass(frozen=True)
@@ -158,25 +208,7 @@ class RecoverySettings:
     part_variance: str = "half"
 
     def __post_init__(self):
-        _require_integers(t_max=self.t_max)
-        if self.t_max < 1:
-            raise ValueError("t_max must be >= 1")
-        for name in ("eps_tol", "beta_floor"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.gamma_clamp < 0.5:
-            raise ValueError("gamma_clamp must lie in (0, 0.5)")
-        if not self.divergence_factor > 1.0:
-            raise ValueError("divergence_factor must exceed 1")
-        # an infinite tolerance stops every solve at once; an infinite floor
-        # or factor makes every beta or divergence limit infinite
-        for name in ("eps_tol", "beta_floor", "divergence_factor"):
-            if getattr(self, name) == np.inf:
-                raise ValueError(f"{name} must be finite")
-        if self.likelihood_variant not in LIKELIHOOD_VARIANTS:
-            raise ValueError(f"unknown likelihood_variant {self.likelihood_variant!r}")
-        if self.part_variance not in PART_VARIANCES:
-            raise ValueError(f"unknown part_variance {self.part_variance!r}")
+        _checked(**vars(self))
 
 
 @dataclass(frozen=True)
@@ -247,8 +279,7 @@ def gen_matrix(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     state afterwards and every later draw equal those of
     (rng.integers(0, 2, (m, n)) * 2 - 1) / np.sqrt(m).
     """
-    if m < 1 or n < 1:
-        raise ValueError("matrix dimensions must be >= 1")
+    _checked(m=m, n=n)
     c = 1.0 / np.sqrt(m)
     signs = np.array([-c, c])
     A = np.empty((m, n))
@@ -268,7 +299,8 @@ def gen_signal_exact_k(
     sigma_x2, i.e. each part is N(0, sigma_x2 / 2); the two parts share the
     support by construction.
     """
-    if not 0 <= k <= n:
+    _checked(k=k, sigma_x2=sigma_x2)
+    if k > n:
         raise ValueError(f"need 0 <= K <= N, got K={k}, N={n}")
     x_r = np.zeros(n)
     x_i = np.zeros(n)
@@ -283,9 +315,8 @@ def gen_signal_exact_k(
 def _noise_for(ax_r, ax_i, snr: float, rng: np.random.Generator):
     """(w, sigma_w2): complex Gaussian noise calibrated from the realized
     parts of Ax, so that ||Ax||^2 / E||w||^2 = snr exactly for this instance:
-    sigma_w2 = ||Ax||^2 / (M snr), each part of w N(0, sigma_w2 / 2)."""
-    if not snr > 0.0:
-        raise ValueError("snr must be positive")
+    sigma_w2 = ||Ax||^2 / (M snr), each part of w N(0, sigma_w2 / 2); snr
+    as make_instance checks it."""
     m = len(ax_r)
     energy = float(ax_r @ ax_r + ax_i @ ax_i)
     if energy == 0.0:
@@ -321,16 +352,17 @@ def make_instance(
     """Generate a full exact-K instance; returns (instance, sigma_w2).
 
     gamma0 defaults to 1 - K/N, the activity rate matching the exact-K draw.
+    Every input is checked before the first draw.
     """
-    _checked_sigma_x2(sigma_x2)
+    _checked(m=m, n=n, k=k, sigma_x2=sigma_x2, snr=None if noiseless else snr, gamma0=gamma0)
+    if not noiseless and snr is None:
+        raise ValueError("snr required when noiseless=False")
     A = gen_matrix(m, n, rng)
     x = gen_signal_exact_k(n, k, sigma_x2, rng)
     ax_r, ax_i = A @ x.re, A @ x.im  # once for both the noise and y
     if noiseless:
         w, sigma_w2 = ComplexVector.zeros(m), 0.0
     else:
-        if snr is None:
-            raise ValueError("snr required when noiseless=False")
         w, sigma_w2 = _noise_for(ax_r, ax_i, snr, rng)
     y = ComplexVector(ax_r + w.re, ax_i + w.im)
     if gamma0 is None:
@@ -343,19 +375,14 @@ def make_instance(
 #
 # The layout, which save_instance writes and load_instance reads.  After a
 # '#'-comment line come the header, one "key value" line per INSTANCE_HEADER
-# entry (key, parse, ok, message), a value that ok rejects being reported
-# with message and an infinite float as not finite; then "gamma0" and its N
-# values on one line; then each INSTANCE_SECTIONS entry (name, (rows,
-# width), what a row is called), a header key standing for its value: a line
-# holding only the name, then one line of values per row.  x, w and y hold
-# "re im" pairs.  Blank and '#' lines are skipped anywhere.
-INSTANCE_HEADER = (
-    ("M", int, lambda v: v >= 1, "M must be >= 1"),
-    ("N", int, lambda v: v >= 1, "N must be >= 1"),
-    ("sigma_x2", float, lambda v: v > 0.0, "sigma_x2 must be positive"),
-    ("sigma_w2", float, lambda v: 0.0 <= v < np.inf, "sigma_w2 must be finite and >= 0"),
-    ("seed", int, lambda v: True, ""),  # any integer; -1 where none was given
-)
+# entry (key, parse), each value checked by its INPUT_RULES entry but the
+# seed, any integer (-1 where none was given); then "gamma0" and its N values
+# on one line; then each INSTANCE_SECTIONS entry (name, (rows, width), what a
+# row is called), a header key standing for its value: a line holding only
+# the name, then one line of values per row.  x, w and y hold "re im" pairs.
+# Blank and '#' lines are skipped anywhere.
+INSTANCE_HEADER = (("M", int), ("N", int), ("sigma_x2", float), ("sigma_w2", float),
+                   ("seed", int))
 INSTANCE_SECTIONS = (
     ("A", ("M", "N"), "matrix row {}"),
     ("x", ("N", 2), "x[{}]"),
@@ -383,7 +410,7 @@ def save_instance(
         blocks[name] = np.column_stack((vec.re, vec.im))
     # str of the parsed value: an np.int64 seed as its digits, a float as its repr
     lines = ["# csamp problem instance v1"]
-    lines += [f"{key} {parse(head[key])}" for key, parse, _, _ in INSTANCE_HEADER]
+    lines += [f"{key} {parse(head[key])}" for key, parse in INSTANCE_HEADER]
     lines.append("gamma0 " + " ".join(repr(float(g)) for g in inst.prior.gamma0_vector(inst.n)))
     for name, _, _ in INSTANCE_SECTIONS:
         lines.append(name)
@@ -406,8 +433,14 @@ def load_instance(path) -> tuple[ProblemInstance, float, int]:
             return row
         raise InstanceFormatError(rows[-1][0] if rows else 0, "unexpected end of file")
 
+    def check(ln, **values):  # _checked, a fault reported at line ln
+        try:
+            _checked(**values)
+        except ValueError as exc:
+            raise InstanceFormatError(ln, str(exc)) from None
+
     head = {}
-    for key, parse, ok, message in INSTANCE_HEADER:
+    for key, parse in INSTANCE_HEADER:
         ln, toks = take()
         if len(toks) != 2 or toks[0] != key:
             raise InstanceFormatError(ln, f"expected '{key} <value>'")
@@ -416,22 +449,18 @@ def load_instance(path) -> tuple[ProblemInstance, float, int]:
         except ValueError:
             what = "integer" if parse is int else "numeric"
             raise InstanceFormatError(ln, f"bad {what} value for {key}: {toks[1]!r}")
-        if not ok(head[key]):
-            raise InstanceFormatError(ln, message)
-        if parse is float and head[key] == np.inf:  # after ok, which words NaN's fault
-            raise InstanceFormatError(ln, f"{key} must be finite")
+        if key != "seed":
+            check(ln, **{key: head[key]})
 
     ln, toks = take()
     if toks[0] != "gamma0" or len(toks) != head["N"] + 1:
         raise InstanceFormatError(ln, f"expected 'gamma0' with {head['N']} values")
     try:
-        gamma0 = [float(t) for t in toks[1:]]
+        gamma0 = np.array([float(t) for t in toks[1:]])
     except ValueError:
         raise InstanceFormatError(ln, "bad numeric value in gamma0")
-    try:  # the prior's own check of the gamma0 entries
-        prior = BernoulliGaussianPrior(gamma0=gamma0, sigma_x2=head["sigma_x2"])
-    except ValueError as exc:
-        raise InstanceFormatError(ln, str(exc)) from None
+    check(ln, gamma0=gamma0)
+    prior = BernoulliGaussianPrior(gamma0=gamma0, sigma_x2=head["sigma_x2"])
 
     blocks = {}
     for name, dims, row_name in INSTANCE_SECTIONS:

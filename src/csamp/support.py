@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import _activity_log_odds, _prior_log_odds
-from .model import BETA_FLOOR, ComplexVector, _checked_sigma_x2
+from .model import BETA_FLOOR, ComplexVector, _checked
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ def detect_prior_based(gamma_r, gamma_i) -> SupportEstimate:
     g_i = np.asarray(gamma_i, dtype=float)
     if g_r.shape != g_i.shape or g_r.ndim != 1:
         raise ValueError("gamma vectors must be 1-D with equal length")
-    if not np.all((g_r >= 0) & (g_r <= 1) & (g_i >= 0) & (g_i <= 1)):
-        raise ValueError("gamma entries must lie in [0, 1]")
+    _checked(gamma_r=g_r, gamma_i=g_i)
     zero = g_r * g_i >= (1.0 - g_r) * (1.0 - g_i)
     return SupportEstimate(~zero)
 
@@ -66,23 +65,17 @@ def detect_em(
     N(u; 0, beta + sigma_x2/2); the mixed-activity weights cancel from the
     comparison, which is a_r + a_i <= 0 in the parts' activity log-odds, so
     large |u| never underflows to a 0-vs-0 tie.  Opposite endpoint gammas
-    (an undefined sum) stay zero.  Checks its arguments as
-    detect_prior_based does: finite u, finite beta >= 0, gammas in [0, 1]
-    and a positive sigma_x2.
+    (an undefined sum) stay zero.  Checks its arguments by their input
+    rules (model.INPUT_RULES), as detect_prior_based does its gammas.
     """
     u_r = np.asarray(u_r, dtype=float)
     u_i = np.asarray(u_i, dtype=float)
     if not (u_r.shape == u_i.shape and u_r.ndim == 1):
         raise ValueError("u vectors must be 1-D with equal length")
-    if not (np.all(np.isfinite(u_r)) and np.all(np.isfinite(u_i))):
-        raise ValueError("non-finite pseudo-data u")
-    if not all(np.isfinite(beta) and beta >= 0.0 for beta in (beta_r, beta_i)):
-        raise ValueError("beta must be finite and nonnegative")
     gamma_r = np.asarray(gamma_r, dtype=float)
     gamma_i = np.asarray(gamma_i, dtype=float)
-    if not all(np.all((g >= 0.0) & (g <= 1.0)) for g in (gamma_r, gamma_i)):
-        raise ValueError("gamma entries must lie in [0, 1]")
-    _checked_sigma_x2(sigma_x2)
+    _checked(u_r=u_r, u_i=u_i, beta_r=beta_r, beta_i=beta_i, gamma_r=gamma_r, gamma_i=gamma_i,
+             sigma_x2=sigma_x2)
     a_r = _part_log_odds(u_r, beta_r, gamma_r, sigma_x2)
     a_i = _part_log_odds(u_i, beta_i, gamma_i, sigma_x2)
     with np.errstate(invalid="ignore"):

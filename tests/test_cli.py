@@ -425,6 +425,43 @@ class TestSweeps:
         )
         assert code == 3
 
+    # (the subcommand and its other arguments, the output flag given a path in
+    # a directory that does not exist); GOOD stands for a good output path
+    @pytest.mark.parametrize("argv, flag", [
+        (("phase-transition", "--n", "24", "--trials", "1", "--grid-points", "2"), "--out"),
+        (("phase-transition", "--n", "24", "--trials", "1", "--grid-points", "2",
+          "--out", "GOOD"), "--contour-out"),
+        (("support-pt", "--n", "24", "--trials", "1", "--grid-points", "2"), "--out"),
+        (("nmse-sweep", "--n", "24", "--k", "2", "--m-list", "12", "--trials", "1"), "--out"),
+        (("recover", "--n", "16", "--m", "8", "--k", "2", "--algo", "cbamp"), "--out"),
+        (("recover", "--n", "16", "--m", "8", "--k", "2", "--algo", "cbamp"),
+         "--save-instance"),
+        (("validate-denoiser", "--trials", "2"), "--out"),
+    ])
+    def test_missing_output_directory_fails_before_any_work(self, capsys, tmp_path,
+                                                            monkeypatch, argv, flag):
+        # it ran every solve, wrote the other outputs, then exited 3 naming
+        # write_csv's temporary file
+        monkeypatch.setattr(experiments, "make_instance", forbidden_draw)
+        monkeypatch.setattr(cli, "make_instance", forbidden_draw)
+        monkeypatch.setattr(cli, "denoiser_validation_rows", forbidden_solve)
+        bad = str(tmp_path / "no_such_dir" / "x.csv")
+        argv = [str(tmp_path / "good.csv") if a == "GOOD" else a for a in argv]
+        code, printed, err = run_cli(capsys, *argv, flag, bad)
+        assert (code, printed) == (3, "")
+        assert err == f"I/O error: {flag} {bad}: no such directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_grid_success_threshold_does_not_follow_eps_tol(self, capsys, tmp_path):
+        # the grid counted NMSE < --eps-tol as a success
+        out = tmp_path / "pt.csv"
+        code, _, _ = run_cli(capsys, "phase-transition", "--n", "32", "--trials", "4",
+                             "--grid-points", "3", "--algos", "cbamp", "--eps-tol", "1e-2",
+                             "--out", str(out))
+        assert code == 0
+        _, _, meta = read_csv(out)
+        assert (meta["success_threshold"], meta["eps_tol"]) == ("0.0001", "0.01")
+
     def test_support_pt_runs(self, capsys, tmp_path):
         out = tmp_path / "spt.csv"
         code, _, _ = run_cli(

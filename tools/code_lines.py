@@ -1,8 +1,12 @@
-"""Print the size of each src/csamp module: `wc -l` lines and code lines.
+"""Print the size of each src/csamp module: `wc -l` lines, code lines and
+raise sites.
 
 A code line is a non-blank line that holds a code token; comments and
 docstrings (the leading string of a module, class or function body) are
-left out.  Run from anywhere: `python tools/code_lines.py [package_dir]`.
+left out.  A raise site is a `raise` statement of an input fault: one that
+names ValueError, UsageError or InstanceFormatError (the input rules of
+model.INPUT_RULES raise from one site).  Run from anywhere:
+`python tools/code_lines.py [package_dir]`.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import tokenize
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "csamp"
+INPUT_FAULTS = {"ValueError", "UsageError", "InstanceFormatError"}
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
 
@@ -29,24 +34,36 @@ def docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
-def count(source: str) -> tuple[int, int]:
-    """(wc -l lines, code lines) of one module's source."""
-    skip = docstring_lines(ast.parse(source))
+def raise_sites(tree: ast.AST) -> int:
+    """The raise statements of tree whose exception names an INPUT_FAULTS
+    class, called or bare."""
+    sites = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            sites += isinstance(exc, ast.Name) and exc.id in INPUT_FAULTS
+    return sites
+
+
+def count(source: str) -> tuple[int, int, int]:
+    """(wc -l lines, code lines, raise sites) of one module's source."""
+    tree = ast.parse(source)
+    skip = docstring_lines(tree)
     code: set[int] = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in NOT_CODE:
             code.update(n for n in range(tok.start[0], tok.end[0] + 1) if n not in skip)
-    return source.count("\n"), len(code)
+    return source.count("\n"), len(code), raise_sites(tree)
 
 
 def main(argv: list[str]) -> int:
     package = Path(argv[0]) if argv else PACKAGE
-    total_lines = total_code = 0
+    totals = [0, 0, 0]
     for path in sorted(package.glob("*.py")):
-        lines, code = count(path.read_text())
-        total_lines, total_code = total_lines + lines, total_code + code
-        print(f"{path.name:16s} {lines:6,d} {code:6,d}")
-    print(f"{'total':16s} {total_lines:6,d} {total_code:6,d}")
+        sizes = count(path.read_text())
+        totals = [t + v for t, v in zip(totals, sizes)]
+        print(f"{path.name:16s}" + "".join(f" {v:6,d}" for v in sizes))
+    print(f"{'total':16s}" + "".join(f" {v:6,d}" for v in totals))
     return 0
 
 
