@@ -18,9 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from .amp import AmpPartResult, _iterate, _rows, _single, _solve, _sq_norms, _stack
-from .denoiser import (BETA_FLOOR, DenoiserParams, _endpoint_masks, _posterior_terms,
-                       _prior_log_odds, _uniform)
-from .model import BernoulliGaussianPrior, ComplexVector, RecoveryOutput, RecoverySettings
+from .denoiser import BETA_FLOOR, _endpoint_masks, _posterior_terms, _prior_log_odds, _uniform
+from .model import (BernoulliGaussianPrior, ComplexVector, RecoveryOutput, RecoverySettings,
+                    _checked)
 
 
 def _mmse(u, beta, s2, log_odds, slab=None, spike=None):
@@ -59,11 +59,12 @@ def bamp_step(A, y, x, z, gamma, s2, beta_floor):
     Returns (x_new, z_new, u, beta) with u and beta the pre-update values
     that the output contract and support detection consume.
     """
-    p = DenoiserParams(BETA_FLOOR, np.asarray(gamma), s2)
+    gamma = np.asarray(gamma)
+    _checked(gamma=gamma, s2=s2)
     beta = np.maximum(_sq_norms(z) / A.shape[0], beta_floor)
     u = x + z @ A
-    x_new, deriv_sum, *_ = _mmse(u, beta, p.s2, _prior_log_odds(_uniform(p.gamma)),
-                                 *_endpoint_masks(p.gamma))
+    x_new, deriv_sum, *_ = _mmse(u, beta, float(s2), _prior_log_odds(_uniform(gamma)),
+                                 *_endpoint_masks(gamma))
     z_new = y - x_new @ A.T + (deriv_sum / A.shape[0])[..., None] * z
     return x_new, z_new, u, beta
 
@@ -78,9 +79,9 @@ def bamp_recover(A: np.ndarray, y_part: np.ndarray, gamma0, s2: float,
     """
     A, Y = _stack(A, y_part)
     gamma = np.broadcast_to(np.asarray(gamma0, dtype=float), (A.shape[1],))
-    p = DenoiserParams(BETA_FLOOR, gamma, s2)
+    _checked(gamma=gamma, s2=s2)
     return _single(_iterate([(A, Y)], _mmse_step, settings, settings.beta_floor,
-                            _mmse_rows([p.gamma], [p.s2], settings.gamma_clamp)))[0]
+                            _mmse_rows([gamma], [float(s2)], settings.gamma_clamp)))[0]
 
 
 def _cbamp_batch(problems, priors, settings: RecoverySettings) -> list:

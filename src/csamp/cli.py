@@ -334,7 +334,6 @@ def cmd_sweep(opts) -> int:
         cfg = GridConfig(
             m_ratios=ratios,
             k_ratios=ratios,
-            noiseless=True,
             sigma_x2=opts.get("sigma_x2"),
             **shared,
         )

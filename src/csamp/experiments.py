@@ -58,7 +58,8 @@ DEFAULT_DETECTOR_CONFIGS = (("cbamp", "em"), ("cbossamp", "em"), ("cbossamp", "p
 @dataclass(frozen=True)
 class GridConfig:
     """Phase-transition grid over (M/N, K/M) ratio axes; the fields besides
-    the axes and success_threshold are the settings every sweep shares."""
+    the axes and success_threshold are the settings every sweep shares.  snr
+    is the linear SNR of a noisy grid, None (the default) a noiseless one."""
 
     n: int = 256
     m_ratios: tuple[float, ...] = DEFAULT_RATIOS
@@ -67,7 +68,6 @@ class GridConfig:
     base_seed: int = 0
     algorithms: tuple[str, ...] = KNOWN_ALGORITHMS
     success_threshold: float = 1e-4
-    noiseless: bool = True
     snr: float | None = None
     sigma_x2: float = 1.0
     settings: RecoverySettings = RecoverySettings()
@@ -76,16 +76,17 @@ class GridConfig:
     def __post_init__(self):
         _checked(n=self.n, m_ratios=tuple(self.m_ratios), k_ratios=tuple(self.k_ratios),
                  trials=self.trials, base_seed=self.base_seed,
-                 success_threshold=self.success_threshold, sigma_x2=self.sigma_x2,
-                 workers=self.workers)
+                 success_threshold=self.success_threshold, snr=self.snr,
+                 sigma_x2=self.sigma_x2, workers=self.workers)
         for name in self.algorithms:
             _checked(algorithm=name)
             if self.algorithms.count(name) > 1:
                 raise ValueError(f"algorithm {name!r} given more than once")
-        if self.noiseless and self.snr is not None:
-            raise ValueError("a noiseless grid takes no snr")
-        if not self.noiseless:  # a missing snr fails as snr 0
-            _checked(snr=0.0 if self.snr is None else self.snr)
+
+    @property
+    def noiseless(self) -> bool:
+        """Whether the grid's draws are noiseless: it has no snr."""
+        return self.snr is None
 
     def cell_dims(self, m_ratio: float, k_ratio: float) -> tuple[int, int]:
         m = max(1, int(round(m_ratio * self.n)))
@@ -343,8 +344,7 @@ def _grid_pass(cfg: GridConfig, pairs=()) -> list:
     """[((m_ratio, k_ratio), (m, k), records)] per cell, in row order."""
     ratios = list(product(cfg.m_ratios, cfg.k_ratios))
     dims = [cfg.cell_dims(mr, kr) for mr, kr in ratios]
-    snr = None if cfg.noiseless else cfg.snr
-    cells = [(idx, m, k, snr) for idx, (m, k) in enumerate(dims)]
+    cells = [(idx, m, k, cfg.snr) for idx, (m, k) in enumerate(dims)]
     return list(zip(ratios, dims, _run_cells(cfg, cells, pairs)))
 
 

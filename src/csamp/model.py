@@ -352,11 +352,13 @@ def make_instance(
     """Generate a full exact-K instance; returns (instance, sigma_w2).
 
     gamma0 defaults to 1 - K/N, the activity rate matching the exact-K draw.
+    A noisy instance (noiseless=False) takes an snr and a noiseless one none.
     Every input is checked before the first draw.
     """
-    _checked(m=m, n=n, k=k, sigma_x2=sigma_x2, snr=None if noiseless else snr, gamma0=gamma0)
-    if not noiseless and snr is None:
-        raise ValueError("snr required when noiseless=False")
+    if noiseless == (snr is not None):
+        raise ValueError("a noiseless instance takes no snr" if noiseless
+                         else "snr required when noiseless=False")
+    _checked(m=m, n=n, k=k, sigma_x2=sigma_x2, snr=snr, gamma0=gamma0)
     A = gen_matrix(m, n, rng)
     x = gen_signal_exact_k(n, k, sigma_x2, rng)
     ax_r, ax_i = A @ x.re, A @ x.im  # once for both the noise and y

@@ -12,9 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from csamp.amp import soft_threshold
-from csamp.bamp import bamp_step, cbamp_recover
-from csamp.bossamp import cbossamp_recover
+from csamp import bossamp
+from csamp.amp import _iterate, _stack, soft_threshold
+from csamp.bamp import _mmse_step, _prior_rows, bamp_step, cbamp_recover
+from csamp.bossamp import _exchange_step, cbossamp_recover
 from csamp.cli import (
     VALIDATION_BETAS,
     VALIDATION_GAMMAS,
@@ -128,6 +129,42 @@ def test_criterion_3_exchange_disabled_is_bitwise_cbamp():
         )
         mismatches += not same
     report(3, mismatches == 0, f"{20 - mismatches}/20 instances bitwise identical")
+    assert mismatches == 0
+
+
+def test_criterion_3b_exchange_step_at_the_prior_is_cbamp_bitwise(monkeypatch):
+    # Criterion 3 compares cbamp with itself (exchange=False is cbamp_recover).
+    # Here the exchange's own step runs, on criterion 3's draws, with every
+    # denoiser call it makes held at the prior's log-odds and masks (those of
+    # its first call) and its 1 - pi returned as zeros, so that its memory
+    # term b is 0: the joint loop must then be cbamp's joint loop bit for
+    # bit.  The swap, the clip and the memory term go unseen.
+    mmse, prior = bossamp._mmse, []
+
+    def at_the_prior(u, beta, s2, log_odds, *masks):
+        if not prior:  # the first call's: the prior's log-odds and masks
+            prior.extend([log_odds, *masks])
+        x, deriv_sum, pi, _, channel = mmse(u, beta, s2, *prior)
+        return x, deriv_sum, pi, np.zeros_like(pi), channel
+
+    monkeypatch.setattr(bossamp, "_mmse", at_the_prior)
+    settings = RecoverySettings()
+    mismatches = 0
+    for j in range(20):
+        inst, _ = make_instance(32, 64, 6, trial_rng(303, 0, j))
+        problems = [_stack(inst.A, inst.y.re, inst.y.im)]
+        _, consts = _prior_rows([(inst.A, inst.y)], [inst.prior], settings.gamma_clamp)
+        prior.clear()
+        (exchange,), (cbamp,) = (_iterate(problems, step, settings, settings.beta_floor,
+                                          consts, joint=True)
+                                 for step in (_exchange_step(settings), _mmse_step))
+        mismatches += any(
+            (a.x_hat.tobytes(), a.u.tobytes(), a.beta, a.iterations, a.converged, a.diverged)
+            != (b.x_hat.tobytes(), b.u.tobytes(), b.beta, b.iterations, b.converged,
+                b.diverged)
+            for a, b in zip(exchange, cbamp))
+    report(3, mismatches == 0,
+           f"[supplement] exchange step at the prior: {20 - mismatches}/20 bitwise cbamp")
     assert mismatches == 0
 
 

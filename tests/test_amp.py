@@ -131,10 +131,6 @@ class TestComplexAmp:
         out = camp_recover(inst.A, inst.y, cfg)
         assert out.diverged and not out.converged
 
-    def test_lambda_validation(self):
-        with pytest.raises(ValueError):
-            AmpConfig(lam=0.0)
-
     def test_non_finite_iterate_raises(self):
         inst, _ = make_instance(20, 50, 5, trial_rng(9, 0, 2))
         cfg = AmpConfig(lam=lambda_heuristic(5))

@@ -708,7 +708,7 @@ class TestValidate:
         assert rows == expected
 
     def test_oracle_raises_recovery_error(self, monkeypatch):
-        target = make_instance(6, 10, 2, trial_rng(2, 0, 4), snr=100.0)[0]
+        target = make_instance(6, 10, 2, trial_rng(2, 0, 4))[0]  # A is drawn first
         solve = experiments._solve_chunk
 
         def failing_trial_4(name, instances, *args, **kwargs):

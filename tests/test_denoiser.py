@@ -51,13 +51,6 @@ class TestClosedForm:
             for u in (-2.5, -0.8, 0.3, 1.9):
                 assert abs(denoise(u, p) - denoise_numeric(u, p)) <= 1e-8
 
-    def test_rejects_non_finite(self):
-        p = DenoiserParams(beta=0.1, gamma=0.5, s2=0.5)
-        with pytest.raises(ValueError):
-            denoise(np.inf, p)
-        with pytest.raises(ValueError):
-            denoise_deriv(np.nan, p)
-
     def test_vectorized_matches_scalar(self):
         p = DenoiserParams(beta=0.2, gamma=0.7, s2=1.0)
         u = np.linspace(-3, 3, 11)
@@ -180,19 +173,6 @@ class TestNumericOracle:
         out = denoise_numeric(1.0, DenoiserParams(beta=0.1, gamma=np.array([0.5]), s2=0.5))
         assert out.shape == (1,)
         assert out[0] == denoise_numeric(1.0, DenoiserParams(beta=0.1, gamma=0.5, s2=0.5))
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            DenoiserParams(beta=-1.0, gamma=0.5, s2=0.5)
-        with pytest.raises(ValueError):
-            DenoiserParams(beta=0.1, gamma=1.5, s2=0.5)
-        with pytest.raises(ValueError):
-            DenoiserParams(beta=0.1, gamma=np.array([0.5, np.nan]), s2=0.5)
-        with pytest.raises(ValueError):
-            DenoiserParams(beta=0.1, gamma=0.5, s2=0.0)
-        # an infinite slab variance made the closed form warn and return NaN
-        with pytest.raises(ValueError, match="^s2 must be finite$"):
-            DenoiserParams(beta=0.5, gamma=0.5, s2=np.inf)
 
     @pytest.mark.parametrize("result, message", [
         ((0.5, 1e-20, {}, "the maximum number of subdivisions has been achieved"),

@@ -1,22 +1,25 @@
 """One rule per input quantity (model.INPUT_RULES): each bad value is sent
 through every entry point that takes the quantity, and each entry must
-report it with the rule's one message, under the name it enters by."""
+report it with the rule's one message, under the name it enters by, before
+anything is drawn (but where DRAWS_FIRST says).  This is the one home of
+the input-fault tests: a new quantity or entry point is one more line of
+QUANTITIES, and every rule has a case in it."""
 
 import math
 
 import numpy as np
 import pytest
 
-from csamp import cli
+from csamp import cli, model
 from csamp.amp import AmpConfig
-from csamp.bamp import bamp_recover
+from csamp.bamp import bamp_recover, bamp_step
 from csamp.bossamp import likelihood_update
-from csamp.denoiser import DenoiserParams, denoise, denoise_numeric, exact_mmse
+from csamp.denoiser import DenoiserParams, denoise, denoise_deriv, denoise_numeric, exact_mmse
 from csamp.experiments import (GridConfig, SweepResult, detect_support, extract_contour,
                                run_algorithm, run_nmse_sweep, trial_rng)
-from csamp.model import (BernoulliGaussianPrior, InstanceFormatError, RecoverySettings,
-                         gen_matrix, gen_signal_exact_k, load_instance, make_instance,
-                         save_instance)
+from csamp.model import (INPUT_RULES, BernoulliGaussianPrior, InstanceFormatError,
+                         RecoverySettings, gen_matrix, gen_signal_exact_k, load_instance,
+                         make_instance, save_instance)
 from csamp.support import detect_em, detect_prior_based
 
 INF, NAN = math.inf, math.nan
@@ -29,22 +32,36 @@ PROBABILITY = {v: "{} entries must lie in [0, 1]" for v in (1.5, -0.1, NAN)}
 FRACTION = {v: "{} %r outside (0, 1]" % v for v in (0.0, 1.5, NAN)}
 COUNT = {0: "{} must be >= 1", 2.5: "{} must be an integer, got 2.5"}
 INDEX = {-1: "{} must be nonnegative", 1.5: "{} must be an integer, got 1.5"}
-SNR = {0.0: "noisy grids need a positive linear {}", NAN: "noisy grids need a positive linear {}",
+SNR = {**{v: "noisy grids need a positive linear {}" for v in (0.0, -1.0, NAN)},
        INF: "{} must be finite"}
 DATA = {v: "non-finite pseudo-data {}" for v in (NAN, INF, -INF)}
+
+
+class NoDraws:
+    """The generator the cases draw with: any draw from it fails the case."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the generator ({name}) before rejecting")
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("drew an instance before rejecting")
 
 
 def vec(*values):
     return np.array(values, dtype=float)
 
 
+SAVED = make_instance(3, 5, 2, np.random.default_rng(0))[0]
+
+
 def file_fault(key, text):
-    """A case: load_instance of a saved (3, 5) instance whose line starting
-    with key reads `key text`; the message after its line's number."""
+    """A case: load_instance of SAVED, a (3, 5) instance, saved with its
+    line starting with key reading `key text`; the message after its line's
+    number."""
     def run(tmp_path, capsys):
-        inst, _ = make_instance(3, 5, 2, np.random.default_rng(0))
         path = tmp_path / "inst.txt"
-        save_instance(path, inst, 0.0, seed=0)
+        save_instance(path, SAVED, 0.0, seed=0)
         lines = path.read_text().splitlines()
         at = next(i for i, line in enumerate(lines) if line.split()[0] == key)
         lines[at] = f"{key} {text}"
@@ -92,20 +109,26 @@ RECOVER = ("--n", "16", "--m", "8", "--k", "2", "--algo", "cbamp")
 GRID = ("--n", "24", "--trials", "1", "--grid-points", "2", "--out", "OUT")
 A4 = gen_matrix(4, 6, np.random.default_rng(0))
 INSTANCE = make_instance(8, 16, 2, trial_rng(0, 0, 0))[0]
+NO_DRAWS = NoDraws()
+
+
+def step(gamma=0.5, s2=0.5):
+    """bamp_step on A4 at gamma and s2."""
+    return bamp_step(A4, np.ones(4), np.zeros(6), np.ones(4), gamma, s2, 1e-12)
+
 
 # quantity -> (its bad values, {entry: (the name it enters by, a call of the value)})
 QUANTITIES = {
     "sigma_x2": (POSITIVE, {
         "prior": ("sigma_x2", lambda v: BernoulliGaussianPrior(0.5, v)),
         "GridConfig": ("sigma_x2", lambda v: GridConfig(sigma_x2=v)),
-        "make_instance": ("sigma_x2", lambda v: make_instance(6, 12, 3, trial_rng(0, 0, 0),
-                                                             sigma_x2=v)),
-        "gen_signal_exact_k": ("sigma_x2", lambda v: gen_signal_exact_k(12, 3, v,
-                                                                       trial_rng(0, 0, 0))),
+        "make_instance": ("sigma_x2", lambda v: make_instance(6, 12, 3, NO_DRAWS, sigma_x2=v)),
+        "gen_signal_exact_k": ("sigma_x2", lambda v: gen_signal_exact_k(12, 3, v, NO_DRAWS)),
         "detect_em": ("sigma_x2", lambda v: em(sigma_x2=v)),
         "DenoiserParams": ("s2", lambda v: DenoiserParams(0.5, 0.5, v)),
         "likelihood_update": ("s2", lambda v: likelihood_update(vec(1.0), 0.5, 0.5, v)),
         "bamp_recover": ("s2", lambda v: bamp_recover(A4, np.ones(4), 0.5, v)),
+        "bamp_step": ("s2", lambda v: step(s2=v)),
         "instance file": ("sigma_x2", lambda v: file_fault("sigma_x2", repr(v))),
         "recover --sigma-x2": ("sigma_x2", cli_flag("recover", "--sigma-x2", *RECOVER)),
         "phase-transition --sigma-x2": ("sigma_x2", cli_flag("phase-transition", "--sigma-x2",
@@ -114,6 +137,23 @@ QUANTITIES = {
     "eps_tol": (POSITIVE, {
         "RecoverySettings": ("eps_tol", lambda v: RecoverySettings(eps_tol=v)),
         "recover --eps-tol": ("eps_tol", cli_flag("recover", "--eps-tol", *RECOVER)),
+    }),
+    "beta_floor": (POSITIVE, {
+        "RecoverySettings": ("beta_floor", lambda v: RecoverySettings(beta_floor=v)),
+        "recover --beta-floor": ("beta_floor", cli_flag("recover", "--beta-floor", *RECOVER)),
+    }),
+    # a NaN factor made every limit NaN and switched divergence detection off
+    "divergence_factor": ({**{v: "{} must exceed 1" for v in (1.0, -5.0, NAN)},
+                           INF: "{} must be finite"}, {
+        "RecoverySettings": ("divergence_factor",
+                             lambda v: RecoverySettings(divergence_factor=v)),
+        "recover --divergence-factor": ("divergence_factor", cli_flag(
+            "recover", "--divergence-factor", *RECOVER)),
+    }),
+    "gamma_clamp": ({v: "{} must lie in (0, 0.5)" for v in (0.0, 0.6, NAN)}, {
+        "RecoverySettings": ("gamma_clamp", lambda v: RecoverySettings(gamma_clamp=v)),
+        "recover --gamma-clamp": ("gamma_clamp", cli_flag("recover", "--gamma-clamp",
+                                                          *RECOVER)),
     }),
     # inf was accepted and counted every trial a success
     "success_threshold": (POSITIVE, {
@@ -128,14 +168,16 @@ QUANTITIES = {
     }),
     # inf was accepted and ran a noisy grid noiseless
     "snr": (SNR, {
-        "GridConfig": ("snr", lambda v: GridConfig(noiseless=False, snr=v)),
-        "make_instance": ("snr", lambda v: make_instance(6, 12, 3, trial_rng(0, 0, 0),
-                                                        snr=v, noiseless=False)),
+        "GridConfig": ("snr", lambda v: GridConfig(snr=v)),
+        "make_instance": ("snr", lambda v: make_instance(6, 12, 3, NO_DRAWS, snr=v,
+                                                        noiseless=False)),
     }),
     "sigma_w2": (NONNEGATIVE, {
         "instance file": ("sigma_w2", lambda v: file_fault("sigma_w2", repr(v))),
         "exact_mmse": ("sigma_w2_part", lambda v: exact_mmse(A4, np.ones(4),
                                                              BernoulliGaussianPrior(0.8), v)),
+        "exact_mmse stacked": ("sigma_w2_part", lambda v: exact_mmse(
+            np.stack([A4, A4]), np.ones((2, 1, 4)), BernoulliGaussianPrior(0.8), vec(0.1, v))),
     }),
     "beta": (NONNEGATIVE, {
         "DenoiserParams": ("beta", lambda v: DenoiserParams(v, 0.5, 0.5)),
@@ -144,16 +186,20 @@ QUANTITIES = {
         "detect_em im": ("beta_i", lambda v: em(beta_i=v)),
     }),
     "gamma0": (PROBABILITY, {
-        "prior": ("gamma0", lambda v: BernoulliGaussianPrior([0.5, v])),
-        "make_instance": ("gamma0", lambda v: make_instance(6, 12, 3, trial_rng(0, 0, 0),
-                                                           gamma0=v)),
+        "prior": ("gamma0", lambda v: BernoulliGaussianPrior(v)),
+        "prior list": ("gamma0", lambda v: BernoulliGaussianPrior([0.5, v])),
+        "make_instance": ("gamma0", lambda v: make_instance(6, 12, 3, NO_DRAWS, gamma0=v)),
         # a vector given as a list is tested whole, not entry by entry
         "make_instance list": ("gamma0", lambda v: make_instance(
-            6, 12, 3, trial_rng(0, 0, 0), gamma0=[0.5] * 11 + [v])),
+            6, 12, 3, NO_DRAWS, gamma0=[0.5] * 11 + [v])),
         "likelihood_update": ("gamma0", lambda v: likelihood_update(vec(1.0), 0.5, v, 0.5)),
-        "DenoiserParams": ("gamma", lambda v: DenoiserParams(0.5, vec(0.5, v), 0.5)),
+        "DenoiserParams": ("gamma", lambda v: DenoiserParams(0.5, v, 0.5)),
+        "DenoiserParams vector": ("gamma", lambda v: DenoiserParams(0.5, vec(0.5, v), 0.5)),
         "DenoiserParams list": ("gamma", lambda v: DenoiserParams(0.5, [0.5, v], 0.5)),
+        "bamp_recover": ("gamma", lambda v: bamp_recover(A4, np.ones(4), v, 0.5)),
+        "bamp_step": ("gamma", lambda v: step(gamma=vec(0.5, 0.5, v, 0.5, 0.5, 0.5))),
         "detect_em": ("gamma_r", lambda v: em(gamma_r=vec(0.8, v, 0.8))),
+        "detect_prior_based re": ("gamma_r", lambda v: detect_prior_based(vec(v), vec(0.5))),
         "detect_prior_based": ("gamma_i", lambda v: detect_prior_based(vec(0.5), vec(v))),
         "instance file": ("gamma0", lambda v: file_fault("gamma0", f"0.6 {v!r} 0.6 0.6 0.6")),
         "recover --gamma0": ("gamma0", cli_flag("recover", "--gamma0", *RECOVER)),
@@ -172,13 +218,18 @@ QUANTITIES = {
     }),
     "n": (COUNT, {
         "GridConfig": ("n", lambda v: GridConfig(n=v)),
-        "gen_matrix": ("n", lambda v: gen_matrix(4, v, trial_rng(0, 0, 0))),
-        "make_instance": ("n", lambda v: make_instance(4, v, 0, trial_rng(0, 0, 0))),
+        "gen_matrix": ("n", lambda v: gen_matrix(4, v, NO_DRAWS)),
+        "make_instance": ("n", lambda v: make_instance(4, v, 0, NO_DRAWS)),
     }),
     "m": (COUNT, {
-        "gen_matrix": ("m", lambda v: gen_matrix(v, 6, trial_rng(0, 0, 0))),
-        "make_instance": ("m", lambda v: make_instance(v, 6, 2, trial_rng(0, 0, 0))),
+        "gen_matrix": ("m", lambda v: gen_matrix(v, 6, NO_DRAWS)),
+        "make_instance": ("m", lambda v: make_instance(v, 6, 2, NO_DRAWS)),
         "run_nmse_sweep": ("m_list[1]", lambda v: run_nmse_sweep(24, 2, [12, v], [10.0], 1)),
+    }),
+    # a file's dimension reads as an integer first: 2.5 is a bad integer, not this rule
+    "file dimensions": ({v: "{} must be >= 1" for v in (0, -2)}, {
+        f"instance file {key}": (key, lambda v, key=key: file_fault(key, repr(v)))
+        for key in ("M", "N")
     }),
     "trials": (COUNT, {
         "GridConfig": ("trials", lambda v: GridConfig(trials=v)),
@@ -194,9 +245,8 @@ QUANTITIES = {
         "RecoverySettings": ("t_max", lambda v: RecoverySettings(t_max=v)),
     }),
     "k": (INDEX, {
-        "make_instance": ("k", lambda v: make_instance(6, 12, v, trial_rng(0, 0, 0))),
-        "gen_signal_exact_k": ("k", lambda v: gen_signal_exact_k(12, v, 1.0,
-                                                                trial_rng(0, 0, 0))),
+        "make_instance": ("k", lambda v: make_instance(6, 12, v, NO_DRAWS)),
+        "gen_signal_exact_k": ("k", lambda v: gen_signal_exact_k(12, v, 1.0, NO_DRAWS)),
         "run_nmse_sweep": ("k", lambda v: run_nmse_sweep(24, v, [12], [10.0], 1)),
     }),
     "base_seed": (INDEX, {
@@ -214,8 +264,10 @@ QUANTITIES = {
     }),
     "u": (DATA, {
         "denoise": ("u", lambda v: denoise(vec(0.0, v), DenoiserParams(0.5, 0.5, 0.5))),
+        "denoise_deriv": ("u", lambda v: denoise_deriv(v, DenoiserParams(0.5, 0.5, 0.5))),
         "denoise_numeric": ("u", lambda v: denoise_numeric(v, DenoiserParams(0.5, 0.5, 0.5))),
         "likelihood_update": ("u", lambda v: likelihood_update(vec(v), 0.5, 0.5, 0.5)),
+        "detect_em re": ("u_r", lambda v: em(u_r=vec(v, 0.1, 0.1))),
         "detect_em": ("u_i", lambda v: em(u_i=vec(0.1, v, 0.1))),
     }),
     "algorithm": ({"magic": "unknown {} 'magic'"}, {
@@ -233,7 +285,14 @@ QUANTITIES = {
         "RecoverySettings": ("likelihood_variant",
                              lambda v: RecoverySettings(likelihood_variant=v)),
     }),
+    "part_variance": ({"quarter": "unknown {} 'quarter'"}, {
+        "RecoverySettings": ("part_variance", lambda v: RecoverySettings(part_variance=v)),
+    }),
 }
+
+# the entries that may draw first: recover checks --lam in the solve, after its
+# draw (the instance is saved after the solve, so it still writes nothing)
+DRAWS_FIRST = {"recover --lam"}
 
 CASES = [(quantity, entry, value) for quantity, (values, entries) in QUANTITIES.items()
          for entry in entries for value in values]
@@ -241,7 +300,10 @@ CASES = [(quantity, entry, value) for quantity, (values, entries) in QUANTITIES.
 
 @pytest.mark.parametrize("quantity, entry, value", CASES,
                          ids=[f"{q}-{e}-{v!r}" for q, e, v in CASES])
-def test_each_entry_reports_the_one_rule(tmp_path, capsys, quantity, entry, value):
+def test_each_entry_reports_the_one_rule(tmp_path, capsys, monkeypatch, quantity, entry,
+                                         value):
+    if entry not in DRAWS_FIRST:  # every instance draw starts with gen_matrix
+        monkeypatch.setattr(model, "gen_matrix", forbidden)
     values, entries = QUANTITIES[quantity]
     name, call = entries[entry]
     try:
@@ -252,6 +314,13 @@ def test_each_entry_reports_the_one_rule(tmp_path, capsys, quantity, entry, valu
         assert callable(case), f"{entry} accepted {value!r}"
         message = case(tmp_path, capsys)
     assert message == values[value].format(name)
+
+
+def test_every_rule_has_a_case():
+    # an entry's name is its rule's key, as _checked reads it
+    covered = {name.lstrip("-").split("[")[0]
+               for _, entries in QUANTITIES.values() for name, _ in entries.values()}
+    assert sorted(set(INPUT_RULES) - covered) == []
 
 
 def test_a_finite_snr_beyond_the_rounding_of_y_runs():
