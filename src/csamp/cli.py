@@ -30,6 +30,7 @@ from .experiments import (
     _chunks,
     _fmt,
     _solve_draws,
+    check_solver,
     detect_support,
     extract_contour,
     run_algorithm,
@@ -45,6 +46,7 @@ from .model import (
     InstanceFormatError,
     RecoveryError,
     RecoverySettings,
+    _check_noise,
     _checked,
     load_instance,
     make_instance,
@@ -98,10 +100,11 @@ def denoiser_validation_rows(denoise_fn=denoise, u_grid=VALIDATION_U_GRID):
     return rows, max_diff
 
 
-def oracle_validation_rows(trials=200, seed=0, snr_db=20.0, noiseless=False,
+def oracle_validation_rows(trials=200, seed=0, snr_db=None, noiseless=False,
                            settings=RecoverySettings()):
     """Mean per-part MSE of each algorithm against the enumeration oracle, at
-    (N, M, K) = (ORACLE_N, ORACLE_M, ORACLE_K).
+    (N, M, K) = (ORACLE_N, ORACLE_M, ORACLE_K), its draws noisy at snr_db
+    (20 dB where None) or noiseless, which takes no snr_db.
 
     The trials run through the sweeps' trial loop as its one cell, cell 0
     (trial j drawn from trial_rng(seed, 0, j)), each algorithm solving a
@@ -113,6 +116,9 @@ def oracle_validation_rows(trials=200, seed=0, snr_db=20.0, noiseless=False,
     paired-mean MSEs, and the list of rows where the algorithm beats the
     oracle by more than 1e-9.
     """
+    if snr_db is None and not noiseless:
+        snr_db = 20.0
+    _check_noise(snr_db, noiseless)  # make_instance's rule, before any draw
     cfg = GridConfig(n=ORACLE_N, trials=trials, base_seed=seed, settings=settings)
     snr = None if noiseless else 10.0 ** (snr_db / 10.0)
     alg_sums = {(a, p): 0.0 for a in KNOWN_ALGORITHMS for p in ("re", "im")}
@@ -246,6 +252,7 @@ def cmd_recover(opts) -> int:
     algo = opts.get("algo")
     if algo is None:
         raise UsageError("--algo is required")
+    check_solver(algo, opts.get("lam"))  # before the instance is loaded or drawn
 
     if opts.get("instance"):
         given = ["--" + name.replace("_", "-") for name in _DRAW if opts.given(name)]

@@ -164,8 +164,8 @@ def _solve_chunk(name: str, instances, k, settings: RecoverySettings,
     loop of the named algorithm: per instance, its RecoveryOutput or the
     RecoveryError of its non-finite iterate.  k is the true K, one for all
     instances or one each; AMP's threshold multiplier is lam, or else the
-    heuristic at max(K, 1) of the instance's K."""
-    _checked(algorithm=name, lam=lam)
+    heuristic at max(K, 1) of the instance's K.  The callers check name and
+    lam (check_solver, or the sweeps' GridConfig)."""
     problems = [(inst.A, inst.y) for inst in instances]
     if name == "amp":
         return _camp_batch(problems, [lambda_heuristic(max(int(kj), 1)) if lam is None else lam
@@ -176,6 +176,15 @@ def _solve_chunk(name: str, instances, k, settings: RecoverySettings,
     return _cbossamp_batch(problems, priors, settings)
 
 
+def check_solver(name: str, lam: float | None) -> None:
+    """Check a solve's algorithm and lam, AMP's threshold multiplier: lam for
+    any other algorithm is a ValueError.  run_algorithm checks through it,
+    and `csamp recover` does before it loads or draws an instance."""
+    if lam is not None and name != "amp":
+        raise ValueError(f"lam is amp's threshold multiplier; {name} takes none")
+    _checked(algorithm=name, lam=lam)
+
+
 def run_algorithm(
     name: str,
     inst: ProblemInstance,
@@ -184,10 +193,9 @@ def run_algorithm(
     lam: float | None = None,
 ) -> RecoveryOutput:
     """Dispatch one recovery; AMP's threshold multiplier is lam, or else the
-    heuristic at max(K, 1), and lam for any other algorithm is a ValueError.
-    A non-finite iterate raises RecoveryError."""
-    if lam is not None and name != "amp":
-        raise ValueError(f"lam is amp's threshold multiplier; {name} takes none")
+    heuristic at max(K, 1), both checked by check_solver.  A non-finite
+    iterate raises RecoveryError."""
+    check_solver(name, lam)
     return _single(_solve_chunk(name, [inst], k, settings, lam))
 
 

@@ -339,6 +339,13 @@ def nmse(x_hat: ComplexVector, x: ComplexVector) -> float:
     return float(d_r @ d_r + d_i @ d_i) / denom
 
 
+def _check_noise(snr, noiseless: bool) -> None:
+    """A noisy draw (noiseless=False) takes an snr and a noiseless one none."""
+    if noiseless == (snr is not None):
+        raise ValueError("a noiseless instance takes no snr" if noiseless
+                         else "snr required when noiseless=False")
+
+
 def make_instance(
     m: int,
     n: int,
@@ -355,9 +362,7 @@ def make_instance(
     A noisy instance (noiseless=False) takes an snr and a noiseless one none.
     Every input is checked before the first draw.
     """
-    if noiseless == (snr is not None):
-        raise ValueError("a noiseless instance takes no snr" if noiseless
-                         else "snr required when noiseless=False")
+    _check_noise(snr, noiseless)
     _checked(m=m, n=n, k=k, sigma_x2=sigma_x2, snr=snr, gamma0=gamma0)
     A = gen_matrix(m, n, rng)
     x = gen_signal_exact_k(n, k, sigma_x2, rng)

@@ -11,6 +11,7 @@ import scipy.integrate
 
 import csamp.cli as cli
 import csamp.experiments as experiments
+import csamp.model as model
 from csamp.cli import (
     denoiser_validation_rows,
     main,
@@ -96,18 +97,21 @@ class TestRecover:
             assert run_algorithm("amp", inst, 0, RecoverySettings()).x_hat.norm_sq() == 0.0
 
     @pytest.mark.parametrize("algo", ["cbamp", "cbossamp"])
-    def test_lam_rejected_for_bayesian_solvers(self, capsys, algo):
-        # lam is amp's threshold multiplier; the Bayesian solvers have none
+    def test_lam_rejected_for_bayesian_solvers(self, capsys, monkeypatch, algo):
+        # lam is amp's threshold multiplier; the Bayesian solvers have none,
+        # and recover says so before it draws
+        inst = make_instance(16, 32, 3, trial_rng(0, 0, 0))[0]
+        monkeypatch.setattr(model, "gen_matrix", forbidden_draw)
+        message = f"lam is amp's threshold multiplier; {algo} takes none"
         code, out, err = run_cli(capsys, "recover", "--n", "32", "--m", "16", "--k", "3",
                                  "--algo", algo, "--lam", "-3")
-        assert code == 1
-        assert out == "" and "lam" in err
-        inst = make_instance(16, 32, 3, trial_rng(0, 0, 0))[0]
-        with pytest.raises(ValueError, match="lam"):
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             run_algorithm(algo, inst, 3, RecoverySettings(), lam=1.5)
 
     @pytest.mark.parametrize("algo", ["amp", "cbamp"])
-    def test_rejected_lam_leaves_no_instance_file(self, capsys, tmp_path, algo):
+    def test_rejected_lam_leaves_no_instance_file(self, capsys, monkeypatch, tmp_path, algo):
+        monkeypatch.setattr(model, "gen_matrix", forbidden_draw)  # nor draws one
         saved = tmp_path / "inst.txt"
         code, out, err = run_cli(capsys, "recover", "--n", "32", "--m", "16", "--k", "3",
                                  "--algo", algo, "--lam", "-3", "--save-instance", str(saved))
@@ -387,22 +391,6 @@ class TestSweeps:
         assert code == 0 and contour.exists()
         _, _, meta = read_csv(contour)
         assert meta["kind"] == "contour"
-
-    @pytest.mark.parametrize("command", ["phase-transition", "support-pt"])
-    @pytest.mark.parametrize("level", ["1.5", "nan", "0", "-0.5"])
-    def test_level_outside_unit_interval_rejected_before_any_solve(
-            self, capsys, tmp_path, monkeypatch, command, level):
-        def no_draw(*args, **kwargs):
-            raise AssertionError("drew an instance")
-
-        monkeypatch.setattr(experiments, "make_instance", no_draw)
-        out, contour = tmp_path / "pt.csv", tmp_path / "c.csv"
-        code, printed, err = run_cli(
-            capsys, command, "--n", "24", "--trials", "1", "--grid-points", "2",
-            "--out", str(out), "--contour-out", str(contour), "--level", level,
-        )
-        assert code == 1 and "--level" in err and printed == ""
-        assert not out.exists() and not contour.exists()
 
     @pytest.mark.parametrize("command", ["phase-transition", "support-pt", "nmse-sweep"])
     def test_repeated_algo_is_usage_error_before_any_draw(self, capsys, tmp_path,

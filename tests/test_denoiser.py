@@ -163,11 +163,6 @@ class TestNumericOracle:
         p = DenoiserParams(beta=0.2, gamma=0.4, s2=0.5)
         assert denoise_numeric(0.0, p) == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("u", [np.nan, np.inf, -np.inf])
-    def test_non_finite_u_rejected(self, u):
-        with pytest.raises(ValueError, match="non-finite pseudo-data u"):
-            denoise_numeric(u, DenoiserParams(beta=0.2, gamma=0.4, s2=0.5))
-
     def test_one_component_gamma_vector(self):
         # the shape BernoulliGaussianPrior.gamma0 has
         out = denoise_numeric(1.0, DenoiserParams(beta=0.1, gamma=np.array([0.5]), s2=0.5))
@@ -361,20 +356,6 @@ class TestExactMmse:
         A = gen_matrix(4, 6, np.random.default_rng(0))
         with pytest.raises(ValueError):
             exact_mmse(A, np.ones(shape), BernoulliGaussianPrior(gamma0=0.5), 0.1)
-
-    @pytest.mark.parametrize("sw2", [-1.0, np.nan, np.inf])
-    def test_bad_noise_variance_rejected(self, sw2):
-        # -1 used to be floored to the noiseless posterior and NaN to fail
-        # as a non-positive-definite evidence matrix
-        rng = np.random.default_rng(3)
-        A, y = gen_matrix(4, 6, rng), rng.standard_normal(4)
-        prior = BernoulliGaussianPrior(gamma0=0.8)
-        with pytest.raises(ValueError, match="sigma_w2_part"):
-            exact_mmse(A, y, prior, sw2)
-        with pytest.raises(ValueError, match="sigma_w2_part"):
-            exact_mmse(np.stack([A, A]), np.stack([y, y])[:, None],
-                       prior, np.array([0.1, sw2]))
-        assert np.all(np.isfinite(exact_mmse(A, y, prior, 0.0)))  # noiseless is fine
 
     @pytest.mark.parametrize("where", ["A", "y_part"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])

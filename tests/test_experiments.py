@@ -94,12 +94,6 @@ class TestGridConfig:
         with pytest.raises(ValueError, match="'cbamp' given more than once"):
             run_nmse_sweep(24, 2, [12], [20.0], 2, algorithms=("cbamp", "cbamp"))
 
-    @pytest.mark.parametrize("sigma_x2", [0.0, -1.0, np.nan])
-    def test_sigma_x2_checked_at_construction(self, sigma_x2):
-        # rejected here, not at the first draw inside a worker
-        with pytest.raises(ValueError, match="sigma_x2"):
-            tiny_grid(sigma_x2=sigma_x2)
-
 
 class TestPhaseTransition:
     def test_row_shape_and_rates(self):
@@ -647,12 +641,6 @@ class TestContour:
         empty = SweepResult("phase-transition", ["m_ratio"], [], {})
         with pytest.raises(ValueError):
             extract_contour(empty, 0.5)
-
-    @pytest.mark.parametrize("level", [0.0, -0.5, 1.5, np.nan, np.inf])
-    def test_level_outside_unit_interval_rejected(self, level):
-        res = self.synthetic([(0.1, 1.0), (0.2, 1.0), (0.3, 0.0)])
-        with pytest.raises(ValueError, match="level"):
-            extract_contour(res, level)
 
     def test_level_one_allowed(self):
         res = self.synthetic([(0.1, 1.0), (0.2, 1.0), (0.3, 0.0)])

@@ -1,9 +1,9 @@
 """One rule per input quantity (model.INPUT_RULES): each bad value is sent
 through every entry point that takes the quantity, and each entry must
 report it with the rule's one message, under the name it enters by, before
-anything is drawn (but where DRAWS_FIRST says).  This is the one home of
-the input-fault tests: a new quantity or entry point is one more line of
-QUANTITIES, and every rule has a case in it."""
+anything is drawn.  This is the one home of the input-fault tests: a new
+quantity or entry point is one more line of QUANTITIES, and every rule has
+a case in it."""
 
 import math
 
@@ -29,7 +29,7 @@ POSITIVE = {0.0: "{} must be positive", -1.0: "{} must be positive", NAN: "{} mu
             -INF: "{} must be positive", INF: "{} must be finite"}
 NONNEGATIVE = {v: "{} must be finite and >= 0" for v in (-1.0, NAN, INF)}
 PROBABILITY = {v: "{} entries must lie in [0, 1]" for v in (1.5, -0.1, NAN)}
-FRACTION = {v: "{} %r outside (0, 1]" % v for v in (0.0, 1.5, NAN)}
+FRACTION = {v: "{} %r outside (0, 1]" % v for v in (0.0, -0.5, 1.5, NAN, INF)}
 COUNT = {0: "{} must be >= 1", 2.5: "{} must be an integer, got 2.5"}
 INDEX = {-1: "{} must be nonnegative", 1.5: "{} must be an integer, got 1.5"}
 SNR = {**{v: "noisy grids need a positive linear {}" for v in (0.0, -1.0, NAN)},
@@ -90,11 +90,11 @@ def contour(level):
 def cli_fault(*argv):
     """A case: main on argv, OUT and OUT2 standing for paths in a fresh
     directory; it must exit 1 and write nothing, and its message is what it
-    prints after 'error: '."""
+    prints after 'error: ', with nothing on stdout."""
     def run(tmp_path, capsys):
         code = cli.main([str(tmp_path / a) if a.startswith("OUT") else a for a in argv])
-        err = capsys.readouterr().err
-        assert code == 1 and err.startswith("error: ") and err.endswith("\n")
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and err.startswith("error: ") and err.endswith("\n")
         assert list(tmp_path.iterdir()) == []
         return err[len("error: "):-1]
     return run
@@ -199,6 +199,7 @@ QUANTITIES = {
         "bamp_recover": ("gamma", lambda v: bamp_recover(A4, np.ones(4), v, 0.5)),
         "bamp_step": ("gamma", lambda v: step(gamma=vec(0.5, 0.5, v, 0.5, 0.5, 0.5))),
         "detect_em": ("gamma_r", lambda v: em(gamma_r=vec(0.8, v, 0.8))),
+        "detect_em im": ("gamma_i", lambda v: em(gamma_i=vec(0.8, v, 0.8))),
         "detect_prior_based re": ("gamma_r", lambda v: detect_prior_based(vec(v), vec(0.5))),
         "detect_prior_based": ("gamma_i", lambda v: detect_prior_based(vec(0.5), vec(v))),
         "instance file": ("gamma0", lambda v: file_fault("gamma0", f"0.6 {v!r} 0.6 0.6 0.6")),
@@ -206,8 +207,9 @@ QUANTITIES = {
     }),
     "level": (FRACTION, {
         "extract_contour": ("level", contour),
-        "phase-transition --level": ("--level", cli_flag("phase-transition", "--level", *GRID,
-                                                         "--contour-out", "OUT2")),
+        **{f"{command} --level": ("--level", cli_flag(command, "--level", *GRID,
+                                                      "--contour-out", "OUT2"))
+           for command in ("phase-transition", "support-pt")},
         "GridConfig m_ratios": ("m_ratios[1]", lambda v: GridConfig(m_ratios=(0.5, v))),
         "GridConfig k_ratios": ("k_ratios[0]", lambda v: GridConfig(k_ratios=(v,))),
     }),
@@ -290,10 +292,6 @@ QUANTITIES = {
     }),
 }
 
-# the entries that may draw first: recover checks --lam in the solve, after its
-# draw (the instance is saved after the solve, so it still writes nothing)
-DRAWS_FIRST = {"recover --lam"}
-
 CASES = [(quantity, entry, value) for quantity, (values, entries) in QUANTITIES.items()
          for entry in entries for value in values]
 
@@ -302,8 +300,7 @@ CASES = [(quantity, entry, value) for quantity, (values, entries) in QUANTITIES.
                          ids=[f"{q}-{e}-{v!r}" for q, e, v in CASES])
 def test_each_entry_reports_the_one_rule(tmp_path, capsys, monkeypatch, quantity, entry,
                                          value):
-    if entry not in DRAWS_FIRST:  # every instance draw starts with gen_matrix
-        monkeypatch.setattr(model, "gen_matrix", forbidden)
+    monkeypatch.setattr(model, "gen_matrix", forbidden)  # every instance draw starts there
     values, entries = QUANTITIES[quantity]
     name, call = entries[entry]
     try:
