@@ -4,8 +4,8 @@ Subcommands: recover, phase-transition, support-pt, nmse-sweep,
 validate-denoiser.  Options may come from a '--config' INI file (one flat
 section per subcommand, keys named like the long flags with underscores); a
 key that is not an option of its subcommand is an error.  Explicit flags
-override the file, which overrides the scale presets (--paper-scale or
---desk-scale, which the file may set too), which override the defaults.
+override the file, which overrides the --paper-scale preset (which the file
+may set too), which overrides the defaults.
 
 Exit codes: 0 success, 1 usage/config error or a solve whose iterate went
 non-finite, 2 validation failure, 3 I/O error.
@@ -157,19 +157,17 @@ def oracle_validation_rows(trials=200, seed=0, snr_db=None, noiseless=False,
 class _Options:
     """The subcommand's options, each resolved flag > config file > preset >
     its table default.  The config section is read and checked when the
-    options are built; the scale flags pick the preset."""
+    options are built; a scale switch that is set picks its preset."""
 
     def __init__(self, args):
         self.command = args.command
         self.rows = {row[0]: row for row in _COMMANDS[args.command][1]}
         self.args = vars(args)
         self.config = _config_section(args.config, args.command, self.rows) if args.config else {}
-        self.presets = {}
-        chosen = [name for name in _PRESETS if name in self.rows and self.get(name)]
-        if len(chosen) > 1:
-            raise UsageError("--paper-scale and --desk-scale are mutually exclusive")
-        if chosen:
-            self.presets = _PRESETS[chosen[0]]
+        self.presets = {}  # get reads it, for the scale switch too
+        for name, preset in _PRESETS.items():
+            if name in self.rows and self.get(name):
+                self.presets = preset
 
     def get(self, name):
         if self.args[name] is not None:
@@ -223,12 +221,7 @@ def _number_list(text: str, kind) -> list:
 
 def _algorithms_from(opts) -> tuple[str, ...]:
     raw = opts.get("algos")
-    if raw is None:
-        return KNOWN_ALGORITHMS
-    algos = tuple(raw.replace(",", " ").split())
-    if not algos:
-        raise UsageError("empty --algos")
-    return algos
+    return KNOWN_ALGORITHMS if raw is None else tuple(raw.replace(",", " ").split())
 
 
 def _check_outputs(opts: _Options) -> None:
@@ -276,17 +269,10 @@ def cmd_recover(opts) -> int:
             noiseless=snr_db is None,
             gamma0=opts.get("gamma0"),
         )
+        if opts.get("save_instance"):  # as drawn, before the solve
+            save_instance(opts.get("save_instance"), inst, sigma_w2, seed)
 
-    try:
-        out = run_algorithm(algo, inst, k, settings, opts.get("lam"))
-    except RecoveryError as exc:  # reported once the instance is saved
-        out = exc
-    # saved after the solve, so options that it rejects leave no file
-    if opts.get("save_instance"):
-        save_instance(opts.get("save_instance"), inst, sigma_w2, seed)
-    if isinstance(out, RecoveryError):
-        raise out
-
+    out = run_algorithm(algo, inst, k, settings, opts.get("lam"))
     detector = opts.get("detect")
     exact = fp = fn = ""
     if detector != "none":
@@ -422,7 +408,6 @@ def _sweep_common(n: int, trials: int) -> tuple:
 
 _GRID = _sweep_common(256, 50) + (
     ("paper_scale", bool, False, None, "N=1000, 200 trials per cell"),
-    ("desk_scale", bool, False, None, "N=256, 50 trials per cell"),
     ("sigma_x2", float, 1.0, None, "slab variance"),
     ("grid_points", int, 19, None, "points on each axis"),
     ("grid_min", float, 0.05, None, "smallest M/N and K/M"),
@@ -432,16 +417,13 @@ _GRID = _sweep_common(256, 50) + (
 )
 
 # what each scale switch sets; a flag or the config file overrides it
-_PRESETS = {
-    "paper_scale": {"n": 1000, "trials": 200, "t_max": 100, "eps_tol": 1e-4},
-    "desk_scale": {"n": 256, "trials": 50},
-}
+_PRESETS = {"paper_scale": {"n": 1000, "trials": 200}}
 
 # subcommand -> (help, option table, handler)
 _COMMANDS = {
     "recover": ("solve one instance", _COMMON + (
         ("instance", str, None, None, "instance file to load"),
-        ("save_instance", str, None, None, "write the generated instance to this path"),
+        ("save_instance", str, None, None, "write the drawn instance here, before the solve"),
         ("cell", int, 0, None, "draw the instance of this sweep cell"),
         ("trial", int, 0, None, "draw the instance of this trial"),
         ("n", int, None, None, "signal length N"),

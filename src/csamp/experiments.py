@@ -77,7 +77,7 @@ class GridConfig:
         _checked(n=self.n, m_ratios=tuple(self.m_ratios), k_ratios=tuple(self.k_ratios),
                  trials=self.trials, base_seed=self.base_seed,
                  success_threshold=self.success_threshold, snr=self.snr,
-                 sigma_x2=self.sigma_x2, workers=self.workers)
+                 sigma_x2=self.sigma_x2, workers=self.workers, algorithms=self.algorithms)
         for name in self.algorithms:
             _checked(algorithm=name)
             if self.algorithms.count(name) > 1:

@@ -69,8 +69,9 @@ _POSITIVE = ((lambda v: v > 0.0, "{name} must be positive"), _FINITE)
 _NONNEGATIVE = ((_every(lambda a: (a >= 0.0) & (a < np.inf)), "{name} must be finite and >= 0"),)
 _PROBABILITY = ((_every(lambda a: (a >= 0.0) & (a <= 1.0)), "{name} entries must lie in [0, 1]"),)
 _DATA = ((_every(np.isfinite), "non-finite pseudo-data {name}"),)
-_VECTORS = (_NONNEGATIVE, _PROBABILITY, _DATA)  # the kinds that test a list whole
 _FRACTION = ((lambda v: 0.0 < v <= 1.0, "{name} {value} outside (0, 1]"),)
+_NONEMPTY = ((lambda v: len(v) > 0, "{name} must be non-empty"),)
+_VECTORS = (_NONNEGATIVE, _PROBABILITY, _DATA, _NONEMPTY)  # the kinds that test a list whole
 
 
 def _one_of(choices) -> tuple:
@@ -94,6 +95,7 @@ INPUT_RULES = {
     "likelihood_variant": _one_of(LIKELIHOOD_VARIANTS),
     "part_variance": _one_of(PART_VARIANCES),
     "algorithm": _one_of(KNOWN_ALGORITHMS),
+    "algorithms": _NONEMPTY,
     "detector": _one_of(KNOWN_DETECTORS),
 }
 
@@ -290,6 +292,12 @@ def gen_matrix(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return A
 
 
+def _check_support_size(k: int, n: int) -> None:
+    """K nonzeros fit in a signal of length N (K checked by its rule first)."""
+    if k > n:
+        raise ValueError(f"need 0 <= K <= N, got K={k}, N={n}")
+
+
 def gen_signal_exact_k(
     n: int, k: int, sigma_x2: float, rng: np.random.Generator
 ) -> ComplexVector:
@@ -300,8 +308,7 @@ def gen_signal_exact_k(
     support by construction.
     """
     _checked(k=k, sigma_x2=sigma_x2)
-    if k > n:
-        raise ValueError(f"need 0 <= K <= N, got K={k}, N={n}")
+    _check_support_size(k, n)
     x_r = np.zeros(n)
     x_i = np.zeros(n)
     if k > 0:
@@ -359,11 +366,14 @@ def make_instance(
     """Generate a full exact-K instance; returns (instance, sigma_w2).
 
     gamma0 defaults to 1 - K/N, the activity rate matching the exact-K draw.
-    A noisy instance (noiseless=False) takes an snr and a noiseless one none.
-    Every input is checked before the first draw.
+    A noisy instance (noiseless=False) takes an snr and K >= 1, a noiseless
+    one no snr.  Every input, and K <= N, is checked before the first draw.
     """
     _check_noise(snr, noiseless)
     _checked(m=m, n=n, k=k, sigma_x2=sigma_x2, snr=snr, gamma0=gamma0)
+    _check_support_size(k, n)
+    if k == 0 and not noiseless:  # Ax is zero whatever is drawn
+        raise ValueError("Ax is zero; SNR calibration undefined")
     A = gen_matrix(m, n, rng)
     x = gen_signal_exact_k(n, k, sigma_x2, rng)
     ax_r, ax_i = A @ x.re, A @ x.im  # once for both the noise and y

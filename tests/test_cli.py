@@ -177,14 +177,6 @@ class TestRecover:
         assert code == 1
         assert "bad instance file: line 2" in err
 
-    @pytest.mark.parametrize("algo", ["amp", "cbamp", "cbossamp"])
-    def test_nan_gamma0_is_usage_error(self, capsys, algo):
-        code, out, err = run_cli(capsys, "recover", "--n", "16", "--m", "8", "--k", "2",
-                                 "--gamma0", "nan", "--algo", algo)
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "gamma0" in err
-        assert "Traceback" not in err
-
     def test_nan_gamma0_in_instance_file_is_usage_error(self, capsys, tmp_path):
         saved = tmp_path / "inst.txt"
         run_cli(capsys, "recover", "--n", "8", "--m", "4", "--k", "2", "--algo", "cbamp",
@@ -197,29 +189,6 @@ class TestRecover:
                                  "--algo", "cbamp")
         assert code == 1 and out == ""
         assert err.startswith("error:") and "gamma0" in err
-
-    @pytest.mark.parametrize("factor", ["nan", "1", "-5"])
-    def test_divergence_factor_not_above_one_is_usage_error(self, capsys, monkeypatch,
-                                                            factor):
-        # a NaN factor would switch divergence detection off and exit 0
-        monkeypatch.setattr(cli, "make_instance", forbidden_draw)
-        code, out, err = run_cli(capsys, "recover", "--n", "64", "--m", "20", "--k", "12",
-                                 "--algo", "amp", "--divergence-factor", factor)
-        assert (code, out, err) == (1, "", "error: divergence_factor must exceed 1\n")
-
-    def test_infinite_eps_tol_is_usage_error(self, capsys, monkeypatch):
-        # it stopped every solve after one iteration and exited 0
-        monkeypatch.setattr(cli, "make_instance", forbidden_draw)
-        code, out, err = run_cli(capsys, "recover", "--n", "64", "--m", "32", "--k", "4",
-                                 "--algo", "cbamp", "--eps-tol", "inf")
-        assert (code, out, err) == (1, "", "error: eps_tol must be finite\n")
-
-    def test_infinite_sigma_x2_is_usage_error(self, capsys, monkeypatch):
-        # it failed as a non-finite AMP iterate at t=1
-        monkeypatch.setattr(cli, "run_algorithm", forbidden_solve)
-        code, out, err = run_cli(capsys, "recover", "--n", "32", "--m", "16", "--k", "2",
-                                 "--algo", "cbamp", "--sigma-x2", "inf")
-        assert (code, out, err) == (1, "", "error: sigma_x2 must be finite\n")
 
     def test_nan_in_instance_matrix_names_its_line(self, capsys, tmp_path, monkeypatch):
         # it used to surface only as a non-finite AMP iterate at t=1
@@ -321,7 +290,7 @@ class TestRecover:
         assert code == 0
         inst, sigma_w2, seed = load_instance(saved)
         # trial 2 of cell 4, as the sweep's trial loop draws it
-        cfg = GridConfig(n=32, trials=3, base_seed=5, algorithms=())
+        cfg = GridConfig(n=32, trials=3, base_seed=5, algorithms=("cbamp",))
         (chunk,) = experiments._chunks(cfg, [(4, 16, 3, None)])
         draws, _ = experiments._solve_draws(cfg, chunk)
         drawn, drawn_sigma_w2 = draws[2]
@@ -331,15 +300,6 @@ class TestRecover:
                 assert np.array_equal(getattr(getattr(inst, name), part),
                                       getattr(getattr(drawn, name), part))
         assert np.array_equal(inst.A, drawn.A)
-
-    @pytest.mark.parametrize("flag", ["seed", "cell", "trial"])
-    def test_negative_draw_number_names_its_flag(self, capsys, tmp_path, flag):
-        saved = tmp_path / "inst.txt"
-        code, out, err = run_cli(capsys, "recover", "--n", "16", "--m", "8", "--k", "2",
-                                 "--algo", "cbamp", f"--{flag}", "-1",
-                                 "--save-instance", str(saved))
-        assert code == 1 and out == "" and not saved.exists()
-        assert err == f"error: --{flag} must be nonnegative\n"
 
     def test_cell_and_trial_default_to_zero(self, capsys, tmp_path):
         argv = ("recover", "--n", "48", "--m", "24", "--k", "3", "--algo", "cbamp",
@@ -522,8 +482,9 @@ class TestUsageErrors:
     # OUT stands for the output path; nothing may be drawn or written
     @pytest.mark.parametrize("argv, message", [
         (("nmse-sweep", "--m-list", "70 x", "--out", "OUT"), "bad int list '70 x'"),
-        (("nmse-sweep", "--algos", ",", "--out", "OUT"), "empty --algos"),
-        (("phase-transition", "--algos", ",", "--out", "OUT"), "empty --algos"),
+        (("nmse-sweep", "--snr-db-list", "10 x", "--out", "OUT"), "bad float list '10 x'"),
+        (("recover", "--n", "16", "--m", "8", "--algo", "cbamp", "--out", "OUT"),
+         "generation needs --n, --m and --k (or --instance)"),
         (("recover", "--n", "16", "--m", "8", "--k", "2", "--out", "OUT"),
          "--algo is required"),
         (("phase-transition", "--grid-points", "0", "--out", "OUT"),
@@ -757,22 +718,6 @@ class TestConfigFile:
         assert code == 0
         _, _, meta = read_csv(out)
         assert (meta["n"], meta["trials"], meta["t_max"]) == ("1000", "1", "100")
-
-    @pytest.mark.parametrize("lines, flags", [
-        ("paper_scale = true\ndesk_scale = true\n", ()),
-        ("desk_scale = true\n", ("--paper-scale",)),
-        ("paper_scale = yes\n", ("--desk-scale",)),
-        ("", ("--paper-scale", "--desk-scale")),
-    ])
-    def test_both_presets_are_usage_error(self, capsys, tmp_path, lines, flags):
-        cfg = tmp_path / "cfg.ini"
-        # sized so that a sweep run by mistake ends quickly
-        cfg.write_text("[support-pt]\ntrials = 1\ngrid_points = 1\nalgos = cbamp\n" + lines)
-        out = tmp_path / "spt.csv"
-        code, printed, err = run_cli(capsys, "support-pt", "--config", str(cfg), *flags,
-                                     "--out", str(out))
-        assert (code, printed) == (1, "") and not out.exists()
-        assert err == "error: --paper-scale and --desk-scale are mutually exclusive\n"
 
     @pytest.mark.parametrize("key", ["trails", "sigma_x2", "config"])
     def test_unknown_key_is_usage_error(self, capsys, tmp_path, key):

@@ -105,7 +105,7 @@ def cli_flag(command, flag, *argv):
     return lambda v: cli_fault(command, *argv, f"{flag}={v!r}")
 
 
-RECOVER = ("--n", "16", "--m", "8", "--k", "2", "--algo", "cbamp")
+RECOVER = ("--n", "16", "--m", "8", "--k", "2", "--save-instance", "OUT", "--algo", "cbamp")
 GRID = ("--n", "24", "--trials", "1", "--grid-points", "2", "--out", "OUT")
 A4 = gen_matrix(4, 6, np.random.default_rng(0))
 INSTANCE = make_instance(8, 16, 2, trial_rng(0, 0, 0))[0]
@@ -278,6 +278,16 @@ QUANTITIES = {
                                                                RecoverySettings())),
         "run_nmse_sweep": ("algorithm", lambda v: run_nmse_sweep(24, 2, [12], [10.0], 1,
                                                                  algorithms=(v,))),
+    }),
+    # an empty tuple drew every instance and returned no rows
+    "algorithms": ({(): "{} must be non-empty"}, {
+        "GridConfig": ("algorithms", lambda v: GridConfig(algorithms=v)),
+        "run_nmse_sweep": ("algorithms", lambda v: run_nmse_sweep(24, 2, [12], [10.0], 1,
+                                                                  algorithms=v)),
+        # `--algos ,` names none
+        **{f"{command} --algos": ("algorithms", lambda v, command=command: cli_fault(
+            command, "--algos", "," + ",".join(v), "--out", "OUT"))
+           for command in ("nmse-sweep", "phase-transition")},
     }),
     "detector": ({"magic": "unknown {} 'magic'"}, {
         "detect_support": ("detector", lambda v: detect_support(

@@ -21,6 +21,13 @@ from csamp.model import (
 )
 
 
+class NoDraws:
+    """A generator that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the generator ({name})")
+
+
 class TestGenMatrix:
     def test_entries_are_plus_minus_half_for_m4(self):
         A = gen_matrix(4, 8, np.random.default_rng(0))
@@ -121,8 +128,12 @@ class TestCalibrateNoise:
         assert abs(total / 10_000 - sw2) < 0.05 * sw2
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="Ax is zero"):
-            make_instance(5, 9, 0, np.random.default_rng(0), snr=1.0, noiseless=False)
+        # K = 0 makes Ax zero whatever is drawn, so nothing is
+        with pytest.raises(ValueError, match="^Ax is zero; SNR calibration undefined$"):
+            make_instance(5, 9, 0, NoDraws(), snr=1.0, noiseless=False)
+        # and an Ax computed zero from nonzero draws fails the same way
+        with pytest.raises(ValueError, match="^Ax is zero; SNR calibration undefined$"):
+            _noise_for(np.zeros(5), np.zeros(5), 1.0, NoDraws())
         with pytest.raises(ValueError, match="snr required when noiseless=False"):
             make_instance(5, 9, 3, np.random.default_rng(0), noiseless=False)
 
@@ -182,6 +193,11 @@ class TestInstances:
             with pytest.raises(ValueError, match="sigma_x2"):
                 make_instance(6, 12, 3, rng, sigma_x2=sigma_x2)
         assert rng.bit_generator.state == state
+
+    def test_k_above_n_rejected_before_any_draw(self):
+        # it was rejected only once A had been drawn
+        with pytest.raises(ValueError, match="^need 0 <= K <= N, got K=20, N=16$"):
+            make_instance(8, 16, 20, NoDraws())
 
     def test_dimension_validation(self):
         A = gen_matrix(4, 6, np.random.default_rng(0))

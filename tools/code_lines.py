@@ -1,20 +1,24 @@
 """Print the size of each src/csamp module: `wc -l` lines, code lines and
-raise sites.
+raise sites; then the settable options.
 
 A code line is a non-blank line that holds a code token; comments and
 docstrings (the leading string of a module, class or function body) are
 left out.  A raise site is a `raise` statement of an input fault: one that
 names ValueError, UsageError or InstanceFormatError (the input rules of
-model.INPUT_RULES raise from one site).  Run from anywhere:
-`python tools/code_lines.py [package_dir]`.
+model.INPUT_RULES raise from one site).  The settable options, printed
+for a package with a cli module, are the rows of each subcommand's option
+table (cli._COMMANDS) and the fields of RecoverySettings and GridConfig.
+Run from anywhere: `python tools/code_lines.py [package_dir]`.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import io
 import sys
 import tokenize
+from dataclasses import fields
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "csamp"
@@ -56,6 +60,17 @@ def count(source: str) -> tuple[int, int, int]:
     return source.count("\n"), len(code), raise_sites(tree)
 
 
+def options(package: Path) -> dict[str, int]:
+    """The number of settable options of each subcommand and settings class
+    of package, imported from its parent directory."""
+    sys.path.insert(0, str(package.resolve().parent))
+    cli = importlib.import_module(f"{package.resolve().name}.cli")
+    counts = {command: len(rows) for command, (_, rows, _) in cli._COMMANDS.items()}
+    counts.update({cls.__name__: len(fields(cls))
+                   for cls in (cli.RecoverySettings, cli.GridConfig)})
+    return counts
+
+
 def main(argv: list[str]) -> int:
     package = Path(argv[0]) if argv else PACKAGE
     totals = [0, 0, 0]
@@ -64,6 +79,10 @@ def main(argv: list[str]) -> int:
         totals = [t + v for t, v in zip(totals, sizes)]
         print(f"{path.name:16s}" + "".join(f" {v:6,d}" for v in sizes))
     print(f"{'total':16s}" + "".join(f" {v:6,d}" for v in totals))
+    if (package / "cli.py").exists():
+        print("settable options")
+        for name, n in options(package).items():
+            print(f"{name:17s}{n:6d}")
     return 0
 
 
