@@ -45,6 +45,7 @@ from .model import (
     RecoveryError,
     RecoveryOutput,
     RecoverySettings,
+    _check_support_size,
     _checked,
     make_instance,
     nmse,
@@ -426,12 +427,9 @@ def run_nmse_sweep(
     variance 1; a non-finite abort contributes NMSE 1 (the all-zero
     estimate)."""
     _checked(k=k, m_list=list(m_list), snr_db_list=list(snr_db_list))
-    if not 1 <= k <= n:  # a noisy draw needs a nonzero signal
-        raise ValueError("need 1 <= K <= N")
-    if not len(m_list) or not len(snr_db_list):
-        raise ValueError("m_list and snr_db_list must be non-empty")
     cfg = GridConfig(n=n, trials=trials, base_seed=base_seed,
                      algorithms=tuple(algorithms), settings=settings, workers=workers)
+    _check_support_size(k, n, noiseless=False)
     points = [(int(m), float(snr_db)) for m, snr_db in product(m_list, snr_db_list)]
     cells = [(idx, m, k, 10.0 ** (snr_db / 10.0)) for idx, (m, snr_db) in enumerate(points)]
     rows = []

@@ -104,12 +104,14 @@ def _checked(**values) -> None:
     """Check each value by its quantity's INPUT_RULES entry: a ValueError
     with the message of the first test that fails.  None stands for a value
     not given; a list or tuple of a scalar kind has each entry checked, as
-    name[j], by its list's rule; a flag --name takes name's rule."""
+    name[j], by its list's rule, and must be non-empty; a flag --name takes
+    name's rule."""
     for name, value in values.items():
         rules = INPUT_RULES[name.lstrip("-").split("[")[0]]
         if isinstance(value, (list, tuple)) and rules not in _VECTORS:
             _checked(**{f"{name}[{j}]": v for j, v in enumerate(value)})
-        elif value is not None:
+            rules = _NONEMPTY  # the list itself
+        if value is not None:
             for test, message in rules:
                 if not test(value):
                     raise ValueError(message.format(name=name, value=value))
@@ -292,10 +294,13 @@ def gen_matrix(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return A
 
 
-def _check_support_size(k: int, n: int) -> None:
-    """K nonzeros fit in a signal of length N (K checked by its rule first)."""
+def _check_support_size(k: int, n: int, noiseless: bool = True) -> None:
+    """K nonzeros fit in a signal of length N, and a noisy draw has some: with
+    K = 0, Ax is zero whatever is drawn (K checked by its rule first)."""
     if k > n:
         raise ValueError(f"need 0 <= K <= N, got K={k}, N={n}")
+    if k == 0 and not noiseless:
+        raise ValueError("Ax is zero; SNR calibration undefined")
 
 
 def gen_signal_exact_k(
@@ -371,9 +376,7 @@ def make_instance(
     """
     _check_noise(snr, noiseless)
     _checked(m=m, n=n, k=k, sigma_x2=sigma_x2, snr=snr, gamma0=gamma0)
-    _check_support_size(k, n)
-    if k == 0 and not noiseless:  # Ax is zero whatever is drawn
-        raise ValueError("Ax is zero; SNR calibration undefined")
+    _check_support_size(k, n, noiseless)
     A = gen_matrix(m, n, rng)
     x = gen_signal_exact_k(n, k, sigma_x2, rng)
     ax_r, ax_i = A @ x.re, A @ x.im  # once for both the noise and y

@@ -15,7 +15,7 @@ class TestSoftThreshold:
         assert soft_threshold(0.3, 0.0) == pytest.approx(0.3)
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^threshold must be nonnegative$"):
             soft_threshold(1.0, -0.1)
 
     def test_scale_covariance(self):
@@ -47,7 +47,7 @@ class TestLambdaHeuristic:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_k_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^K must be >= 1$"):
             lambda_heuristic(0)
 
 

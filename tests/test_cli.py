@@ -160,36 +160,6 @@ class TestRecover:
         assert code == 0
         assert parse_row(out1)["nmse"] == parse_row(out2)["nmse"]
 
-    def test_malformed_instance_reports_line(self, capsys, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("M 3\nN x\n")
-        code, _, err = run_cli(capsys, "recover", "--instance", str(bad),
-                               "--algo", "cbamp")
-        assert code == 1
-        assert "line 2" in err
-
-    @pytest.mark.parametrize("m_line", ["M 1e400", "M 4.9"])
-    def test_non_integer_dimension_reports_line(self, capsys, tmp_path, m_line):
-        bad = tmp_path / "bad.txt"
-        bad.write_text(f"# header\n{m_line}\nN 5\n")
-        code, _, err = run_cli(capsys, "recover", "--instance", str(bad),
-                               "--algo", "cbamp")
-        assert code == 1
-        assert "bad instance file: line 2" in err
-
-    def test_nan_gamma0_in_instance_file_is_usage_error(self, capsys, tmp_path):
-        saved = tmp_path / "inst.txt"
-        run_cli(capsys, "recover", "--n", "8", "--m", "4", "--k", "2", "--algo", "cbamp",
-                "--save-instance", str(saved))
-        lines = saved.read_text().splitlines()
-        at = next(i for i, l in enumerate(lines) if l.startswith("gamma0"))
-        lines[at] = "gamma0 " + " ".join(["nan"] + ["0.75"] * 7)
-        saved.write_text("\n".join(lines) + "\n")
-        code, out, err = run_cli(capsys, "recover", "--instance", str(saved),
-                                 "--algo", "cbamp")
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "gamma0" in err
-
     def test_nan_in_instance_matrix_names_its_line(self, capsys, tmp_path, monkeypatch):
         # it used to surface only as a non-finite AMP iterate at t=1
         saved = tmp_path / "inst.txt"
@@ -204,25 +174,6 @@ class TestRecover:
         assert (code, out) == (1, "")
         assert err == (f"error: bad instance file: line {at + 1}: "
                        "non-finite value in matrix row 1\n")
-
-    @pytest.mark.parametrize("field, value, message", [
-        ("gamma0", "nan " + " ".join(["0.75"] * 7), "gamma0 entries must lie in [0, 1]"),
-        ("sigma_x2", "-1", "sigma_x2 must be positive"),
-        ("sigma_x2", "inf", "sigma_x2 must be finite"),
-    ])
-    def test_bad_prior_field_in_instance_file_names_its_line(self, capsys, tmp_path, field,
-                                                             value, message):
-        saved = tmp_path / "inst.txt"
-        run_cli(capsys, "recover", "--n", "8", "--m", "4", "--k", "2", "--algo", "cbamp",
-                "--save-instance", str(saved))
-        lines = saved.read_text().splitlines()
-        at = next(i for i, l in enumerate(lines) if l.startswith(field + " "))
-        lines[at] = f"{field} {value}"
-        saved.write_text("\n".join(lines) + "\n")
-        code, out, err = run_cli(capsys, "recover", "--instance", str(saved),
-                                 "--algo", "cbamp")
-        assert (code, out) == (1, "")
-        assert err == f"error: bad instance file: line {at + 1}: {message}\n"
 
     def test_non_finite_iterate_is_an_error_line(self, capsys, tmp_path):
         # an instance whose A overflows the residual at t=1
@@ -677,7 +628,7 @@ class TestValidate:
 
         monkeypatch.setattr(cli, "make_instance", no_draw)
         monkeypatch.setattr(experiments, "make_instance", no_draw)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
             oracle_validation_rows(**kwargs)
 
     def test_zero_trials_is_usage_error_before_the_grid(self, capsys, monkeypatch):

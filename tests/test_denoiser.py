@@ -297,7 +297,7 @@ class TestExactMmse:
     def test_large_n_rejected(self):
         rng = np.random.default_rng(0)
         A = gen_matrix(4, 15, rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^support enumeration infeasible for N=15 > 14$"):
             exact_mmse(A, rng.standard_normal(4), BernoulliGaussianPrior(gamma0=0.5), 0.1)
 
     def test_mixed_degenerate_gammas(self):
@@ -347,14 +347,16 @@ class TestExactMmse:
                               ((3, 2, 4), ()), ((3, 2, 4), (2,))])
     def test_bad_stacked_shapes_rejected(self, y_shape, sigma_shape):
         A = np.stack([gen_matrix(4, 6, np.random.default_rng(j)) for j in range(3)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^stacked trials take A \(T, M, N\), y_part "
+                                             r"\(T, P, M\) and sigma_w2_part \(T,\)$"):
             exact_mmse(A, np.ones(y_shape), BernoulliGaussianPrior(gamma0=0.5),
                        np.full(sigma_shape, 0.1))
 
     @pytest.mark.parametrize("shape", [(2, 5), (5,), (2, 2, 4)])
     def test_bad_y_shape_rejected(self, shape):
         A = gen_matrix(4, 6, np.random.default_rng(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^y_part must be \(M,\) or parts stacked as "
+                                             r"rows \(P, M\)$"):
             exact_mmse(A, np.ones(shape), BernoulliGaussianPrior(gamma0=0.5), 0.1)
 
     @pytest.mark.parametrize("where", ["A", "y_part"])

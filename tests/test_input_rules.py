@@ -35,6 +35,7 @@ INDEX = {-1: "{} must be nonnegative", 1.5: "{} must be an integer, got 1.5"}
 SNR = {**{v: "noisy grids need a positive linear {}" for v in (0.0, -1.0, NAN)},
        INF: "{} must be finite"}
 DATA = {v: "non-finite pseudo-data {}" for v in (NAN, INF, -INF)}
+EMPTY = {(): "{} must be non-empty"}
 
 
 class NoDraws:
@@ -222,6 +223,8 @@ QUANTITIES = {
         "GridConfig": ("n", lambda v: GridConfig(n=v)),
         "gen_matrix": ("n", lambda v: gen_matrix(4, v, NO_DRAWS)),
         "make_instance": ("n", lambda v: make_instance(4, v, 0, NO_DRAWS)),
+        # K <= N was checked first, so n = 0 read `need 1 <= K <= N`
+        "run_nmse_sweep": ("n", lambda v: run_nmse_sweep(v, 2, [12], [10.0], 1)),
     }),
     "m": (COUNT, {
         "gen_matrix": ("m", lambda v: gen_matrix(v, 6, NO_DRAWS)),
@@ -232,6 +235,10 @@ QUANTITIES = {
     "file dimensions": ({v: "{} must be >= 1" for v in (0, -2)}, {
         f"instance file {key}": (key, lambda v, key=key: file_fault(key, repr(v)))
         for key in ("M", "N")
+    }),
+    # and so does a flag's (argparse reads it)
+    "flag dimensions": ({v: "{} must be >= 1" for v in (0, -2)}, {
+        "nmse-sweep --n": ("n", cli_flag("nmse-sweep", "--n", "--out", "OUT")),
     }),
     "trials": (COUNT, {
         "GridConfig": ("trials", lambda v: GridConfig(trials=v)),
@@ -280,7 +287,7 @@ QUANTITIES = {
                                                                  algorithms=(v,))),
     }),
     # an empty tuple drew every instance and returned no rows
-    "algorithms": ({(): "{} must be non-empty"}, {
+    "algorithms": (EMPTY, {
         "GridConfig": ("algorithms", lambda v: GridConfig(algorithms=v)),
         "run_nmse_sweep": ("algorithms", lambda v: run_nmse_sweep(24, 2, [12], [10.0], 1,
                                                                   algorithms=v)),
@@ -288,6 +295,17 @@ QUANTITIES = {
         **{f"{command} --algos": ("algorithms", lambda v, command=command: cli_fault(
             command, "--algos", "," + ",".join(v), "--out", "OUT"))
            for command in ("nmse-sweep", "phase-transition")},
+    }),
+    # an empty grid axis gave an empty sweep; each list has its own message
+    "lists": (EMPTY, {
+        **{f"GridConfig {axis}": (axis, lambda v, axis=axis: GridConfig(**{axis: v}))
+           for axis in ("m_ratios", "k_ratios")},
+        "run_nmse_sweep m_list": ("m_list", lambda v: run_nmse_sweep(24, 2, v, [10.0], 1)),
+        "run_nmse_sweep snr_db_list": ("snr_db_list", lambda v: run_nmse_sweep(24, 2, [12], v,
+                                                                               1)),
+        **{f"nmse-sweep --{flag}": (flag.replace("-", "_"), lambda v, flag=flag: cli_fault(
+            "nmse-sweep", f"--{flag}=" + ",".join(v), "--out", "OUT"))
+           for flag in ("m-list", "snr-db-list")},
     }),
     "detector": ({"magic": "unknown {} 'magic'"}, {
         "detect_support": ("detector", lambda v: detect_support(
