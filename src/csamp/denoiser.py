@@ -13,11 +13,11 @@ both, and pi, from one evaluation of pi).  They run the same kernel as the
 solver loop, _posterior_terms, which takes its per-gamma constants
 precomputed, so the loop validates once per solve, forms x and the
 derivative in place, and hands 1 - pi, u^2 and the channel's terms on to
-the exchange.  denoise_numeric re-derives the same quantity by adaptive
-quadrature and exists purely to validate them.  Its two integrals depend on
-(u, beta, s2) only, so one pair serves a whole vector of gammas, and its
-conditional-mean integral reuses the evidence integral's integrand values
-at the nodes the two share.  exact_mmse is the full-vector oracle: the
+the exchange.  denoise_numeric re-derives the same quantity by
+Gauss-Legendre quadrature in numpy and exists purely to validate them.  Its
+two integrals depend on (u, beta, s2) only, so one evaluation of the
+integrand at every node serves both integrals and a whole vector of
+gammas.  exact_mmse is the full-vector oracle: the
 exact posterior mean over all 2^N supports, feasible only for small N, of
 one real part, of parts stacked as rows, or of trials stacked on a leading
 axis.  The supports of each pattern of free and forced-on components are
@@ -145,20 +145,44 @@ def denoise_deriv(u, p: DenoiserParams):
     return out if out.ndim else float(out)
 
 
+# nodes per panel of denoise_numeric's two Gauss-Legendre rules: the coarse
+# rule's value checks the fine rule's, in place of an error estimate
+QUADRATURE_NODES = (48, 96)
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(points):
+    """(nodes, weights) of the points-node Gauss-Legendre rule on [-1, 1],
+    formed on first use, so that `import csamp` does not pay for it; both
+    read-only, as the cache hands the same arrays to every call."""
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _scaled_joint(x, u, beta, s2):
+    """N(u - x; 0, beta) N(x; 0, s2) at the nodes x, divided by its peak over x,
+    N(u; 0, beta + s2) / sqrt(2 pi beta s2 / (beta + s2)), so it peaks at 1."""
+    return np.exp(u * u / (2.0 * (beta + s2)) - (u - x) ** 2 / (2.0 * beta)
+                  - x * x / (2.0 * s2))
+
+
 def denoise_numeric(u: float, p: DenoiserParams):
-    """Posterior mean by adaptive quadrature of the continuous branch, to a
-    relative tolerance of 1e-12; elementwise over a vector gamma, scalar u.
+    """Posterior mean by quadrature of the continuous branch; elementwise
+    over a vector gamma, scalar u.
 
     Both the numerator integral of x * N(u-x; 0, beta) * N(x; 0, s2) and the
-    continuous evidence integral are computed numerically (log-rescaled so
-    the integrand peaks near 1); only the spike evidence gamma * N(u; 0, beta)
-    uses a density formula.  The integrals depend on (u, beta, s2) only, so
-    one pair serves every gamma: gamma just weighs the spike against them.
-    Entries with gamma >= 1 are 0, and no quadrature runs if all are.
-    Slow; validation only.
+    continuous evidence integral are computed numerically, by a composite
+    Gauss-Legendre rule on four panels of [-R, R], split at the branch's
+    posterior mean and 8 posterior sd either side of it; only the spike
+    evidence gamma * N(u; 0, beta) uses a density formula.  The rescaled
+    integrand is evaluated once, at the nodes of both rules, and serves both
+    integrals; the two rules' difference is the error, which must stay
+    within max(5e-13 R, 1e-9 |value|).  The integrals depend on (u, beta, s2)
+    only, so one evaluation serves every gamma: gamma just weighs the spike
+    against them.  Entries with gamma >= 1 are 0, and no quadrature runs if
+    all are.  Validation only.
     """
-    from scipy.integrate import quad  # here, so that `import csamp` does not load it
-
     u = float(u)
     _checked(u=u)
     beta, s2 = p.beta, p.s2
@@ -172,60 +196,24 @@ def denoise_numeric(u: float, p: DenoiserParams):
     mu = u * s2 / total                  # continuous-branch posterior mean
     sig_post = np.sqrt(beta * s2 / total)
     radius = max(10.0 * np.sqrt(s2), abs(mu) + 12.0 * sig_post)
-
-    # the integrand's constants, once for every callback, as (cheaper) floats
-    two_beta, two_s2 = 2.0 * beta, 2.0 * s2
-    log_norm_beta = float(0.5 * np.log(2.0 * np.pi * beta))
-    log_norm_s2 = float(0.5 * np.log(2.0 * np.pi * s2))
-    # peak height of the joint density, used to rescale before integrating
-    log_scale = -u * u / (2.0 * total) - log_norm_beta - log_norm_s2
-
-    # the two integrals share most of their nodes: each value is kept by its
-    # node, and the second integral reuses it (same node, same expression)
-    joint_at: dict = {}
-
-    def scaled_joint(x):
-        joint_at[x] = value = np.exp(-((u - x) ** 2) / two_beta - x * x / two_s2
-                                     - log_norm_beta - log_norm_s2 - log_scale)
-        return value
-
-    def x_scaled_joint(x):
-        try:
-            return x * joint_at[x]
-        except KeyError:
-            return x * scaled_joint(x)
-
-    eps = 1e-9 * radius
-    breaks = sorted(set(np.clip([mu - 8 * sig_post, mu, mu + 8 * sig_post],
-                                -radius + eps, radius - eps)))
-    # the integrands are bounded by ~radius after rescaling, so this floor
-    # lets quad terminate on integrals whose true value is (near) zero
-    abs_floor = 1e-13 * radius
-
-    def integrate(f, label):
-        val, abserr, info, *rest = quad(
-            f, -radius, radius, points=breaks,
-            epsabs=abs_floor, epsrel=1e-12, limit=200, full_output=1,
-        )
-        if rest:
-            raise RuntimeError(f"quadrature for {label} did not converge: {rest[0]}")
-        if abserr > max(5.0 * abs_floor, 1e-9 * abs(val)):
-            raise RuntimeError(
-                f"quadrature for {label} too inaccurate (abserr={abserr:.3e})"
-            )
-        return val
-
-    evidence_cont = integrate(scaled_joint, "evidence")
-    mean_cont = integrate(x_scaled_joint, "conditional mean")
+    edges = np.array([-radius, mu - 8.0 * sig_post, mu, mu + 8.0 * sig_post, radius])
+    mid, half = (edges[1:, None] + edges[:-1, None]) / 2.0, np.diff(edges)[:, None] / 2.0
+    nodes, weights = zip(*map(_gauss_legendre, QUADRATURE_NODES))
+    x = mid + half * np.concatenate(nodes)              # (panel, node of either rule)
+    evidence = half * np.concatenate(weights) * _scaled_joint(x, u, beta, s2)
+    terms = np.stack([evidence, x * evidence])          # the two integrands' terms
+    coarse = terms[..., :QUADRATURE_NODES[0]].sum(axis=(1, 2))
+    fine = terms[..., QUADRATURE_NODES[0]:].sum(axis=(1, 2))
+    for label, value, abserr in zip(("evidence", "conditional mean"), fine, abs(fine - coarse)):
+        if abserr > max(5e-13 * radius, 1e-9 * abs(value)):
+            raise RuntimeError(f"quadrature for {label} too inaccurate (abserr={abserr:.3e})")
+    evidence_cont, mean_cont = fine
 
     # spike evidence, rescaled by the same factor as the integrals
-    log_spike = -u * u / two_beta - log_norm_beta - log_scale
     g = gamma[live]
-    spike = g * np.exp(log_spike)
-
-    num = (1.0 - g) * mean_cont
-    den = spike + (1.0 - g) * evidence_cont
-    out[live] = num / den
+    spike = g * np.exp(u * u / (2.0 * total) - u * u / (2.0 * beta)
+                       + 0.5 * np.log(2.0 * np.pi * s2))
+    out[live] = (1.0 - g) * mean_cont / (spike + (1.0 - g) * evidence_cont)
     return out if out.ndim else float(out)
 
 

@@ -83,6 +83,9 @@ class GridConfig:
             _checked(algorithm=name)
             if self.algorithms.count(name) > 1:
                 raise ValueError(f"algorithm {name!r} given more than once")
+        # every cell's K, before any draw: a noisy cell needs K >= 1
+        for m_ratio, k_ratio in product(self.m_ratios, self.k_ratios):
+            _check_support_size(self.cell_dims(m_ratio, k_ratio)[1], self.n, self.noiseless)
 
     @property
     def noiseless(self) -> bool:

@@ -244,12 +244,6 @@ class ProblemInstance:
     def n(self) -> int:
         return self.A.shape[1]
 
-    def residual_norm(self) -> float:
-        """max-norm of y - (A x + w); zero up to rounding by construction."""
-        r_r = self.y.re - (self.A @ self.x_true.re + self.w.re)
-        r_i = self.y.im - (self.A @ self.x_true.im + self.w.im)
-        return max(np.max(np.abs(r_r), initial=0.0), np.max(np.abs(r_i), initial=0.0))
-
 
 @dataclass(frozen=True)
 class RecoveryOutput:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from csamp import bossamp
-from csamp.amp import _iterate, _stack, soft_threshold
+from csamp.amp import _iterate, _stack, _take, soft_threshold
 from csamp.bamp import _mmse_step, _prior_rows, bamp_step, cbamp_recover
 from csamp.bossamp import _exchange_step, cbossamp_recover
 from csamp.cli import (
@@ -407,3 +407,37 @@ def test_criterion_10_property_suites():
     report(10, not unique, "all property suites hold" if not unique
            else f"violated: {', '.join(unique)}")
     assert unique == []
+
+
+def test_exchange_memory_term_is_the_derivative_of_the_estimate():
+    # b = (1/M) sum_n dx_r,n/du_i,n, and x_r,n depends on the other part's
+    # step-t pseudo-data u_i only through u_i,n: so one central difference of
+    # sum_n x_r,n, with every entry of both parts' step-t pseudo-data shifted
+    # by +-h, gives each row's b.  It runs through _exchange_step itself: a
+    # first step's state feeds a second, whose term is b times the other
+    # part's residual from the first step.  Unlike criterion 3b, this sees the
+    # swap and the memory term.
+    inst, _ = make_instance(77, 256, 20, trial_rng(3, 0, 0))
+    settings = RecoverySettings()
+    step = _exchange_step(settings)
+    consts = _take(_prior_rows([(inst.A, inst.y)], [inst.prior], settings.gamma_clamp)[1],
+                   np.zeros(2, dtype=int))                  # the trial's (re, im) rows
+    rng = np.random.default_rng(13)
+    (m, n), h, worst = inst.A.shape, 1e-6, 0.0
+    for _ in range(20):
+        beta_t, beta = rng.uniform(0.01, 0.3, (2, 2))       # per part, at steps t and t+1
+        signal = np.zeros((2, n))
+        signal[:, rng.choice(n, 20, replace=False)] = rng.standard_normal((2, 20))
+        u_t, u = (signal + rng.standard_normal((2, n)) * np.sqrt(b)[:, None]
+                  for b in (beta_t, beta))
+        z_t, z = rng.standard_normal((2, 2, m))
+
+        def second_step(shift):
+            state = step(u_t + shift, beta_t, z_t, consts, None)[3]
+            return step(u, beta, z, consts, state)
+
+        x_up, x_down = (second_step(s)[0].sum(axis=1) for s in (h, -h))
+        b_difference = (x_up - x_down) / (2.0 * h * m)
+        b = second_step(0.0)[2][:, 0] / z_t[::-1, 0]        # the term over the swapped z_t
+        worst = max(worst, float(np.max(np.abs(b - b_difference) / np.abs(b))))
+    assert worst <= 1e-6

@@ -16,7 +16,8 @@ from csamp.bamp import bamp_recover, bamp_step
 from csamp.bossamp import likelihood_update
 from csamp.denoiser import DenoiserParams, denoise, denoise_deriv, denoise_numeric, exact_mmse
 from csamp.experiments import (GridConfig, SweepResult, detect_support, extract_contour,
-                               run_algorithm, run_nmse_sweep, trial_rng)
+                               run_algorithm, run_nmse_sweep, run_phase_transition,
+                               trial_rng)
 from csamp.model import (INPUT_RULES, BernoulliGaussianPrior, InstanceFormatError,
                          RecoverySettings, gen_matrix, gen_signal_exact_k, load_instance,
                          make_instance, save_instance)
@@ -317,6 +318,12 @@ QUANTITIES = {
     }),
     "part_variance": ({"quarter": "unknown {} 'quarter'"}, {
         "RecoverySettings": ("part_variance", lambda v: RecoverySettings(part_variance=v)),
+    }),
+    # a noisy grid whose cell has K = 0 (M = 1 at n = 16) solved a chunk, then
+    # failed on that cell's draw; a relation of the cells, checked at entry
+    "noisy cells": ({0.05: "Ax is zero; SNR calibration undefined"}, {
+        "GridConfig": ("m_ratios", lambda v: run_phase_transition(GridConfig(
+            n=16, snr=10.0, trials=2, m_ratios=(0.5, v), k_ratios=(0.5,)))),
     }),
 }
 
