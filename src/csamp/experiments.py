@@ -8,13 +8,15 @@ support detectors.  The loop's unit is a chunk (`_chunks`): consecutive
 fit CHUNK_BYTES of A (at least one).  Each algorithm solves a chunk in one
 batched AMP loop (amp.py) in which every trial keeps its own prior and the
 bits of its lone solve, so the chunking changes no result.  The chunks are
-solved and scored by the workers, and each solve's TrialRecord (score,
-iterations, diverged flag, {detector: SupportMetrics}) routed back to its
-cell in trial order.  The exact-MMSE oracle check (cli) draws and solves
+solved and scored by the workers and read back in task order, each solve's
+TrialRecord (score, iterations, diverged flag, {detector: SupportMetrics})
+joining its cell's records in trial order.  The loop yields a cell as soon
+as the chunk holding its last trial is scored, so a sweep holds one cell's
+records at a time.  The exact-MMSE oracle check (cli) draws and solves
 through the same chunks.  Comparisons are paired and any worker count
-reproduces the same bytes.  The public runners reduce the loop's records
-to rows; `run_grids` takes the recovery and support grids from one pass,
-the support grid scoring the (algorithm, detector) pairs of
+reproduces the same bytes.  The public runners reduce each cell to its
+rows as it arrives; `run_grids` forms the recovery and support grids in
+one pass, the support grid scoring the (algorithm, detector) pairs of
 DEFAULT_DETECTOR_CONFIGS whose algorithm the grid runs.  A trial whose
 iterate goes non-finite fails alone, as a RecoveryError, while the rest of
 its chunk runs on: it counts as diverged at t_max iterations, scores NMSE 1
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 from itertools import product
 from multiprocessing import Pool
@@ -85,7 +88,9 @@ class GridConfig:
                 raise ValueError(f"algorithm {name!r} given more than once")
         # every cell's K, before any draw: a noisy cell needs K >= 1
         for m_ratio, k_ratio in product(self.m_ratios, self.k_ratios):
-            _check_support_size(self.cell_dims(m_ratio, k_ratio)[1], self.n, self.noiseless)
+            m, k = self.cell_dims(m_ratio, k_ratio)
+            _check_support_size(k, self.n, self.noiseless,
+                                f"cell M/N={m_ratio:g}, K/M={k_ratio:g} (M={m}, K={k}): ")
 
     @property
     def noiseless(self) -> bool:
@@ -217,7 +222,7 @@ def detect_support(detector: str, out: RecoveryOutput,
     return detect_prior_based(g_r, g_i)
 
 
-def _grid_meta(cfg: GridConfig, kind: str) -> dict:
+def _grid_meta(cfg: GridConfig, kind: str, pairs) -> dict:
     meta = {
         "kind": kind,
         "version": __version__,
@@ -233,14 +238,9 @@ def _grid_meta(cfg: GridConfig, kind: str) -> dict:
         "sigma_x2": cfg.sigma_x2,
     }
     meta.update(asdict(cfg.settings))
+    if kind == "support-pt":
+        meta["detectors"] = " ".join(f"{a}+{d}" for a, d in pairs)
     return meta
-
-
-def _map_chunks(worker, tasks, workers: int):
-    if workers > 1:
-        with Pool(processes=workers) as pool:
-            return pool.map(worker, tasks, chunksize=1)
-    return [worker(t) for t in tasks]
 
 
 # --- the trial loop ------------------------------------------------------------
@@ -289,11 +289,14 @@ def _solve_draws(cfg: GridConfig, chunk):
 def _score_chunk(task) -> list:
     """The trial loop's worker.  task = (cfg, chunk, detectors): the
     settings, a chunk of _chunks and the detectors to score per algorithm.
-    Per draw, {algorithm: _score of its solve}."""
+    Per draw, (whether it is its cell's last trial, {algorithm: _score of
+    its solve})."""
     cfg, chunk, detectors = task
     draws, outs = _solve_draws(cfg, chunk)
-    return [{algo: _score(inst, outs[algo][j], cfg.settings, detectors[algo])
-             for algo in cfg.algorithms} for j, (inst, _) in enumerate(draws)]
+    return [(trial == cfg.trials - 1,
+             {algo: _score(inst, outs[algo][j], cfg.settings, detectors[algo])
+              for algo in cfg.algorithms})
+            for j, ((inst, _), (*_, trial)) in enumerate(zip(draws, chunk))]
 
 
 def _score(inst: ProblemInstance, out, settings: RecoverySettings, detectors) -> TrialRecord:
@@ -308,20 +311,24 @@ def _score(inst: ProblemInstance, out, settings: RecoverySettings, detectors) ->
         d: support_metrics(inst.x_true, detect_support(d, out, inst.prior)) for d in detectors})
 
 
-def _run_cells(cfg: GridConfig, cells, pairs=()) -> list:
+def _run_cells(cfg: GridConfig, cells, pairs=()):
     """The trial loop over cells ((index, m, k, snr) each, as _chunks takes
-    them), scoring the (algorithm, detector) pairs: per cell, {algorithm:
-    [TrialRecord per trial, in trial order]}."""
+    them), scoring the (algorithm, detector) pairs.  A generator: per cell,
+    in cell order, {algorithm: [TrialRecord per trial, in trial order]},
+    yielded as soon as the chunk holding the cell's last trial is scored,
+    so a sweep holds one cell's records at a time.  With workers > 1 the
+    chunks are scored by a pool, read back in task order; the pool ends
+    when the generator does, by exhaustion, an exception or close()."""
     detectors = {algo: tuple(d for a, d in pairs if a == algo) for algo in cfg.algorithms}
-    records = {index: {algo: [] for algo in cfg.algorithms} for index, *_ in cells}
-    chunks = list(_chunks(cfg, cells))
-    scored = _map_chunks(_score_chunk, [(cfg, chunk, detectors) for chunk in chunks],
-                         cfg.workers)
-    for chunk, by_draw in zip(chunks, scored):
-        for (index, *_), by_algo in zip(chunk, by_draw):
-            for algo, record in by_algo.items():
-                records[index][algo].append(record)
-    return [records[index] for index, *_ in cells]
+    tasks = ((cfg, chunk, detectors) for chunk in _chunks(cfg, cells))
+    cell = []  # {algorithm: TrialRecord} per trial of the cell so far
+    with (Pool(cfg.workers) if cfg.workers > 1 else nullcontext()) as pool:
+        for by_draw in pool.imap(_score_chunk, tasks) if pool else map(_score_chunk, tasks):
+            for last, by_algo in by_draw:
+                cell.append(by_algo)
+                if last:
+                    yield {algo: [trial[algo] for trial in cell] for algo in cfg.algorithms}
+                    cell = []
 
 
 def _effort(records) -> tuple:
@@ -342,29 +349,30 @@ SPT_COLUMNS = [
 ]
 
 
-def _support_pairs(cfg: GridConfig) -> tuple[tuple[str, str], ...]:
+def _support_pairs(cfg: GridConfig) -> list[tuple[str, str]]:
     """The (algorithm, detector) pairs of DEFAULT_DETECTOR_CONFIGS whose
     algorithm the grid runs."""
-    pairs = tuple(p for p in DEFAULT_DETECTOR_CONFIGS if p[0] in cfg.algorithms)
+    pairs = [p for p in DEFAULT_DETECTOR_CONFIGS if p[0] in cfg.algorithms]
     if not pairs:
         raise ValueError("need at least one (algorithm, detector) pair "
                          "with an algorithm of the grid")
     return pairs
 
 
-def _grid_pass(cfg: GridConfig, pairs=()) -> list:
-    """[((m_ratio, k_ratio), (m, k), records)] per cell, in row order."""
+def _grids(cfg: GridConfig, labels) -> list[SweepResult]:
+    """One pass over the grid, solving only the labels' algorithms, each
+    cell reduced to its rows as it arrives: per cell, one row per label, an
+    (algorithm,) label counting recoveries below the success threshold and
+    an (algorithm, detector) label exact support matches.  The recovery
+    sweep if a label is an algorithm, then the support sweep if one is a
+    pair, each with cfg's meta."""
+    pairs = [label for label in labels if len(label) == 2]
+    solved = replace(cfg, algorithms=tuple(dict.fromkeys(label[0] for label in labels)))
     ratios = list(product(cfg.m_ratios, cfg.k_ratios))
-    dims = [cfg.cell_dims(mr, kr) for mr, kr in ratios]
-    cells = [(idx, m, k, cfg.snr) for idx, (m, k) in enumerate(dims)]
-    return list(zip(ratios, dims, _run_cells(cfg, cells, pairs)))
-
-
-def _grid_result(cfg: GridConfig, kind: str, labels, passes) -> SweepResult:
-    """Per cell, one row per label: (algorithm,) counts recoveries below the
-    success threshold, (algorithm, detector) exact support matches."""
-    rows = []
-    for (m_ratio, k_ratio), (m, k), records in passes:
+    cells = [(idx, *cfg.cell_dims(mr, kr), cfg.snr) for idx, (mr, kr) in enumerate(ratios)]
+    rows = {len(label): [] for label in labels}  # 1: recovery rows, 2: support rows
+    for records, (m_ratio, k_ratio), (_, m, k, _) in zip(_run_cells(solved, cells, pairs),
+                                                         ratios, cells):
         for label in labels:
             trials = records[label[0]]
             if len(label) == 2:
@@ -372,39 +380,30 @@ def _grid_result(cfg: GridConfig, kind: str, labels, passes) -> SweepResult:
             else:
                 successes = sum(1 for r in trials
                                 if r.score is not None and r.score < cfg.success_threshold)
-            rows.append((m_ratio, k_ratio, m, k, *label, cfg.trials, successes,
-                         successes / cfg.trials, *_effort(trials), cfg.base_seed))
-    meta = _grid_meta(cfg, kind)
-    if kind == "phase-transition":
-        return SweepResult(kind, PT_COLUMNS, rows, meta)
-    meta["detectors"] = " ".join(f"{a}+{d}" for a, d in labels)
-    return SweepResult(kind, SPT_COLUMNS, rows, meta)
+            rows[len(label)].append((m_ratio, k_ratio, m, k, *label, cfg.trials, successes,
+                                     successes / cfg.trials, *_effort(trials), cfg.base_seed))
+    return [SweepResult(kind, columns, rows[size], _grid_meta(cfg, kind, pairs))
+            for size, kind, columns in ((1, "phase-transition", PT_COLUMNS),
+                                        (2, "support-pt", SPT_COLUMNS)) if size in rows]
 
 
 def run_phase_transition(cfg: GridConfig) -> SweepResult:
     """Recovery success rates over the ratio grid (noiseless by default);
     success is NMSE below the configured threshold at the final iterate."""
-    labels = [(algo,) for algo in cfg.algorithms]
-    return _grid_result(cfg, "phase-transition", labels, _grid_pass(cfg))
+    return _grids(cfg, [(algo,) for algo in cfg.algorithms])[0]
 
 
 def run_support_phase_transition(cfg: GridConfig) -> SweepResult:
     """Exact-support-match rates for the (algorithm, detector) pairs of
     DEFAULT_DETECTOR_CONFIGS whose algorithm is in cfg.algorithms; only those
     algorithms are solved."""
-    pairs = _support_pairs(cfg)
-    solved = replace(cfg, algorithms=tuple(dict.fromkeys(a for a, _ in pairs)))
-    return _grid_result(cfg, "support-pt", pairs, _grid_pass(solved, pairs))
+    return _grids(cfg, _support_pairs(cfg))[0]
 
 
 def run_grids(cfg: GridConfig) -> tuple[SweepResult, SweepResult]:
     """run_phase_transition(cfg) and run_support_phase_transition(cfg) from
     one pass, solving each instance once per algorithm."""
-    pairs = _support_pairs(cfg)
-    passes = _grid_pass(cfg, pairs)
-    labels = [(algo,) for algo in cfg.algorithms]
-    return (_grid_result(cfg, "phase-transition", labels, passes),
-            _grid_result(cfg, "support-pt", pairs, passes))
+    return tuple(_grids(cfg, [(algo,) for algo in cfg.algorithms] + _support_pairs(cfg)))
 
 
 # --- NMSE over SNR -----------------------------------------------------------
@@ -436,7 +435,7 @@ def run_nmse_sweep(
     points = [(int(m), float(snr_db)) for m, snr_db in product(m_list, snr_db_list)]
     cells = [(idx, m, k, 10.0 ** (snr_db / 10.0)) for idx, (m, snr_db) in enumerate(points)]
     rows = []
-    for (m, snr_db), records in zip(points, _run_cells(cfg, cells)):
+    for records, (m, snr_db) in zip(_run_cells(cfg, cells), points):
         for algo in cfg.algorithms:
             v = np.array([1.0 if r.score is None else r.score for r in records[algo]])
             rows.append((m, snr_db, algo, trials, float(v.mean()), float(np.median(v)),

@@ -288,13 +288,14 @@ def gen_matrix(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return A
 
 
-def _check_support_size(k: int, n: int, noiseless: bool = True) -> None:
+def _check_support_size(k: int, n: int, noiseless: bool = True, where: str = "") -> None:
     """K nonzeros fit in a signal of length N, and a noisy draw has some: with
-    K = 0, Ax is zero whatever is drawn (K checked by its rule first)."""
+    K = 0, Ax is zero whatever is drawn (K checked by its rule first).  where
+    prefixes the message (a grid names its cell)."""
     if k > n:
-        raise ValueError(f"need 0 <= K <= N, got K={k}, N={n}")
+        raise ValueError(f"{where}need 0 <= K <= N, got K={k}, N={n}")
     if k == 0 and not noiseless:
-        raise ValueError("Ax is zero; SNR calibration undefined")
+        raise ValueError(f"{where}Ax is zero; SNR calibration undefined")
 
 
 def gen_signal_exact_k(

@@ -226,7 +226,7 @@ def two_pass_quadrature(u, p, rel_tol=1e-12):
 
 @pytest.mark.parametrize("beta", VALIDATION_BETAS)
 @pytest.mark.parametrize("gamma", VALIDATION_GAMMAS)
-def test_numeric_oracle_bitwise_equals_two_pass_quadrature(beta, gamma):
+def test_numeric_oracle_agrees_with_quadpack(beta, gamma):
     # a Gauss-Legendre rule cannot keep QUADPACK's bits: agreement to 1e-12
     p = DenoiserParams(beta=beta, gamma=gamma, s2=VALIDATION_S2)
     for u in VALIDATION_U_GRID[::7]:

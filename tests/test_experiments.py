@@ -1,3 +1,4 @@
+import multiprocessing
 import warnings
 from dataclasses import replace
 
@@ -450,7 +451,7 @@ class TestChunksSpanCells:
         cells = [(c, *cfg.cell_dims(mr, kr), None) for c, (mr, kr) in enumerate(ratios)]
         pairs = experiments.DEFAULT_DETECTOR_CONFIGS
         reference = per_cell_reference(cfg, cells, pairs)
-        per_cell = experiments._run_cells(cfg, cells, pairs)
+        per_cell = list(experiments._run_cells(cfg, cells, pairs))
         assert len(per_cell) == len(cells)
         for (c, *_), records in zip(cells, per_cell):
             assert list(records) == list(cfg.algorithms)
@@ -460,6 +461,24 @@ class TestChunksSpanCells:
         metrics = [m for by_algo in per_cell for records in by_algo.values()
                    for r in records for m in r.support.values()]
         assert any(m.false_negatives for m in metrics) and any(m.false_positives for m in metrics)
+
+    def test_a_cell_is_yielded_once_its_own_chunks_are_solved(self, monkeypatch, loops):
+        # cell 0 (M=14) and cell 1's first trial share the first chunk; the
+        # sweep's other chunks are not solved before cell 0 is yielded
+        monkeypatch.setattr(experiments, "CHUNK_BYTES", self.BUDGET)
+        cfg = tiny_grid()
+        ratios = [(mr, kr) for mr in cfg.m_ratios for kr in cfg.k_ratios]
+        cells = [(c, *cfg.cell_dims(mr, kr), None) for c, (mr, kr) in enumerate(ratios)]
+        chunks = list(experiments._chunks(cfg, cells))
+        own = [chunk for chunk in chunks if any(draw[0] == 0 for draw in chunk)]
+        assert len(own) == 1 and len(chunks) > 1
+        stream = experiments._run_cells(cfg, cells)
+        first = next(stream)
+        assert len(loops) == len(own) * len(cfg.algorithms)
+        stream.close()
+        reference = per_cell_reference(cfg, cells[:1])
+        for algo in cfg.algorithms:
+            assert first[algo] == reference[0, algo][4]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nmse_rows_equal_per_cell_reference(self, monkeypatch, workers):
@@ -495,6 +514,25 @@ class TestChunksSpanCells:
             assert len(ms) <= max(1, experiments.CHUNK_BYTES // (8 * ms[0] * cfg.n))
         # the cells' 8 draws of M=38 share a loop; the budget splits M=77's
         assert sorted({(ms[0], len(ms)) for ms in loops}) == [(38, 8), (77, 2), (77, 6)]
+
+
+class TestWorkerProcesses:
+    # a sweep's pool ends with it: a stream left suspended must not keep it alive
+    def test_none_outlive_a_sweep(self):
+        run_grids(tiny_grid(workers=2))
+        assert multiprocessing.active_children() == []
+        run_nmse_sweep(n=48, k=4, m_list=[14, 29], snr_db_list=[10.0], trials=3,
+                       settings=RecoverySettings(t_max=20), workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_none_outlive_a_sweep_whose_worker_raises(self, monkeypatch):
+        def raising(*args, **kwargs):
+            raise RuntimeError("the solve failed")
+
+        monkeypatch.setattr(experiments, "_solve_chunk", raising)  # forked workers inherit it
+        with pytest.raises(RuntimeError, match="^the solve failed$"):
+            run_grids(tiny_grid(workers=2))
+        assert multiprocessing.active_children() == []
 
 
 def fail_on(monkeypatch, bad):

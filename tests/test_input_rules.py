@@ -321,7 +321,8 @@ QUANTITIES = {
     }),
     # a noisy grid whose cell has K = 0 (M = 1 at n = 16) solved a chunk, then
     # failed on that cell's draw; a relation of the cells, checked at entry
-    "noisy cells": ({0.05: "Ax is zero; SNR calibration undefined"}, {
+    "noisy cells": ({0.05: "cell M/N=0.05, K/M=0.5 (M=1, K=0): "
+                           "Ax is zero; SNR calibration undefined"}, {
         "GridConfig": ("m_ratios", lambda v: run_phase_transition(GridConfig(
             n=16, snr=10.0, trials=2, m_ratios=(0.5, v), k_ratios=(0.5,)))),
     }),

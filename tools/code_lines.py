@@ -16,6 +16,7 @@ from __future__ import annotations
 import ast
 import importlib
 import io
+import os
 import sys
 import tokenize
 from dataclasses import fields
@@ -74,15 +75,19 @@ def options(package: Path) -> dict[str, int]:
 def main(argv: list[str]) -> int:
     package = Path(argv[0]) if argv else PACKAGE
     totals = [0, 0, 0]
+    lines = []
     for path in sorted(package.glob("*.py")):
         sizes = count(path.read_text())
         totals = [t + v for t, v in zip(totals, sizes)]
-        print(f"{path.name:16s}" + "".join(f" {v:6,d}" for v in sizes))
-    print(f"{'total':16s}" + "".join(f" {v:6,d}" for v in totals))
+        lines.append(f"{path.name:16s}" + "".join(f" {v:6,d}" for v in sizes))
+    lines.append(f"{'total':16s}" + "".join(f" {v:6,d}" for v in totals))
     if (package / "cli.py").exists():
-        print("settable options")
-        for name, n in options(package).items():
-            print(f"{name:17s}{n:6d}")
+        lines.append("settable options")
+        lines += [f"{name:17s}{n:6d}" for name, n in options(package).items()]
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:  # the reader closed the pipe early (`| head`): end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

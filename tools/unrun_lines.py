@@ -21,6 +21,7 @@ statement.  Tracing makes the tests several times slower.
 from __future__ import annotations
 
 import ast
+import os
 import sys
 import threading
 from pathlib import Path
@@ -92,7 +93,8 @@ def trace_pytest(args: list[str]) -> tuple[int, dict[str, set[int]]]:
 def main(argv: list[str]) -> int:
     sys.path.insert(0, str(SRC))
     status, ran = trace_pytest(argv)
-    unrun = total = 0
+    report = []
+    total = 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         lines = source.splitlines()
@@ -100,9 +102,14 @@ def main(argv: list[str]) -> int:
         for first, own in sorted(statements(source).items()):
             total += 1
             if not own & seen:
-                unrun += 1
-                print(f"{path.relative_to(SRC.parent)}:{first}: {lines[first - 1].strip()}")
-    print(f"{unrun} of {total} statements in {PACKAGE.relative_to(SRC.parent)} never ran")
+                report.append(f"{path.relative_to(SRC.parent)}:{first}: "
+                              f"{lines[first - 1].strip()}")
+    unrun = len(report)
+    report.append(f"{unrun} of {total} statements in {PACKAGE.relative_to(SRC.parent)} never ran")
+    try:
+        print("\n".join(report), flush=True)
+    except BrokenPipeError:  # the reader closed the pipe early (`| head`): end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status or int(unrun > 0)
 
 
